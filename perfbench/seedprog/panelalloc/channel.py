@@ -1,0 +1,187 @@
+"""Path-gain statistics, AoD sampling and the stochastic blockage model."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .config import SystemConfig
+from .errors import ConfigurationError, SamplingError
+
+# ULA half-power beamwidth rule of thumb: HPBW ~ 102 deg / (number of elements).
+HPBW_COEFF_DEG = 102.0
+
+# Blockage attenuation model: eta = ETA_BASE + 180 deg / HPBW, amplitude factor 1/eta.
+ETA_BASE = 9.8
+
+_AOD_MAX_ATTEMPTS = 10_000
+
+
+@dataclass(frozen=True)
+class PathStatistics:
+    """Per-path gain variances; index 0 is the LoS path."""
+
+    variances: np.ndarray
+
+    @property
+    def num_paths(self) -> int:
+        return self.variances.size
+
+
+@dataclass
+class ChannelRealization:
+    """One draw of AoDs, complex path gains and multiplicative blockage factors."""
+
+    aods: np.ndarray
+    gains: np.ndarray
+    blockage: np.ndarray
+
+
+def path_variances(kappa: float, num_paths: int) -> PathStatistics:
+    """Per-path gain variances for a Rician channel with K-factor ``kappa``.
+
+    The LoS path carries kappa/(kappa+1) of the unit total power; the
+    remaining power is split equally over the L-1 NLoS paths:
+
+        sigma_1^2 = kappa / (kappa + 1)
+        sigma_l^2 = 1 / ((kappa + 1) (L - 1)),  l > 1
+    """
+    if num_paths < 2:
+        raise ConfigurationError(f"num_paths must be >= 2, got {num_paths}")
+    if not kappa >= 0.0:
+        raise ConfigurationError(f"kappa must be nonnegative, got {kappa}")
+    variances = np.full(num_paths, 1.0 / ((kappa + 1.0) * (num_paths - 1)))
+    variances[0] = kappa / (kappa + 1.0)
+    return PathStatistics(variances=variances)
+
+
+def default_min_separation(config: SystemConfig) -> float:
+    """Default minimum pairwise AoD spacing: four full-array beamwidths, radians."""
+    return 4.0 * math.radians(HPBW_COEFF_DEG / config.n_t)
+
+
+def sample_gains(
+    stats: PathStatistics, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Zero-mean circularly-symmetric complex Gaussian gains, one per path.
+
+    With ``size`` set, returns a (size, L) matrix of independent draws.
+    """
+    shape = (stats.num_paths,) if size is None else (size, stats.num_paths)
+    scale = np.sqrt(stats.variances / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def sample_aods(
+    config: SystemConfig,
+    min_separation: float | None = None,
+    rng: np.random.Generator | None = None,
+    max_attempts: int = _AOD_MAX_ATTEMPTS,
+) -> np.ndarray:
+    """Draw L AoDs uniformly on [0, pi) with pairwise spacing >= min_separation.
+
+    Rejection sampling; raises SamplingError if no admissible draw is found
+    within the retry budget (possible when the separation demand is close to
+    the packing limit min_separation * L < pi).
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    if min_separation is None:
+        min_separation = default_min_separation(config)
+    L = config.num_paths
+    if min_separation < 0.0:
+        raise ConfigurationError("min_separation must be nonnegative")
+    if min_separation * L >= math.pi:
+        raise ConfigurationError(
+            f"min_separation {min_separation:.4g} rad is infeasible for {L} paths on [0, pi)"
+        )
+    for _ in range(max_attempts):
+        aods = rng.uniform(0.0, math.pi, size=L)
+        gaps = np.diff(np.sort(aods))
+        if min_separation == 0.0 or np.all(gaps >= min_separation):
+            return aods
+    raise SamplingError(
+        f"could not draw {L} AoDs with spacing {min_separation:.4g} rad "
+        f"in {max_attempts} attempts"
+    )
+
+
+def sample_channel(
+    config: SystemConfig,
+    min_separation: float | None = None,
+    rng: np.random.Generator | None = None,
+) -> ChannelRealization:
+    """Draw one training-phase channel: AoDs, path gains, blockage all-clear.
+
+    Blockage is applied separately per transmission frame (sample_blockage);
+    the returned realization has every blockage factor equal to 1.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    aods = sample_aods(config, min_separation, rng)
+    stats = path_variances(config.rician_k, config.num_paths)
+    gains = sample_gains(stats, rng)
+    return ChannelRealization(
+        aods=aods, gains=gains, blockage=np.ones(config.num_paths)
+    )
+
+
+def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
+    """Amplitude factor 1/eta applied to a blocked path, eta = 9.8 + 180/HPBW."""
+    hpbw = np.asarray(hpbw_deg, dtype=float)
+    if np.any(~(hpbw > 0.0)):
+        raise ConfigurationError("hpbw_deg entries must be positive")
+    return 1.0 / (ETA_BASE + 180.0 / hpbw)
+
+
+def blockage_factor_frames(
+    config: SystemConfig,
+    blocked_values: np.ndarray,
+    rng: np.random.Generator,
+    n_frames: int,
+) -> np.ndarray:
+    """Per-frame blockage factors, shape (n_frames, L).
+
+    One blockage probability p_hat ~ U(p_min, p_max) is drawn per frame and
+    shared by all paths; each path is then blocked independently with
+    probability p_hat. A blocked path l takes blocked_values[l], a clear
+    path takes 1. Marginally each path is blocked with probability p_blk,
+    but blockage events within a frame are positively correlated.
+    """
+    L = config.num_paths
+    blocked_values = np.broadcast_to(np.asarray(blocked_values, dtype=float), (L,))
+    p_hat = rng.uniform(config.p_min, config.p_max, size=n_frames)
+    blocked = rng.random((n_frames, L)) < p_hat[:, None]
+    return np.where(blocked, blocked_values[None, :], 1.0)
+
+
+def sample_blockage(
+    config: SystemConfig,
+    mode: str,
+    hpbw_deg: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Draw one frame of per-path blockage factors.
+
+    mode "idealized": blocked paths are nulled (factor 0).
+    mode "realistic": blocked paths are attenuated by 1/eta with
+    eta = 9.8 + 180 / hpbw_deg[l]; requires positive beamwidths.
+    Clear paths always take factor 1.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    if mode == "idealized":
+        blocked_values = np.zeros(config.num_paths)
+    elif mode == "realistic":
+        if hpbw_deg is None:
+            raise ConfigurationError("realistic blockage requires hpbw_deg")
+        blocked_values = blockage_attenuation(hpbw_deg)
+        if blocked_values.shape != (config.num_paths,):
+            raise ConfigurationError(
+                f"hpbw_deg must have length {config.num_paths}, got {blocked_values.shape}"
+            )
+    else:
+        raise ConfigurationError(f"unknown blockage mode {mode!r}")
+    return blockage_factor_frames(config, blocked_values, rng, 1)[0]

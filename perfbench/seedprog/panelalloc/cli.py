@@ -1,0 +1,450 @@
+"""Experiment CLI: analytic curves, Monte Carlo sweeps and allocation tables.
+
+Subcommands mirror the evaluation workflow: ``cdf`` (SE distribution per
+method, analytic vs both Monte Carlo modes), ``sweep-se`` (outage and mean
+SE vs target SE), ``sweep-snr`` (mean RSNR/SE vs transmit SNR), ``allocate``
+(optimizer output vs target SE), ``pattern`` (beam patterns) and ``count``
+(candidate-set sizes). All outputs are CSV files with a header comment line
+recording the resolved configuration. Exit codes: 0 success, 2 usage,
+3 enumeration capacity exceeded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import numpy as np
+
+from .analytic import (
+    average_rsnr,
+    average_se_upper_bound,
+    rsnr_mixture,
+    se_cdf,
+)
+from .beamforming import (
+    PanelAllocation,
+    beam_pattern,
+    build_beamformer,
+    los_concentration,
+    uniform_allocation,
+)
+from .channel import sample_channel
+from .config import SystemConfig, linear_to_db, load_scenario
+from .errors import CapacityError, ConfigurationError
+from .export import (
+    write_candidates_csv,
+    write_cdf_csv,
+    write_columns_csv,
+    write_csv,
+    write_pattern_csv,
+    write_samples_csv,
+    write_summary_csv,
+)
+from .montecarlo import run_trials
+from .optimizer import optimize_outmin, optimize_outmin_ase, pattern_count
+
+METHODS = ("los", "uniform", "outmin", "outmin_ase")
+
+DEFAULT_SEED = 2025
+DEFAULT_TRIALS = 100_000
+DEFAULT_EPSILON = 0.05
+
+
+@dataclass
+class ExperimentSpec:
+    """Resolved inputs of one CLI invocation."""
+
+    config: SystemConfig
+    methods: tuple[str, ...]
+    seed: int
+    trials: int
+    epsilon: float
+    target_se: float
+    output_dir: Path
+    se_grid: np.ndarray | None = None
+    snr_grid_db: np.ndarray | None = None
+    alloc_override: tuple[int, ...] | None = None
+    pattern_points: int = 721
+    np_values: tuple[int, ...] = (2, 4, 8, 16)
+    paths_range: tuple[int, int] = (2, 8)
+    dump_samples: bool = False
+    dump_candidates: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.methods:
+            raise ConfigurationError("at least one method is required")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ConfigurationError(f"unknown methods: {unknown}; choose from {METHODS}")
+        for grid in (self.se_grid, self.snr_grid_db):
+            if grid is not None and (grid.size < 1 or np.any(np.diff(grid) <= 0)):
+                raise ConfigurationError("grids must be strictly increasing")
+        if self.trials < 1:
+            raise ConfigurationError("trials must be >= 1")
+
+    def comment(self, command: str, **extra) -> str:
+        parts = [f"command={command}", self.config.summary(), f"seed={self.seed}"]
+        parts += [f"trials={self.trials}", f"epsilon={self.epsilon:.6g}"]
+        parts += [f"{k}={v}" for k, v in extra.items()]
+        return " ".join(parts)
+
+
+def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig | None = None):
+    """Allocation used by a named method at the spec's target SE."""
+    cfg = config if config is not None else spec.config
+    if method == "los":
+        return los_concentration(cfg)
+    if method == "uniform":
+        return uniform_allocation(cfg)
+    if method == "outmin":
+        return optimize_outmin(cfg, spec.target_se).chosen
+    if method == "outmin_ase":
+        return optimize_outmin_ase(cfg, spec.target_se, spec.epsilon).chosen
+    raise ConfigurationError(f"unknown method {method!r}")
+
+
+def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
+    """Per-method SE CDF: analytic curve plus both Monte Carlo modes."""
+    grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.0, 10.0, 101)
+    rng = np.random.default_rng(spec.seed)
+    aods = sample_channel(spec.config, rng=rng).aods
+    written = []
+    for method in spec.methods:
+        alloc = resolve_allocation(spec, method)
+        mix = rsnr_mixture(alloc, spec.config)
+        ideal = run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
+        real = run_trials(spec.config, alloc, aods, "realistic", spec.trials, spec.seed)
+        comment = spec.comment(
+            "cdf", method=method, q="/".join(map(str, alloc.q)), target_se=spec.target_se
+        )
+        written.append(
+            write_cdf_csv(
+                spec.output_dir / f"cdf_{method}.csv",
+                comment,
+                grid,
+                {
+                    "cdf_analytic": se_cdf(mix, grid),
+                    "cdf_mc_idealized": ideal.empirical_cdf(grid),
+                    "cdf_mc_realistic": real.empirical_cdf(grid),
+                },
+            )
+        )
+        written.append(
+            write_summary_csv(spec.output_dir / f"summary_{method}.csv", comment, [ideal, real])
+        )
+        if spec.dump_samples:
+            for result in (ideal, real):
+                written.append(
+                    write_samples_csv(
+                        spec.output_dir / f"samples_{method}_{result.mode}.csv", comment, result
+                    )
+                )
+    return written
+
+
+def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
+    """Outage probability and mean SE as functions of the target SE."""
+    grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.25, 8.0, 32)
+    rng = np.random.default_rng(spec.seed)
+    aods = sample_channel(spec.config, rng=rng).aods
+    columns: dict[str, np.ndarray] = {"xi_th": grid}
+
+    static_mix = {}
+    static_mean_se = {}
+    for method in spec.methods:
+        if method in ("los", "uniform"):
+            alloc = resolve_allocation(spec, method)
+            static_mix[method] = rsnr_mixture(alloc, spec.config)
+            static_mean_se[method] = run_trials(
+                spec.config, alloc, aods, "idealized", spec.trials, spec.seed
+            ).mean_se
+
+    for method in spec.methods:
+        outage = np.empty(grid.size)
+        mean_se = np.empty(grid.size)
+        for i, xi in enumerate(grid):
+            if method in static_mix:
+                outage[i] = float(se_cdf(static_mix[method], xi))
+                mean_se[i] = static_mean_se[method]
+                continue
+            if method == "outmin":
+                report = optimize_outmin(spec.config, float(xi))
+            else:
+                report = optimize_outmin_ase(spec.config, float(xi), spec.epsilon)
+            outage[i] = report.outage
+            mean_se[i] = run_trials(
+                spec.config, report.chosen, aods, "idealized", spec.trials, spec.seed
+            ).mean_se
+        columns[f"outage_{method}"] = outage
+        columns[f"mean_se_{method}"] = mean_se
+
+    path = write_columns_csv(
+        spec.output_dir / "sweep_se.csv", spec.comment("sweep-se"), columns
+    )
+    return [path]
+
+
+def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
+    """Mean RSNR, Jensen SE bound and Monte Carlo mean SE vs transmit SNR."""
+    snr_db = spec.snr_grid_db if spec.snr_grid_db is not None else np.arange(0.0, 21.0, 5.0)
+    rng = np.random.default_rng(spec.seed)
+    aods = sample_channel(spec.config, rng=rng).aods
+    columns: dict[str, np.ndarray] = {"tx_snr_db": snr_db}
+    per_method = {m: ([], [], []) for m in spec.methods}
+    for snr in snr_db:
+        cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
+        for method in spec.methods:
+            alloc = resolve_allocation(spec, method, cfg)
+            avg = average_rsnr(alloc, cfg)
+            bound = average_se_upper_bound(alloc, cfg)
+            mc = run_trials(cfg, alloc, aods, "idealized", spec.trials, spec.seed)
+            rows = per_method[method]
+            rows[0].append(linear_to_db(avg) if avg > 0 else float("-inf"))
+            rows[1].append(bound)
+            rows[2].append(mc.mean_se)
+    for method in spec.methods:
+        avg_db, bound, mean_se = per_method[method]
+        columns[f"avg_rsnr_db_{method}"] = np.asarray(avg_db)
+        columns[f"se_bound_{method}"] = np.asarray(bound)
+        columns[f"mean_se_{method}"] = np.asarray(mean_se)
+    path = write_columns_csv(
+        spec.output_dir / "sweep_snr.csv",
+        spec.comment("sweep-snr", target_se=spec.target_se),
+        columns,
+    )
+    return [path]
+
+
+def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
+    """Optimizer allocations, outage, mean RSNR and G_LoS across target SEs."""
+    grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.25, 8.0, 32)
+    L = spec.config.num_paths
+    header = ["xi_th"]
+    for tag in ("outmin", "outmin_ase"):
+        header += [f"q_{l + 1}_{tag}" for l in range(L)]
+        header += [f"outage_{tag}", f"avg_rsnr_db_{tag}", f"g_los_{tag}"]
+    rows = []
+    for xi in grid:
+        row = [float(xi)]
+        for tag in ("outmin", "outmin_ase"):
+            if tag == "outmin":
+                report = optimize_outmin(spec.config, float(xi))
+            else:
+                report = optimize_outmin_ase(spec.config, float(xi), spec.epsilon)
+            row += list(report.chosen.q)
+            row += [report.outage, linear_to_db(report.avg_rsnr), report.g_los]
+        rows.append(row)
+    written = [
+        write_csv(spec.output_dir / "allocate.csv", spec.comment("allocate"), header, rows)
+    ]
+    if spec.dump_candidates:
+        for tag in ("outmin", "outmin_ase"):
+            if tag == "outmin":
+                report = optimize_outmin(spec.config, spec.target_se)
+            else:
+                report = optimize_outmin_ase(spec.config, spec.target_se, spec.epsilon)
+            written.append(
+                write_candidates_csv(
+                    spec.output_dir / f"candidates_{tag}.csv",
+                    spec.comment("allocate", target_se=spec.target_se, alg=tag),
+                    report,
+                )
+            )
+    return written
+
+
+def cmd_pattern(spec: ExperimentSpec) -> list[Path]:
+    """Beam-pattern magnitude over [0, 180] degrees for each method."""
+    rng = np.random.default_rng(spec.seed)
+    aods = sample_channel(spec.config, rng=rng).aods
+    theta_deg = np.linspace(0.0, 180.0, spec.pattern_points)
+    theta_rad = np.radians(theta_deg)
+    written = []
+    targets = [(m, resolve_allocation(spec, m)) for m in spec.methods]
+    if spec.alloc_override is not None:
+        targets.append(("custom", PanelAllocation(spec.alloc_override)))
+    for name, alloc in targets:
+        bf = build_beamformer(alloc, aods, spec.config)
+        gain = beam_pattern(bf, theta_rad)
+        comment = spec.comment(
+            "pattern",
+            method=name,
+            q="/".join(map(str, alloc.q)),
+            aods_deg="/".join(f"{np.degrees(a):.3f}" for a in aods),
+        )
+        written.append(
+            write_pattern_csv(spec.output_dir / f"pattern_{name}.csv", comment, theta_deg, gain)
+        )
+    return written
+
+
+def cmd_count(spec: ExperimentSpec) -> list[Path]:
+    """Candidate-set size for each (number of panels, number of paths) pair."""
+    lo, hi = spec.paths_range
+    rows = [
+        (n_p, L, pattern_count(n_p, L))
+        for n_p in spec.np_values
+        for L in range(lo, hi + 1)
+    ]
+    path = write_csv(
+        spec.output_dir / "count.csv",
+        spec.comment("count"),
+        ["n_p", "num_paths", "count"],
+        rows,
+    )
+    return [path]
+
+
+def _parse_methods(text: str) -> tuple[str, ...]:
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    return methods
+
+
+def _parse_float_list(text: str) -> np.ndarray:
+    return np.asarray([float(v) for v in text.split(",") if v.strip()])
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="panelalloc",
+        description="Multi-panel beamforming under blockage: experiments and sweeps.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", type=Path, default=None, help="scenario file path")
+    common.add_argument("--seed", type=int, default=None, help="RNG seed (overrides scenario)")
+    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
+    common.add_argument(
+        "--epsilon", type=float, default=DEFAULT_EPSILON, help="outage slack for outmin_ase"
+    )
+    common.add_argument("--out", type=Path, default=Path("results"), help="output directory")
+    common.add_argument(
+        "--methods",
+        type=str,
+        default="los,uniform,outmin,outmin_ase",
+        help="comma-separated subset of: " + ",".join(METHODS),
+    )
+    common.add_argument("--target-se", type=float, default=1.0, help="target SE in bits/s/Hz")
+
+    p = sub.add_parser("cdf", parents=[common], help="SE CDF per method")
+    p.add_argument("--se-min", type=float, default=0.0)
+    p.add_argument("--se-max", type=float, default=10.0)
+    p.add_argument("--se-points", type=int, default=101)
+    p.add_argument("--dump-samples", action="store_true", help="write per-trial SE dumps")
+
+    p = sub.add_parser("sweep-se", parents=[common], help="outage and mean SE vs target SE")
+    p.add_argument("--se-min", type=float, default=0.25)
+    p.add_argument("--se-max", type=float, default=8.0)
+    p.add_argument("--se-points", type=int, default=32)
+
+    p = sub.add_parser("sweep-snr", parents=[common], help="mean RSNR and SE vs transmit SNR")
+    p.add_argument("--snr-db", type=str, default="0,5,10,15,20", help="comma-separated dB values")
+
+    p = sub.add_parser("allocate", parents=[common], help="optimizer table vs target SE")
+    p.add_argument("--se-min", type=float, default=0.25)
+    p.add_argument("--se-max", type=float, default=8.0)
+    p.add_argument("--se-points", type=int, default=32)
+    p.add_argument(
+        "--dump-candidates", action="store_true", help="write full candidate tables"
+    )
+
+    p = sub.add_parser("pattern", parents=[common], help="beam pattern per method")
+    p.add_argument("--points", type=int, default=721)
+    p.add_argument("--alloc", type=str, default=None, help="explicit allocation, e.g. 2,2,2,2")
+
+    p = sub.add_parser("count", parents=[common], help="candidate-set sizes")
+    p.add_argument("--n-p", type=str, default="2,4,8,16", help="panel counts, comma-separated")
+    p.add_argument("--l-min", type=int, default=2)
+    p.add_argument("--l-max", type=int, default=8)
+
+    return parser
+
+
+def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentSpec:
+    if args.scenario is not None:
+        config, scenario_seed = load_scenario(args.scenario)
+    else:
+        config, scenario_seed = SystemConfig(), DEFAULT_SEED
+    seed = args.seed if args.seed is not None else scenario_seed
+    if seed < 0:
+        parser.error("seed must be nonnegative")
+
+    methods = _parse_methods(args.methods)
+    if not methods:
+        parser.error("at least one method is required")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        parser.error(f"unknown methods: {','.join(unknown)}")
+
+    se_grid = None
+    if hasattr(args, "se_min"):
+        if args.se_points < 1 or args.se_max <= args.se_min:
+            parser.error("SE grid must be strictly increasing")
+        se_grid = np.linspace(args.se_min, args.se_max, args.se_points)
+    snr_grid_db = None
+    if hasattr(args, "snr_db"):
+        snr_grid_db = _parse_float_list(args.snr_db)
+        if snr_grid_db.size == 0 or np.any(np.diff(snr_grid_db) <= 0):
+            parser.error("SNR grid must be strictly increasing")
+    alloc_override = None
+    if getattr(args, "alloc", None):
+        alloc_override = _parse_int_list(args.alloc)
+
+    return ExperimentSpec(
+        config=config,
+        methods=methods,
+        seed=seed,
+        trials=args.trials,
+        epsilon=args.epsilon,
+        target_se=args.target_se,
+        output_dir=args.out,
+        se_grid=se_grid,
+        snr_grid_db=snr_grid_db,
+        alloc_override=alloc_override,
+        pattern_points=getattr(args, "points", 721),
+        np_values=_parse_int_list(args.n_p) if hasattr(args, "n_p") else (2, 4, 8, 16),
+        paths_range=(
+            (args.l_min, args.l_max) if hasattr(args, "l_min") else (2, 8)
+        ),
+        dump_samples=getattr(args, "dump_samples", False),
+        dump_candidates=getattr(args, "dump_candidates", False),
+    )
+
+
+_COMMANDS = {
+    "cdf": cmd_cdf,
+    "sweep-se": cmd_sweep_target_se,
+    "sweep-snr": cmd_sweep_tx_snr,
+    "allocate": cmd_allocate,
+    "pattern": cmd_pattern,
+    "count": cmd_count,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = _spec_from_args(parser, args)
+        written = _COMMANDS[args.command](spec)
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for path in written:
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
