@@ -13,6 +13,7 @@ from .analytic import (
     rsnr_cdf,
     rsnr_mixture,
     rsnr_pdf,
+    score_allocations,
     se_cdf,
 )
 from .beamforming import (
@@ -26,6 +27,7 @@ from .beamforming import (
     equivalent_array_response_exact,
     los_concentration,
     uniform_allocation,
+    validate_allocation,
 )
 from .channel import (
     ChannelRealization,
@@ -45,6 +47,7 @@ from .montecarlo import (
 )
 from .optimizer import (
     AllocationReport,
+    allocation_array,
     enumerate_allocations,
     g_los,
     maximize_average_se,

@@ -46,10 +46,9 @@ class PanelAllocation:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Stacked analog beamforming vector and the per-panel steering angles."""
+    """Stacked analog beamforming vector."""
 
     f: np.ndarray
-    directivities: np.ndarray
 
 
 def array_response(n: int, theta: float) -> np.ndarray:
@@ -59,14 +58,11 @@ def array_response(n: int, theta: float) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(n) * np.cos(theta))
 
 
-def _check_allocation(alloc: PanelAllocation, config: SystemConfig) -> None:
-    if len(alloc.q) != config.num_paths:
-        raise ValueError(
-            f"allocation covers {len(alloc.q)} paths, config has {config.num_paths}"
-        )
-    if alloc.num_panels != config.n_p:
+def validate_allocation(alloc: PanelAllocation, config: SystemConfig) -> None:
+    """Raise ConfigurationError unless alloc covers config's paths with its n_p panels."""
+    if len(alloc.q) != config.num_paths or alloc.num_panels != config.n_p:
         raise ConfigurationError(
-            f"allocation uses {alloc.num_panels} panels, config has {config.n_p}"
+            f"allocation {alloc.q} does not match n_p={config.n_p}, L={config.num_paths}"
         )
 
 
@@ -84,10 +80,10 @@ def build_beamformer(
     so that co-aligned panels chain coherently: pointing every panel at one
     angle reproduces the full-array steering vector a(N_t, theta)/sqrt(N_t).
     """
+    validate_allocation(alloc, config)
     aods = np.asarray(aods, dtype=float)
     if aods.shape != (len(alloc.q),):
         raise ValueError(f"expected {len(alloc.q)} AoDs, got shape {aods.shape}")
-    _check_allocation(alloc, config)
 
     n_a, n_t = config.n_a, config.n_t
     directivities = np.repeat(aods, alloc.as_array())
@@ -97,7 +93,7 @@ def build_beamformer(
     # (N_p, N_a) panel responses, scaled and flattened in panel order
     per_panel = psi[:, None] * np.exp(1j * np.pi * np.arange(n_a)[None, :] * cos_phi[:, None])
     f = per_panel.reshape(n_t) / np.sqrt(n_t)
-    return Beamformer(f=f, directivities=directivities)
+    return Beamformer(f=f)
 
 
 def beam_pattern(bf: Beamformer, grid: np.ndarray) -> np.ndarray:

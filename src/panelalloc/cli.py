@@ -5,8 +5,9 @@ method, analytic vs both Monte Carlo modes), ``sweep-se`` (outage and mean
 SE vs target SE), ``sweep-snr`` (mean RSNR/SE vs transmit SNR), ``allocate``
 (optimizer output vs target SE), ``pattern`` (beam patterns) and ``count``
 (candidate-set sizes). All outputs are CSV files with a header comment line
-recording the resolved configuration. Exit codes: 0 success, 2 usage,
-3 enumeration capacity exceeded.
+recording the resolved configuration. Exit codes: 0 success, 2 usage
+error (malformed option or scenario), 3 capacity exceeded (too many
+allocation patterns, or no admissible AoD draw within the retry budget).
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .beamforming import (
     build_beamformer,
     los_concentration,
     uniform_allocation,
+    validate_allocation,
 )
 from .channel import sample_channel
 from .config import SystemConfig, linear_to_db, load_scenario
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, SamplingError
 from .export import (
     write_candidates_csv,
     write_cdf_csv,
@@ -73,23 +75,18 @@ class ExperimentSpec:
     dump_samples: bool = False
     dump_candidates: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.methods:
-            raise ConfigurationError("at least one method is required")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ConfigurationError(f"unknown methods: {unknown}; choose from {METHODS}")
-        for grid in (self.se_grid, self.snr_grid_db):
-            if grid is not None and (grid.size < 1 or np.any(np.diff(grid) <= 0)):
-                raise ConfigurationError("grids must be strictly increasing")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-
     def comment(self, command: str, **extra) -> str:
         parts = [f"command={command}", self.config.summary(), f"seed={self.seed}"]
         parts += [f"trials={self.trials}", f"epsilon={self.epsilon:.6g}"]
         parts += [f"{k}={v}" for k, v in extra.items()]
         return " ".join(parts)
+
+
+def _optimize(spec: ExperimentSpec, design: str, target_se: float, config: SystemConfig):
+    """Report of optimizer design ``outmin`` or ``outmin_ase`` at target_se."""
+    if design == "outmin":
+        return optimize_outmin(config, target_se)
+    return optimize_outmin_ase(config, target_se, spec.epsilon)
 
 
 def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig | None = None):
@@ -99,10 +96,8 @@ def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig |
         return los_concentration(cfg)
     if method == "uniform":
         return uniform_allocation(cfg)
-    if method == "outmin":
-        return optimize_outmin(cfg, spec.target_se).chosen
-    if method == "outmin_ase":
-        return optimize_outmin_ase(cfg, spec.target_se, spec.epsilon).chosen
+    if method in ("outmin", "outmin_ase"):
+        return _optimize(spec, method, spec.target_se, cfg).chosen
     raise ConfigurationError(f"unknown method {method!r}")
 
 
@@ -152,34 +147,21 @@ def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
     aods = sample_channel(spec.config, rng=rng).aods
     columns: dict[str, np.ndarray] = {"xi_th": grid}
 
-    static_mix = {}
-    static_mean_se = {}
+    def mean_se(alloc) -> float:
+        return run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed).mean_se
+
     for method in spec.methods:
         if method in ("los", "uniform"):
             alloc = resolve_allocation(spec, method)
-            static_mix[method] = rsnr_mixture(alloc, spec.config)
-            static_mean_se[method] = run_trials(
-                spec.config, alloc, aods, "idealized", spec.trials, spec.seed
-            ).mean_se
-
-    for method in spec.methods:
-        outage = np.empty(grid.size)
-        mean_se = np.empty(grid.size)
-        for i, xi in enumerate(grid):
-            if method in static_mix:
-                outage[i] = float(se_cdf(static_mix[method], xi))
-                mean_se[i] = static_mean_se[method]
-                continue
-            if method == "outmin":
-                report = optimize_outmin(spec.config, float(xi))
-            else:
-                report = optimize_outmin_ase(spec.config, float(xi), spec.epsilon)
-            outage[i] = report.outage
-            mean_se[i] = run_trials(
-                spec.config, report.chosen, aods, "idealized", spec.trials, spec.seed
-            ).mean_se
+            outage = se_cdf(rsnr_mixture(alloc, spec.config), grid)
+            means = np.full(grid.size, mean_se(alloc))
+        else:
+            outage, means = np.empty(grid.size), np.empty(grid.size)
+            for i, xi in enumerate(grid):
+                report = _optimize(spec, method, float(xi), spec.config)
+                outage[i], means[i] = report.outage, mean_se(report.chosen)
         columns[f"outage_{method}"] = outage
-        columns[f"mean_se_{method}"] = mean_se
+        columns[f"mean_se_{method}"] = means
 
     path = write_columns_csv(
         spec.output_dir / "sweep_se.csv", spec.comment("sweep-se"), columns
@@ -230,10 +212,7 @@ def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
     for xi in grid:
         row = [float(xi)]
         for tag in ("outmin", "outmin_ase"):
-            if tag == "outmin":
-                report = optimize_outmin(spec.config, float(xi))
-            else:
-                report = optimize_outmin_ase(spec.config, float(xi), spec.epsilon)
+            report = _optimize(spec, tag, float(xi), spec.config)
             row += list(report.chosen.q)
             row += [report.outage, linear_to_db(report.avg_rsnr), report.g_los]
         rows.append(row)
@@ -242,10 +221,7 @@ def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
     ]
     if spec.dump_candidates:
         for tag in ("outmin", "outmin_ase"):
-            if tag == "outmin":
-                report = optimize_outmin(spec.config, spec.target_se)
-            else:
-                report = optimize_outmin_ase(spec.config, spec.target_se, spec.epsilon)
+            report = _optimize(spec, tag, spec.target_se, spec.config)
             written.append(
                 write_candidates_csv(
                     spec.output_dir / f"candidates_{tag}.csv",
@@ -298,16 +274,12 @@ def cmd_count(spec: ExperimentSpec) -> list[Path]:
     return [path]
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    return methods
-
-
-def _parse_float_list(text: str) -> np.ndarray:
+# argparse reports a ValueError from these as "invalid <name> value", exit 2
+def float_list(text: str) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",") if v.strip()])
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
@@ -346,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--se-points", type=int, default=32)
 
     p = sub.add_parser("sweep-snr", parents=[common], help="mean RSNR and SE vs transmit SNR")
-    p.add_argument("--snr-db", type=str, default="0,5,10,15,20", help="comma-separated dB values")
+    p.add_argument("--snr-db", type=float_list, default="0,5,10,15,20", help="dB values")
 
     p = sub.add_parser("allocate", parents=[common], help="optimizer table vs target SE")
     p.add_argument("--se-min", type=float, default=0.25)
@@ -358,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", parents=[common], help="beam pattern per method")
     p.add_argument("--points", type=int, default=721)
-    p.add_argument("--alloc", type=str, default=None, help="explicit allocation, e.g. 2,2,2,2")
+    p.add_argument("--alloc", type=int_list, default=None, help="explicit allocation, e.g. 2,2,2,2")
 
     p = sub.add_parser("count", parents=[common], help="candidate-set sizes")
-    p.add_argument("--n-p", type=str, default="2,4,8,16", help="panel counts, comma-separated")
+    p.add_argument("--n-p", type=int_list, default="2,4,8,16", help="panel counts, comma-separated")
     p.add_argument("--l-min", type=int, default=2)
     p.add_argument("--l-max", type=int, default=8)
 
@@ -370,33 +342,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentSpec:
     if args.scenario is not None:
-        config, scenario_seed = load_scenario(args.scenario)
+        try:
+            config, scenario_seed = load_scenario(args.scenario)
+        except (OSError, UnicodeDecodeError) as exc:
+            parser.error(f"cannot read scenario {args.scenario}: {exc}")
     else:
         config, scenario_seed = SystemConfig(), DEFAULT_SEED
     seed = args.seed if args.seed is not None else scenario_seed
     if seed < 0:
         parser.error("seed must be nonnegative")
 
-    methods = _parse_methods(args.methods)
+    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         parser.error("at least one method is required")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         parser.error(f"unknown methods: {','.join(unknown)}")
 
+    if args.trials < 1:
+        parser.error("trials must be >= 1")
+    if not args.target_se >= 0.0:
+        parser.error("target SE must be nonnegative")
     se_grid = None
     if hasattr(args, "se_min"):
         if args.se_points < 1 or args.se_max <= args.se_min:
             parser.error("SE grid must be strictly increasing")
+        if not args.se_min >= 0.0:
+            parser.error("SE grid must be nonnegative")
         se_grid = np.linspace(args.se_min, args.se_max, args.se_points)
-    snr_grid_db = None
-    if hasattr(args, "snr_db"):
-        snr_grid_db = _parse_float_list(args.snr_db)
-        if snr_grid_db.size == 0 or np.any(np.diff(snr_grid_db) <= 0):
-            parser.error("SNR grid must be strictly increasing")
-    alloc_override = None
-    if getattr(args, "alloc", None):
-        alloc_override = _parse_int_list(args.alloc)
+    snr_grid_db = getattr(args, "snr_db", None)
+    if snr_grid_db is not None and (snr_grid_db.size == 0 or np.any(np.diff(snr_grid_db) <= 0)):
+        parser.error("SNR grid must be strictly increasing")
+    if getattr(args, "points", 1) < 1:
+        parser.error("pattern needs at least one point")
+    alloc_override = getattr(args, "alloc", None)
+    if alloc_override is not None:
+        validate_allocation(PanelAllocation(alloc_override), config)
 
     return ExperimentSpec(
         config=config,
@@ -410,10 +391,8 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         snr_grid_db=snr_grid_db,
         alloc_override=alloc_override,
         pattern_points=getattr(args, "points", 721),
-        np_values=_parse_int_list(args.n_p) if hasattr(args, "n_p") else (2, 4, 8, 16),
-        paths_range=(
-            (args.l_min, args.l_max) if hasattr(args, "l_min") else (2, 8)
-        ),
+        np_values=getattr(args, "n_p", (2, 4, 8, 16)),
+        paths_range=(getattr(args, "l_min", 2), getattr(args, "l_max", 8)),
         dump_samples=getattr(args, "dump_samples", False),
         dump_candidates=getattr(args, "dump_candidates", False),
     )
@@ -435,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = _spec_from_args(parser, args)
         written = _COMMANDS[args.command](spec)
-    except CapacityError as exc:
+    except (CapacityError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConfigurationError as exc:

@@ -34,8 +34,7 @@ class SystemConfig:
     """Array geometry, path statistics, blockage statistics and transmit SNR.
 
     Ratios (``rician_k``, ``tx_snr``) are linear scale; scenario files carry
-    them in dB and are converted on load. ``carrier_hz`` and ``bandwidth_hz``
-    are bookkeeping only; no computation reads them.
+    them in dB and are converted on load.
 
     Defaults are the baseline evaluation scenario: 8 panels of 32 elements,
     4 paths, K = 10 dB, transmit SNR 10 dB, blockage probability U(0.2, 0.6).
@@ -48,8 +47,6 @@ class SystemConfig:
     tx_snr: float = 10.0
     p_min: float = 0.2
     p_max: float = 0.6
-    carrier_hz: float = 28e9
-    bandwidth_hz: float = 400e6
 
     def __post_init__(self) -> None:
         if int(self.n_a) != self.n_a or self.n_a < 1:
@@ -68,8 +65,6 @@ class SystemConfig:
             raise ConfigurationError(
                 f"need 0 <= p_min <= p_max <= 1, got p_min={self.p_min}, p_max={self.p_max}"
             )
-        if not (self.carrier_hz > 0.0 and self.bandwidth_hz > 0.0):
-            raise ConfigurationError("carrier_hz and bandwidth_hz must be positive")
 
     @property
     def n_t(self) -> int:

@@ -23,8 +23,9 @@ from .beamforming import (
     beam_hpbw_deg,
     build_beamformer,
     equivalent_array_response_exact,
+    validate_allocation,
 )
-from .channel import blockage_attenuation, path_variances
+from .channel import blockage_attenuation, blockage_factor_frames, path_variances, sample_gains
 from .config import SystemConfig
 from .errors import ConfigurationError
 
@@ -91,13 +92,9 @@ def run_trials(
     aods = np.asarray(aods, dtype=float)
     if aods.shape != (config.num_paths,):
         raise ValueError(f"expected {config.num_paths} AoDs, got shape {aods.shape}")
-    if alloc.num_panels != config.n_p or len(alloc.q) != config.num_paths:
-        raise ConfigurationError(
-            f"allocation {alloc.q} does not match n_p={config.n_p}, L={config.num_paths}"
-        )
+    validate_allocation(alloc, config)
 
     stats = path_variances(config.rician_k, config.num_paths)
-    gain_scale = np.sqrt(stats.variances / 2.0)
     q = alloc.as_array().astype(float)
 
     if mode == "idealized":
@@ -115,17 +112,13 @@ def run_trials(
     gamma_chunks = []
     for chunk_index, size in enumerate(_chunk_sizes(n_trials)):
         rng = _chunk_rng(seed, chunk_index)
-        gains = gain_scale * (
-            rng.standard_normal((size, L)) + 1j * rng.standard_normal((size, L))
-        )
+        gains = sample_gains(stats, rng, size)
         if mode == "idealized":
             # independent binary blockage at the marginal probability p_blk
             omega = (rng.random((size, L)) >= config.p_blk).astype(float)
         else:
             # one blockage probability per frame, shared by all paths
-            p_hat = rng.uniform(config.p_min, config.p_max, size=size)
-            blocked = rng.random((size, L)) < p_hat[:, None]
-            omega = np.where(blocked, blocked_values[None, :], 1.0)
+            omega = blockage_factor_frames(config, blocked_values, rng, size)
         h_eq = np.sum(omega * gains.conj() * a_eq[None, :], axis=1)
         gamma_chunks.append(config.tx_snr * np.abs(h_eq) ** 2)
 

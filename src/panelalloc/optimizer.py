@@ -2,8 +2,11 @@
 
 All designs share one candidate set: every integer allocation q >= 0 with
 sum(q) = N_p and (by default) at least one panel on the LoS path. The set is
-small for practical array sizes, so each objective is solved by brute force
-with deterministic tie-breaking.
+small for practical array sizes, so each objective is solved by brute force:
+the set is one (C, L) integer array in lexicographic order, scored at once
+by ``analytic.score_allocations``, and each design picks its row with one
+``np.lexsort`` on (outage, -mean, allocation), so ties resolve to the
+lexicographically smallest allocation.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
-from .analytic import average_rsnr, outage_probability
+import numpy as np
+
+from .analytic import score_allocations
 from .beamforming import PanelAllocation, los_concentration
 from .config import SystemConfig
 from .errors import CapacityError, ConfigurationError
@@ -22,13 +28,25 @@ MAX_PATTERNS = 10**8
 
 @dataclass
 class AllocationReport:
-    """Optimizer output: the chosen allocation and the full candidate table."""
+    """Optimizer output: the chosen allocation and the full candidate table.
+
+    ``allocations`` is the (C, L) candidate array; ``outages`` and
+    ``avg_rsnrs`` hold each row's outage probability and mean RSNR.
+    """
 
     chosen: PanelAllocation
     outage: float
     avg_rsnr: float
-    candidates: list[tuple[PanelAllocation, float, float]]
     g_los: float
+    allocations: np.ndarray
+    outages: np.ndarray
+    avg_rsnrs: np.ndarray
+
+    @cached_property
+    def candidates(self) -> list[tuple[PanelAllocation, float, float]]:
+        """The table as (allocation, outage, mean RSNR) rows, built when first read."""
+        rows = zip(self.allocations.tolist(), self.outages.tolist(), self.avg_rsnrs.tolist())
+        return [(PanelAllocation(tuple(q)), outage, avg) for q, outage, avg in rows]
 
 
 def pattern_count(n_p: int, num_paths: int, require_los: bool = True) -> int:
@@ -47,23 +65,12 @@ def pattern_count(n_p: int, num_paths: int, require_los: bool = True) -> int:
     return math.comb(n_p + num_paths - 1, num_paths - 1)
 
 
-def _compositions(total: int, parts: int, head_min: int):
-    # ascending lexicographic order
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(head_min, total + 1):
-        for tail in _compositions(total - head, parts - 1, 0):
-            yield (head,) + tail
-
-
-def enumerate_allocations(
-    n_p: int, num_paths: int, require_los: bool = True
-) -> list[PanelAllocation]:
-    """All candidate allocations in lexicographic order.
+def allocation_array(n_p: int, num_paths: int, require_los: bool = True) -> np.ndarray:
+    """All candidate allocations as a (C, L) integer array in lexicographic order.
 
     Raises CapacityError before generating anything if the closed-form count
-    exceeds MAX_PATTERNS.
+    exceeds MAX_PATTERNS. Each prefix is repeated once per value its next
+    entry can take (0 up to the panels left); the last entry takes the rest.
     """
     count = pattern_count(n_p, num_paths, require_los)
     if count > MAX_PATTERNS:
@@ -71,10 +78,25 @@ def enumerate_allocations(
             f"{count} allocation patterns for n_p={n_p}, num_paths={num_paths} "
             f"exceed the {MAX_PATTERNS} limit"
         )
-    head_min = 1 if require_los else 0
-    allocations = [PanelAllocation(q) for q in _compositions(n_p, num_paths, head_min)]
-    assert len(allocations) == count
-    return allocations
+    q = np.arange(1 if require_los else 0, n_p + 1)[:, None]
+    left = n_p - q[:, 0]
+    for _ in range(num_paths - 2):
+        choices = left + 1
+        first = np.repeat(np.cumsum(choices) - choices, choices)
+        entry = np.arange(first.size) - first
+        q = np.column_stack((np.repeat(q, choices, axis=0), entry))
+        left = np.repeat(left, choices) - entry
+    q = np.column_stack((q, left))
+    assert q.shape[0] == count
+    return q
+
+
+def enumerate_allocations(
+    n_p: int, num_paths: int, require_los: bool = True
+) -> list[PanelAllocation]:
+    """All candidate allocations in lexicographic order (list view of allocation_array)."""
+    q = allocation_array(n_p, num_paths, require_los)
+    return [PanelAllocation(tuple(row)) for row in q.tolist()]
 
 
 def g_los(alloc: PanelAllocation) -> float:
@@ -82,14 +104,16 @@ def g_los(alloc: PanelAllocation) -> float:
     return alloc.q[0] / alloc.num_panels
 
 
-def _candidate_table(
-    config: SystemConfig, target_se: float, require_los: bool = True
-) -> list[tuple[PanelAllocation, float, float]]:
-    allocations = enumerate_allocations(config.n_p, config.num_paths, require_los)
-    return [
-        (a, outage_probability(a, config, target_se), average_rsnr(a, config))
-        for a in allocations
-    ]
+def _first(*keys: np.ndarray) -> int:
+    # keys most significant first; lexsort is stable and allocation_array rows are
+    # lexicographic, so ties go to the smallest allocation (7x cheaper than q as keys)
+    return int(np.lexsort(keys[::-1])[0])
+
+
+def _report(q: np.ndarray, outages: np.ndarray, avgs: np.ndarray, best: int) -> AllocationReport:
+    chosen = PanelAllocation(tuple(q[best].tolist()))
+    outage, avg = float(outages[best]), float(avgs[best])
+    return AllocationReport(chosen, outage, avg, g_los(chosen), q, outages, avgs)
 
 
 def maximize_average_se(config: SystemConfig) -> PanelAllocation:
@@ -100,11 +124,9 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
     cross-checked against a brute-force scan. Outside that regime a warning
     is emitted and the scan argmax is returned instead.
     """
-    candidates = enumerate_allocations(config.n_p, config.num_paths)
-    best = min(
-        ((average_rsnr(a, config), a) for a in candidates),
-        key=lambda item: (-item[0], item[1].q),
-    )[1]
+    q = allocation_array(config.n_p, config.num_paths)
+    _, avgs = score_allocations(q, config)
+    best = PanelAllocation(tuple(q[_first(-avgs)].tolist()))
     dominance = config.rician_k * (config.num_paths - 1)
     if dominance > 1.0:
         los = los_concentration(config)
@@ -129,11 +151,9 @@ def optimize_outmin(
     Ties are broken by higher mean RSNR, then by lexicographically smallest
     allocation, so the result is deterministic.
     """
-    table = _candidate_table(config, target_se, require_los)
-    chosen, outage, avg = min(table, key=lambda row: (row[1], -row[2], row[0].q))
-    return AllocationReport(
-        chosen=chosen, outage=outage, avg_rsnr=avg, candidates=table, g_los=g_los(chosen)
-    )
+    q = allocation_array(config.n_p, config.num_paths, require_los)
+    outages, avgs = score_allocations(q, config, target_se)
+    return _report(q, outages, avgs, _first(outages, -avgs))
 
 
 def optimize_outmin_ase(
@@ -151,10 +171,7 @@ def optimize_outmin_ase(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-    table = _candidate_table(config, target_se, require_los)
-    min_outage = min(row[1] for row in table)
-    feasible = [row for row in table if row[1] <= min_outage + epsilon]
-    chosen, outage, avg = min(feasible, key=lambda row: (-row[2], row[0].q))
-    return AllocationReport(
-        chosen=chosen, outage=outage, avg_rsnr=avg, candidates=table, g_los=g_los(chosen)
-    )
+    q = allocation_array(config.n_p, config.num_paths, require_los)
+    outages, avgs = score_allocations(q, config, target_se)
+    infeasible = outages > outages.min() + epsilon
+    return _report(q, outages, avgs, _first(infeasible, -avgs))

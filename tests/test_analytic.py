@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from panelalloc import (
     ConfigurationError,
     PanelAllocation,
     SystemConfig,
+    allocation_array,
     average_rsnr,
     average_se_upper_bound,
     heq_pdf_real,
@@ -18,10 +21,12 @@ from panelalloc import (
     rsnr_pdf,
     run_trials,
     sample_channel,
+    score_allocations,
     se_cdf,
     uniform_allocation,
 )
 from panelalloc.analytic import mixture_components
+from util import blockage_pattern_se_cdf
 
 
 def random_allocation(rng, n_p, num_paths):
@@ -254,3 +259,66 @@ class TestAverageSeBound:
             if alloc.n_b >= 2:
                 # strict gap: the SE distribution is far from degenerate
                 assert bound - result.mean_se > 0.1
+
+
+class TestScoreAllocations:
+    """The vectorized kernel against per-allocation mixtures and an exact enumeration."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        kappa=st.sampled_from([0.0, 10.0]) | st.floats(0.0, 50.0),
+        p_range=st.sampled_from([(0.0, 0.0), (1.0, 1.0)])
+        | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        xi=st.sampled_from([0.0]) | st.floats(0.0, 9.0),
+        require_los=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mixture_and_pattern_oracle(self, seed, kappa, p_range, xi, require_los):
+        gen = np.random.default_rng(seed)
+        cfg = SystemConfig(
+            n_a=int(gen.integers(2, 64)),
+            n_p=int(gen.integers(1, 9)),  # n_p < L happens
+            num_paths=int(gen.integers(2, 6)),
+            rician_k=kappa,
+            tx_snr=float(gen.uniform(0.5, 100.0)),
+            p_min=float(p_range[0]),
+            p_max=float(p_range[1]),
+        )
+        q = allocation_array(cfg.n_p, cfg.num_paths, require_los)
+        outage, avg = score_allocations(q, cfg, xi)
+        # the oracle's blockage law is the idealized one when p_hat is fixed at p_blk
+        fixed = replace(cfg, p_min=cfg.p_blk, p_max=cfg.p_blk)
+        blocked = np.zeros(cfg.num_paths)
+        for i in gen.choice(len(q), size=min(len(q), 12), replace=False):
+            mix = rsnr_mixture(PanelAllocation(tuple(q[i].tolist())), cfg)
+            assert outage[i] == pytest.approx(float(se_cdf(mix, xi)), rel=0.0, abs=1e-12)
+            assert avg[i] == pytest.approx(mix.mean(), rel=1e-12, abs=1e-300)
+            a_eq = cfg.n_a / np.sqrt(cfg.n_t) * q[i]
+            exact = float(blockage_pattern_se_cdf(fixed, a_eq, blocked, xi))
+            assert outage[i] == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        xi=st.sampled_from([0.4, 1.5, 1.6]) | st.floats(0.0, 9.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_nlos_permutation_is_bit_identical(self, seed, xi):
+        # NLoS paths share one variance, so permuting their entries keeps the
+        # rho^2 multiset: table rows and one-row calls must score exactly alike
+        gen = np.random.default_rng(seed)
+        cfg = SystemConfig(
+            n_p=int(gen.integers(2, 11)),
+            num_paths=int(gen.integers(3, 7)),
+            rician_k=float(gen.uniform(0.0, 30.0)),
+            p_min=0.2,
+            p_max=float(gen.uniform(0.2, 1.0)),
+        )
+        q = allocation_array(cfg.n_p, cfg.num_paths)
+        permuted = np.column_stack((q[:, 0], gen.permuted(q[:, 1:], axis=1)))
+        outage, avg = score_allocations(q, cfg, xi)
+        outage_p, avg_p = score_allocations(permuted, cfg, xi)
+        assert np.array_equal(outage, outage_p) and np.array_equal(avg, avg_p)
+        i = int(gen.integers(len(q)))
+        a, b = (PanelAllocation(tuple(r[i].tolist())) for r in (q, permuted))
+        assert outage_probability(a, cfg, xi) == outage_probability(b, cfg, xi)
+        assert average_rsnr(a, cfg) == average_rsnr(b, cfg)

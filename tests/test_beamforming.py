@@ -7,14 +7,20 @@ from panelalloc import (
     PanelAllocation,
     SystemConfig,
     array_response,
+    average_rsnr,
     beam_hpbw_deg,
     beam_pattern,
     build_beamformer,
     equivalent_array_response_approx,
     equivalent_array_response_exact,
+    heq_pdf_real,
     los_concentration,
+    outage_probability,
+    rsnr_mixture,
+    run_trials,
     sample_channel,
     uniform_allocation,
+    validate_allocation,
 )
 from panelalloc.optimizer import enumerate_allocations
 from util import pattern_energy
@@ -46,6 +52,26 @@ class TestPanelAllocation:
             PanelAllocation(q)
 
 
+class TestValidateAllocation:
+    @pytest.mark.parametrize("q", [(4, 4), (4, 1, 1, 1), (2, 2, 2, 1, 1)], ids=str)
+    def test_every_entry_point_raises_configuration_error(self, baseline, q):
+        # one check, one exception type, whichever way the allocation is off
+        alloc = PanelAllocation(q)
+        aods = np.linspace(0.3, 2.8, baseline.num_paths)
+        calls = [
+            lambda: validate_allocation(alloc, baseline),
+            lambda: build_beamformer(alloc, aods, baseline),
+            lambda: rsnr_mixture(alloc, baseline),
+            lambda: heq_pdf_real(alloc, baseline, 0.0),
+            lambda: outage_probability(alloc, baseline, 1.0),
+            lambda: average_rsnr(alloc, baseline),
+            lambda: run_trials(baseline, alloc, aods, "idealized", 10, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="does not match"):
+                call()
+
+
 class TestBuildBeamformer:
     def test_los_concentration_is_full_array_steering(self, baseline, rng):
         aods = sample_channel(baseline, rng=rng).aods
@@ -66,7 +92,7 @@ class TestBuildBeamformer:
 
     def test_length_and_sum_mismatch(self, baseline, rng):
         aods = sample_channel(baseline, rng=rng).aods
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_beamformer(PanelAllocation((4, 4)), aods, baseline)
         with pytest.raises(ConfigurationError):
             build_beamformer(PanelAllocation((4, 1, 1, 1)), aods, baseline)

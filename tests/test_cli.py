@@ -58,6 +58,37 @@ class TestUsageErrors:
         bad.write_text("n_a = 32\n")
         assert run_cli(["count", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["pattern", "--alloc", "2,x"], 2),
+            (["pattern", "--alloc", "2,2,2"], 2),
+            (["pattern", "--alloc", "0,0,0,0"], 2),
+            (["pattern", "--points", "0"], 2),
+            (["sweep-snr", "--snr-db", "5,abc"], 2),
+            (["count", "--n-p", "2,y"], 2),
+            (["cdf", "--target-se", "-1"], 2),
+            (["allocate", "--target-se", "nan"], 2),
+            (["sweep-se", "--se-min", "-1"], 2),
+            (["allocate", "--trials", "0"], 2),
+            (["count", "--scenario", "{tmp}/missing.txt"], 2),
+            # 10 AoDs 17.7 deg apart on [0, 180): an admissible draw has
+            # probability ~3e-10, so rejection sampling exhausts its budget
+            (["pattern", "--methods", "los", "--scenario", "{tmp}/crowded.txt"], 3),
+        ],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+    )
+    def test_malformed_input_exit_code(self, tmp_path, capsys, args, code):
+        (tmp_path / "crowded.txt").write_text(
+            SCENARIO.replace("n_a = 16", "n_a = 23")
+            .replace("n_p = 4", "n_p = 1")
+            .replace("num_paths = 3", "num_paths = 10")
+        )
+        argv = [a.format(tmp=tmp_path) for a in args] + ["--out", str(tmp_path / "out")]
+        assert run_cli(argv) == code
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCapacity:
     def test_allocate_capacity_exit_code(self, tmp_path):

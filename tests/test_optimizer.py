@@ -8,6 +8,7 @@ from panelalloc import (
     CapacityError,
     ConfigurationError,
     SystemConfig,
+    allocation_array,
     enumerate_allocations,
     g_los,
     los_concentration,
@@ -16,6 +17,8 @@ from panelalloc import (
     optimize_outmin_ase,
     outage_probability,
     pattern_count,
+    rsnr_mixture,
+    se_cdf,
     uniform_allocation,
 )
 from panelalloc.beamforming import PanelAllocation
@@ -55,9 +58,22 @@ class TestEnumeration:
         assert len(allocs) == math.comb(6, 2)
         assert any(a.q[0] == 0 for a in allocs)
 
+    @given(n_p=st.integers(1, 14), num_paths=st.integers(2, 7), require_los=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_array_matches_recursion_and_is_sorted(self, n_p, num_paths, require_los):
+        q = allocation_array(n_p, num_paths, require_los)
+        assert q.shape == (composition_count(n_p, num_paths, int(require_los)), num_paths)
+        rows = [tuple(row) for row in q.tolist()]
+        assert rows == sorted(set(rows))  # lexicographic and free of duplicates
+        assert np.all(q >= 0) and np.all(q.sum(axis=1) == n_p)
+        assert np.all(q[:, 0] >= int(require_los))
+        assert [a.q for a in enumerate_allocations(n_p, num_paths, require_los)] == rows
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             enumerate_allocations(64, 8)
+        with pytest.raises(CapacityError):
+            allocation_array(64, 8)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -97,6 +113,24 @@ class TestOutMin:
         assert report.chosen.q == (1, 2, 2, 3)
         assert report.chosen.n_b >= 2
         assert report.chosen.q[0] < max(report.chosen.q[1:])
+
+    def test_ties_resolve_to_smallest_allocation(self, baseline):
+        # (1,2,2,3), (1,2,3,2) and (1,3,2,2) permute equal-variance NLoS paths,
+        # so they tie exactly on outage and mean; the docstring picks the smallest
+        report = optimize_outmin(baseline, 1.5)
+        assert report.chosen.q == (1, 2, 2, 3)
+        tied = {
+            (outage, avg) for alloc, outage, avg in report.candidates
+            if alloc.q[0] == 1 and sorted(alloc.q[1:]) == [2, 2, 3]
+        }
+        assert len(tied) == 1
+
+    def test_zero_target_ties_on_the_atom(self, baseline):
+        # at SE 0 the outage is the atom p_blk^n_b, equal for every four-beam
+        # allocation; the higher mean RSNR breaks the tie
+        report = optimize_outmin(baseline, 0.0)
+        assert report.chosen.q == (5, 1, 1, 1)
+        assert report.outage == pytest.approx(0.4**4, abs=1e-15)
 
     def test_regime_switch_threshold(self, baseline):
         # frozen regression: the single-beam regime begins at xi ~ 5.4462
@@ -143,6 +177,23 @@ class TestOutMin:
         report = optimize_outmin(cfg, xi)
         for alloc in enumerate_allocations(cfg.n_p, cfg.num_paths):
             assert outage_probability(alloc, cfg, xi) >= report.outage - 1e-15
+
+
+class TestScale:
+    def test_sixteen_panels_eight_paths(self):
+        # 170,544 candidates; a seeded subsample is rescored one allocation at a time
+        cfg = SystemConfig(n_p=16, num_paths=8)
+        xi = 1.0
+        report = optimize_outmin(cfg, xi)
+        assert report.allocations.shape == (pattern_count(16, 8), 8) == (170_544, 8)
+        assert report.outage == report.outages.min()
+        rows = np.random.default_rng(2025).choice(len(report.allocations), 200, replace=False)
+        for i in rows:
+            alloc = PanelAllocation(tuple(report.allocations[i].tolist()))
+            outage = outage_probability(alloc, cfg, xi)
+            assert report.outages[i] == pytest.approx(outage, rel=0.0, abs=1e-12)
+            mixture_outage = float(se_cdf(rsnr_mixture(alloc, cfg), xi))
+            assert report.outages[i] == pytest.approx(mixture_outage, rel=0.0, abs=1e-12)
 
 
 class TestOutMinAse:
