@@ -10,12 +10,16 @@ Produces, under --out (default results/):
   pattern_<method>.csv    beam-pattern cuts
   count.csv               candidate-set sizes over (panels, paths)
 
+Each job's wall time (time.perf_counter) is printed after its output paths
+as "== <command>: <seconds> s".
+
 Usage:
     python scripts/run_experiments.py [--out results] [--trials 100000] [--seed N]
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from panelalloc import cli
@@ -45,9 +49,11 @@ def main() -> int:
     ]
     for job in jobs:
         print(f"== panelalloc {' '.join(job)}")
+        start = time.perf_counter()
         rc = cli.main(job + common)
         if rc != 0:
             return rc
+        print(f"== {job[0]}: {time.perf_counter() - start:.3f} s")
     return 0
 
 

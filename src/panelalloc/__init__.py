@@ -41,6 +41,7 @@ from .config import SystemConfig, db_to_linear, linear_to_db, load_scenario
 from .errors import CapacityError, ConfigurationError, SamplingError
 from .montecarlo import (
     TrialBatchResult,
+    channel_power,
     empirical_outage,
     ks_distance,
     run_trials,

@@ -45,7 +45,7 @@ from .export import (
     write_samples_csv,
     write_summary_csv,
 )
-from .montecarlo import run_trials
+from .montecarlo import channel_power, run_trials
 from .optimizer import optimize_outmin, optimize_outmin_ase, pattern_count
 
 METHODS = ("los", "uniform", "outmin", "outmin_ase")
@@ -140,29 +140,49 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     return written
 
 
+def _mean_se(
+    spec: ExperimentSpec, aods: np.ndarray, cells: list[tuple[float, PanelAllocation]]
+) -> np.ndarray:
+    """Idealized Monte Carlo mean SE of each (tx_snr, allocation) cell.
+
+    Equal to ``run_trials(...).mean_se`` per cell, but cells that share an
+    allocation share one ``channel_power`` run: its draws do not depend on
+    tx_snr. Groups run one at a time, so one power array is alive at once.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, alloc) in enumerate(cells):
+        groups.setdefault(alloc.q, []).append(i)
+    means = np.empty(len(cells))
+    for members in groups.values():
+        alloc = cells[members[0]][1]
+        power = channel_power(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
+        for i in members:
+            means[i] = float(np.log2(1.0 + cells[i][0] * power).mean())
+    return means
+
+
 def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
     """Outage probability and mean SE as functions of the target SE."""
     grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.25, 8.0, 32)
     rng = np.random.default_rng(spec.seed)
     aods = sample_channel(spec.config, rng=rng).aods
-    columns: dict[str, np.ndarray] = {"xi_th": grid}
-
-    def mean_se(alloc) -> float:
-        return run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed).mean_se
-
+    outages, cells = {}, []
     for method in spec.methods:
         if method in ("los", "uniform"):
             alloc = resolve_allocation(spec, method)
-            outage = se_cdf(rsnr_mixture(alloc, spec.config), grid)
-            means = np.full(grid.size, mean_se(alloc))
+            outages[method] = se_cdf(rsnr_mixture(alloc, spec.config), grid)
+            chosen = [alloc] * grid.size
         else:
-            outage, means = np.empty(grid.size), np.empty(grid.size)
-            for i, xi in enumerate(grid):
-                report = _optimize(spec, method, float(xi), spec.config)
-                outage[i], means[i] = report.outage, mean_se(report.chosen)
-        columns[f"outage_{method}"] = outage
-        columns[f"mean_se_{method}"] = means
+            reports = [_optimize(spec, method, float(xi), spec.config) for xi in grid]
+            outages[method] = np.array([r.outage for r in reports])
+            chosen = [r.chosen for r in reports]
+        cells += [(spec.config.tx_snr, alloc) for alloc in chosen]
+    means = _mean_se(spec, aods, cells).reshape(len(spec.methods), grid.size)
 
+    columns: dict[str, np.ndarray] = {"xi_th": grid}
+    for method, row in zip(spec.methods, means):
+        columns[f"outage_{method}"] = outages[method]
+        columns[f"mean_se_{method}"] = row
     path = write_columns_csv(
         spec.output_dir / "sweep_se.csv", spec.comment("sweep-se"), columns
     )
@@ -174,24 +194,25 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
     snr_db = spec.snr_grid_db if spec.snr_grid_db is not None else np.arange(0.0, 21.0, 5.0)
     rng = np.random.default_rng(spec.seed)
     aods = sample_channel(spec.config, rng=rng).aods
-    columns: dict[str, np.ndarray] = {"tx_snr_db": snr_db}
-    per_method = {m: ([], [], []) for m in spec.methods}
+    per_method = {m: ([], []) for m in spec.methods}
+    cells = []
     for snr in snr_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
         for method in spec.methods:
             alloc = resolve_allocation(spec, method, cfg)
             avg = average_rsnr(alloc, cfg)
-            bound = average_se_upper_bound(alloc, cfg)
-            mc = run_trials(cfg, alloc, aods, "idealized", spec.trials, spec.seed)
             rows = per_method[method]
             rows[0].append(linear_to_db(avg) if avg > 0 else float("-inf"))
-            rows[1].append(bound)
-            rows[2].append(mc.mean_se)
-    for method in spec.methods:
-        avg_db, bound, mean_se = per_method[method]
+            rows[1].append(average_se_upper_bound(alloc, cfg))
+            cells.append((cfg.tx_snr, alloc))
+    means = _mean_se(spec, aods, cells).reshape(snr_db.size, len(spec.methods))
+
+    columns: dict[str, np.ndarray] = {"tx_snr_db": snr_db}
+    for method, mean_se in zip(spec.methods, means.T):
+        avg_db, bound = per_method[method]
         columns[f"avg_rsnr_db_{method}"] = np.asarray(avg_db)
         columns[f"se_bound_{method}"] = np.asarray(bound)
-        columns[f"mean_se_{method}"] = np.asarray(mean_se)
+        columns[f"mean_se_{method}"] = mean_se
     path = write_columns_csv(
         spec.output_dir / "sweep_snr.csv",
         spec.comment("sweep-snr", target_se=spec.target_se),
@@ -361,6 +382,10 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
     if args.trials < 1:
         parser.error("trials must be >= 1")
+    out = args.out.resolve()
+    existing = next(d for d in (out, *out.parents) if d.exists())
+    if not existing.is_dir():
+        parser.error(f"--out {args.out}: {existing} is not a directory")
     if not args.target_se >= 0.0:
         parser.error("target SE must be nonnegative")
     se_grid = None

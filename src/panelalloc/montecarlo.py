@@ -71,19 +71,21 @@ def _chunk_sizes(n_trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rem] if rem else [])
 
 
-def run_trials(
+def channel_power(
     config: SystemConfig,
     alloc: PanelAllocation,
     aods: np.ndarray,
     mode: str,
     n_trials: int,
     seed: int,
-) -> TrialBatchResult:
-    """Simulate n_trials transmission frames and record the SE of each.
+) -> np.ndarray:
+    """Per-frame unit-SNR channel power |h_eq|^2 of n_trials frames.
 
     Every frame resamples the path gains and the blockage state; the AoDs
     (and hence the beamformer in realistic mode) stay fixed for the batch.
-    Deterministic for a fixed (mode, seed) regardless of chunk scheduling.
+    The draws do not depend on the transmit SNR, so one array serves every
+    tx_snr. Deterministic for a fixed (mode, seed) regardless of chunk
+    scheduling.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -109,7 +111,7 @@ def run_trials(
         blocked_values[served] = blockage_attenuation(hpbw[served])
 
     L = config.num_paths
-    gamma_chunks = []
+    power_chunks = []
     for chunk_index, size in enumerate(_chunk_sizes(n_trials)):
         rng = _chunk_rng(seed, chunk_index)
         gains = sample_gains(stats, rng, size)
@@ -120,9 +122,24 @@ def run_trials(
             # one blockage probability per frame, shared by all paths
             omega = blockage_factor_frames(config, blocked_values, rng, size)
         h_eq = np.sum(omega * gains.conj() * a_eq[None, :], axis=1)
-        gamma_chunks.append(config.tx_snr * np.abs(h_eq) ** 2)
+        power_chunks.append(np.abs(h_eq) ** 2)
+    return np.concatenate(power_chunks)
 
-    gamma = np.concatenate(gamma_chunks)
+
+def run_trials(
+    config: SystemConfig,
+    alloc: PanelAllocation,
+    aods: np.ndarray,
+    mode: str,
+    n_trials: int,
+    seed: int,
+) -> TrialBatchResult:
+    """Simulate n_trials transmission frames and record the SE of each.
+
+    The frames are those of ``channel_power``; the RSNR of a frame is
+    tx_snr |h_eq|^2.
+    """
+    gamma = config.tx_snr * channel_power(config, alloc, aods, mode, n_trials, seed)
     se = np.log2(1.0 + gamma)
     return TrialBatchResult(
         se_samples=se,
@@ -131,7 +148,7 @@ def run_trials(
         trials=n_trials,
         seed=seed,
         mode=mode,
-        aods=aods,
+        aods=np.asarray(aods, dtype=float),
     )
 
 

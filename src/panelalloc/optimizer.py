@@ -126,11 +126,14 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
     """
     q = allocation_array(config.n_p, config.num_paths)
     _, avgs = score_allocations(q, config)
-    best = PanelAllocation(tuple(q[_first(-avgs)].tolist()))
+    best_index = _first(-avgs)
+    best = PanelAllocation(tuple(q[best_index].tolist()))
     dominance = config.rician_k * (config.num_paths - 1)
     if dominance > 1.0:
+        # compare objective values, not allocations: at p_blk = 1 every mean
+        # is 0, an exact tie. LoS concentration is the last lexicographic row.
         los = los_concentration(config)
-        if best.q != los.q:
+        if avgs[best_index] > avgs[-1]:
             raise AssertionError(
                 f"brute-force argmax {best.q} contradicts the closed-form maximizer {los.q}"
             )

@@ -1,6 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from panelalloc import (
+    SystemConfig,
+    channel_power,
+    los_concentration,
+    optimize_outmin,
+    optimize_outmin_ase,
+    run_trials,
+    sample_channel,
+    uniform_allocation,
+)
 from panelalloc import cli
 
 
@@ -72,6 +84,7 @@ class TestUsageErrors:
             (["sweep-se", "--se-min", "-1"], 2),
             (["allocate", "--trials", "0"], 2),
             (["count", "--scenario", "{tmp}/missing.txt"], 2),
+            (["count", "--out", "{tmp}/crowded.txt/sub"], 2),
             # 10 AoDs 17.7 deg apart on [0, 180): an admissible draw has
             # probability ~3e-10, so rejection sampling exhausts its budget
             (["pattern", "--methods", "los", "--scenario", "{tmp}/crowded.txt"], 3),
@@ -84,7 +97,9 @@ class TestUsageErrors:
             .replace("n_p = 4", "n_p = 1")
             .replace("num_paths = 3", "num_paths = 10")
         )
-        argv = [a.format(tmp=tmp_path) for a in args] + ["--out", str(tmp_path / "out")]
+        # the default --out goes first, so a row's own --out overrides it
+        command, *rest = args
+        argv = [command, "--out", str(tmp_path / "out")] + [a.format(tmp=tmp_path) for a in rest]
         assert run_cli(argv) == code
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -191,6 +206,61 @@ class TestSweeps:
         for method in ("uniform", "outmin", "outmin_ase"):
             assert np.all(los >= column(path, f"avg_rsnr_db_{method}") - 1e-9)
         assert column(path, "tx_snr_db").tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
+
+
+def allocation_of(config, method, target_se):
+    """The allocation a CLI method picks, from the library calls alone."""
+    if method == "los":
+        return los_concentration(config)
+    if method == "uniform":
+        return uniform_allocation(config)
+    if method == "outmin":
+        return optimize_outmin(config, target_se).chosen
+    return optimize_outmin_ase(config, target_se, cli.DEFAULT_EPSILON).chosen
+
+
+class TestSweepMonteCarlo:
+    """The sweeps run one Monte Carlo batch per distinct allocation."""
+
+    def test_mean_se_columns_equal_per_cell_run_trials(self, tmp_path):
+        trials = ["--trials", "300"]
+        assert run_cli(["sweep-se", "--se-points", "9", "--out", str(tmp_path)] + trials) == 0
+        assert run_cli(["sweep-snr", "--target-se", "4", "--out", str(tmp_path)] + trials) == 0
+        config = SystemConfig()
+        aods = sample_channel(config, rng=np.random.default_rng(cli.DEFAULT_SEED)).aods
+
+        def mean_se(cfg, alloc):
+            return run_trials(cfg, alloc, aods, "idealized", 300, cli.DEFAULT_SEED).mean_se
+
+        sweep_se, sweep_snr = tmp_path / "sweep_se.csv", tmp_path / "sweep_snr.csv"
+        for method in cli.METHODS:
+            expected = [
+                mean_se(config, allocation_of(config, method, xi))
+                for xi in column(sweep_se, "xi_th")
+            ]
+            assert column(sweep_se, f"mean_se_{method}").tolist() == expected
+            expected = []
+            for snr_db in column(sweep_snr, "tx_snr_db"):
+                cfg = replace(config, tx_snr=10.0 ** (snr_db / 10.0))
+                expected.append(mean_se(cfg, allocation_of(cfg, method, 4.0)))
+            assert column(sweep_snr, f"mean_se_{method}").tolist() == expected
+
+    @pytest.mark.parametrize(
+        "args, distinct",
+        [(["sweep-se", "--se-points", "33"], 10), (["sweep-snr", "--target-se", "4"], 7)],
+    )
+    def test_one_channel_power_call_per_distinct_allocation(
+        self, tmp_path, monkeypatch, args, distinct
+    ):
+        simulated = []
+
+        def counting(config, alloc, *rest):
+            simulated.append(alloc.q)
+            return channel_power(config, alloc, *rest)
+
+        monkeypatch.setattr(cli, "channel_power", counting)
+        assert run_cli(args + ["--trials", "100", "--out", str(tmp_path)]) == 0
+        assert len(simulated) == len(set(simulated)) == distinct
 
 
 class TestAllocate:

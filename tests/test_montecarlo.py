@@ -8,6 +8,7 @@ from panelalloc import (
     ConfigurationError,
     PanelAllocation,
     SystemConfig,
+    channel_power,
     empirical_outage,
     enumerate_allocations,
     ks_distance,
@@ -152,6 +153,20 @@ class TestEmpiricalQueries:
         values = result.empirical_cdf(grid)
         assert np.all(np.diff(values) >= 0)
         assert values[0] == 0.0 and values[-1] == 1.0
+
+
+class TestChannelPower:
+    @pytest.mark.parametrize("mode", ["idealized", "realistic"])
+    def test_run_trials_is_log2_of_scaled_power(self, baseline, aods, mode):
+        n = CHUNK_TRIALS + 17  # cross a chunk boundary
+        alloc = PanelAllocation((2, 1, 2, 3))
+        power = channel_power(baseline, alloc, aods, mode, n, 41)
+        expected = np.log2(1 + baseline.tx_snr * power)
+        result = run_trials(baseline, alloc, aods, mode, n, 41)
+        assert result.se_samples.tobytes() == expected.tobytes()
+        # the draws ignore tx_snr, so one power array serves a whole SNR sweep
+        louder = replace(baseline, tx_snr=40.0)
+        assert channel_power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
 
 
 class TestValidation:
