@@ -10,14 +10,16 @@ Produces, under --out (default results/):
   pattern_<method>.csv    beam-pattern cuts
   count.csv               candidate-set sizes over (panels, paths)
 
-Each job's wall time (time.perf_counter) is printed after its output paths
-as "== <command>: <seconds> s".
+Each job's wall time (time.perf_counter) and the process's peak resident
+memory so far (resource.getrusage ru_maxrss, a high-water mark) are printed
+after its output paths as "== <command>: <seconds> s, peak_rss_mb <MB>".
 
 Usage:
     python scripts/run_experiments.py [--out results] [--trials 100000] [--seed N]
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -53,7 +55,9 @@ def main() -> int:
         rc = cli.main(job + common)
         if rc != 0:
             return rc
-        print(f"== {job[0]}: {time.perf_counter() - start:.3f} s")
+        seconds = time.perf_counter() - start
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"== {job[0]}: {seconds:.3f} s, peak_rss_mb {peak_rss_mb:.1f}")
     return 0
 
 

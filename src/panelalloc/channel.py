@@ -70,8 +70,22 @@ def sample_gains(
     With ``size`` set, returns a (size, L) matrix of independent draws.
     """
     shape = (stats.num_paths,) if size is None else (size, stats.num_paths)
-    scale = np.sqrt(stats.variances / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    gains = np.empty(shape, dtype=complex)
+    _fill_gains(stats, rng, gains, np.empty(shape))
+    return gains
+
+
+def _fill_gains(stats: PathStatistics, rng: np.random.Generator, out, buf) -> None:
+    """Fill complex ``out`` (..., L) with the gains sqrt(sigma^2 / 2) (z1 + 1j z2), in place.
+
+    z1 then z2 are standard normal draws made through the float scratch
+    ``buf`` of out's shape; bit for bit the values of scale * (z1 + 1j * z2).
+    """
+    rng.standard_normal(out=buf)
+    out.real = buf
+    rng.standard_normal(out=buf)
+    out.imag = buf
+    out *= np.sqrt(stats.variances / 2.0)
 
 
 def sample_aods(
@@ -150,11 +164,30 @@ def blockage_factor_frames(
     path takes 1. Marginally each path is blocked with probability p_blk,
     but blockage events within a frame are positively correlated.
     """
-    L = config.num_paths
-    blocked_values = np.broadcast_to(np.asarray(blocked_values, dtype=float), (L,))
-    p_hat = rng.uniform(config.p_min, config.p_max, size=n_frames)
-    blocked = rng.random((n_frames, L)) < p_hat[:, None]
-    return np.where(blocked, blocked_values[None, :], 1.0)
+    shape = (n_frames, config.num_paths)
+    omega = np.ones(shape)
+    blocked_values = np.broadcast_to(np.asarray(blocked_values, dtype=float), shape[1:])
+    _shared_blockage(config, blocked_values, rng, omega, np.empty(shape), np.empty(shape, bool))
+    return omega
+
+
+def _block(out, blocked_values, p_block, rng: np.random.Generator, buf, mask) -> None:
+    """Block each entry of ``out`` (n, L) with probability p_block, in place.
+
+    A blocked entry in column l is multiplied by blocked_values[l]. p_block
+    broadcasts against (n, L): a scalar blocks every path independently, a
+    column (n, 1) gives each frame its own probability. The draws go through
+    the float scratch ``buf``, the blocked pattern through the bool ``mask``.
+    """
+    rng.random(out=buf)
+    np.less(buf, p_block, out=mask)
+    np.multiply(out, blocked_values, out=out, where=mask)
+
+
+def _shared_blockage(config: SystemConfig, blocked_values, rng, out, buf, mask) -> None:
+    """The shared-p_hat law of ``blockage_factor_frames``, applied to ``out`` in place."""
+    p_hat = rng.uniform(config.p_min, config.p_max, size=len(out))
+    _block(out, blocked_values, p_hat[:, None], rng, buf, mask)
 
 
 def sample_blockage(

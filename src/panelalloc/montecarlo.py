@@ -9,10 +9,20 @@ Realistic mode keeps the exact array responses (side lobes included), draws
 one blockage probability per frame shared by all paths, and attenuates
 blocked served paths by 1/eta instead of nulling them; unserved paths have
 no beam and are nulled when blocked.
+
+``channel_power`` fills its chunks on all usable cores: min(len(
+os.sched_getaffinity(0)), chunks) threads, since numpy's generators and
+ufuncs release the interpreter lock. Each worker owns scratch arrays sized
+to one chunk, (CHUNK_TRIALS, L) complex gains, float draws and bool mask
+plus a complex h_eq column: about 7.6 MB at L = 4, on top of the
+8 n_trials-byte result. Worker threads call only numpy and the private
+in-place helpers of ``channel``. The samples are bit-identical to a serial
+pass over the chunks.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +35,12 @@ from .beamforming import (
     equivalent_array_response_exact,
     validate_allocation,
 )
-from .channel import blockage_attenuation, blockage_factor_frames, path_variances, sample_gains
+from .channel import _block, _fill_gains, _shared_blockage, blockage_attenuation, path_variances
 from .config import SystemConfig
 from .errors import ConfigurationError
 
 # Trials are generated in fixed-size chunks, each with its own generator
-# keyed by (seed, chunk index); results are merged in chunk order, so the
+# keyed by (seed, chunk index) and its own slice of the result, so the
 # sample sequence is reproducible no matter how chunks are scheduled.
 CHUNK_TRIALS = 1 << 16
 
@@ -71,6 +81,12 @@ def _chunk_sizes(n_trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rem] if rem else [])
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def channel_power(
     config: SystemConfig,
     alloc: PanelAllocation,
@@ -85,7 +101,8 @@ def channel_power(
     (and hence the beamformer in realistic mode) stay fixed for the batch.
     The draws do not depend on the transmit SNR, so one array serves every
     tx_snr. Deterministic for a fixed (mode, seed) regardless of chunk
-    scheduling.
+    scheduling: min(usable CPUs, chunks) threads fill the chunks, worker w
+    taking chunks w, w + W, ..., each into its own slice of the result.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -101,29 +118,55 @@ def channel_power(
 
     if mode == "idealized":
         a_eq = config.n_a / np.sqrt(config.n_t) * q
-        blocked_values = None
     else:
         bf: Beamformer = build_beamformer(alloc, aods, config)
         a_eq = equivalent_array_response_exact(aods, bf)
         hpbw = beam_hpbw_deg(alloc, config.n_a)
         served = q > 0
-        blocked_values = np.zeros(config.num_paths)
+        # complex, like a_eq below, so the in-place products need no buffered cast
+        blocked_values = np.zeros(config.num_paths, complex)
         blocked_values[served] = blockage_attenuation(hpbw[served])
 
     L = config.num_paths
-    power_chunks = []
-    for chunk_index, size in enumerate(_chunk_sizes(n_trials)):
-        rng = _chunk_rng(seed, chunk_index)
-        gains = sample_gains(stats, rng, size)
-        if mode == "idealized":
-            # independent binary blockage at the marginal probability p_blk
-            omega = (rng.random((size, L)) >= config.p_blk).astype(float)
-        else:
-            # one blockage probability per frame, shared by all paths
-            omega = blockage_factor_frames(config, blocked_values, rng, size)
-        h_eq = np.sum(omega * gains.conj() * a_eq[None, :], axis=1)
-        power_chunks.append(np.abs(h_eq) ** 2)
-    return np.concatenate(power_chunks)
+    a_eq = a_eq.astype(complex)
+    sizes = _chunk_sizes(n_trials)
+    workers = min(_usable_cpus(), len(sizes))
+    power = np.empty(n_trials)
+    # Scratch for gains, uniform draws, blocked pattern and h_eq, one set per
+    # worker sized to its first (largest) chunk. It is allocated here, not in
+    # the threads, whose per-thread malloc arenas would raise the peak RSS.
+    scratch = [
+        (np.empty((rows, L), complex), np.empty((rows, L)), np.empty((rows, L), bool),
+         np.empty(rows, complex))
+        for rows in sizes[:workers]
+    ]
+
+    def fill(worker: int) -> None:
+        for chunk_index in range(worker, len(sizes), workers):
+            size = sizes[chunk_index]
+            gains, draws, mask, h_eq = (buf[:size] for buf in scratch[worker])
+            rng = _chunk_rng(seed, chunk_index)
+            _fill_gains(stats, rng, gains, draws)
+            np.conjugate(gains, out=gains)
+            if mode == "idealized":
+                # independent binary blockage at the marginal probability p_blk
+                _block(gains, 0.0, config.p_blk, rng, draws, mask)
+            else:
+                # one blockage probability per frame, shared by all paths
+                _shared_blockage(config, blocked_values, rng, gains, draws, mask)
+            gains *= a_eq
+            np.sum(gains, axis=1, out=h_eq)
+            start = chunk_index * CHUNK_TRIALS
+            out = power[start : start + size]
+            np.abs(h_eq, out=out)
+            out **= 2
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        # reading every result re-raises a worker's exception here
+        list(pool.map(fill, range(workers)))
+    return power
 
 
 def run_trials(
@@ -166,7 +209,10 @@ def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     atom) and must be continuous elsewhere; tied zero samples are collapsed
     so the atom is compared jump-against-jump.
     """
-    xs, counts = np.unique(result._sorted, return_counts=True)
+    # runs of equal values in the sorted samples, as np.unique finds them without sorting again
+    s = result._sorted
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    xs, counts = s[starts], np.diff(np.r_[starts, s.size])
     n = result.trials
     fn_hi = np.cumsum(counts) / n  # empirical CDF at xs
     fn_lo = fn_hi - counts / n  # empirical CDF just below xs

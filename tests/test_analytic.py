@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from panelalloc import (
     se_cdf,
     uniform_allocation,
 )
-from panelalloc.analytic import mixture_components
+from panelalloc.analytic import _BLOCK_ELEMENTS, mixture_components
 from util import blockage_pattern_se_cdf
 
 
@@ -191,6 +192,56 @@ class TestRsnrCdf:
         mix = rsnr_mixture(uniform_allocation(baseline), baseline)
         xi = np.linspace(0.0, 9.0, 41)
         np.testing.assert_allclose(se_cdf(mix, xi), rsnr_cdf(mix, 2.0**xi - 1.0))
+
+
+class TestRowBlocks:
+    """The mixture sums run in row blocks; each must equal one (N, K) broadcast."""
+
+    @staticmethod
+    def _inputs(baseline):
+        mix = rsnr_mixture(uniform_allocation(baseline), baseline)
+        rows = _BLOCK_ELEMENTS // mix.scales.size
+        points = np.linspace(0.0, 60.0, 2 * rows + 6)  # crosses two block boundaries
+        return mix, [points[rows], points, points.reshape(2, -1)]
+
+    def test_rsnr_cdf_and_pdf_equal_unblocked_broadcast(self, baseline):
+        mix, inputs = self._inputs(baseline)
+        for gamma in inputs:
+            g = np.atleast_1d(gamma)[..., None]
+            cdf = mix.zero_mass + np.sum(mix.weights * (1.0 - np.exp(-g / mix.scales)), axis=-1)
+            pdf = np.sum(mix.weights / mix.scales * np.exp(-g / mix.scales), axis=-1)
+            for got, expected in ((rsnr_cdf(mix, gamma), cdf), (rsnr_pdf(mix, gamma), pdf)):
+                if np.ndim(gamma) == 0:
+                    assert isinstance(got, float) and got == float(expected[0])
+                else:
+                    assert got.shape == gamma.shape
+                    assert got.tobytes() == expected.reshape(gamma.shape).tobytes()
+
+    def test_heq_pdf_equals_unblocked_broadcast(self, baseline):
+        alloc = uniform_allocation(baseline)
+        _, inputs = self._inputs(baseline)
+        stats = path_variances(baseline.rician_k, baseline.num_paths)
+        _, weights, var_sums = mixture_components(alloc.as_array(), stats.variances, baseline.p_blk)
+        v = baseline.n_a**2 / baseline.n_t * var_sums
+        for x in inputs:
+            x = x - 30.0
+            expected = np.sum(weights * np.exp(-(x[..., None] ** 2) / v) / np.sqrt(np.pi * v), axis=-1)
+            got, _ = heq_pdf_real(alloc, baseline, x)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_se_cdf_memory_does_not_scale_with_components(self, baseline):
+        mix = rsnr_mixture(uniform_allocation(baseline), baseline)
+        se = np.linspace(0.0, 10.0, 10**6)
+        n, k = se.size, mix.scales.size
+        assert k == 15
+        tracemalloc.start()
+        try:
+            se_cdf(mix, se)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few point-length arrays (RSNR, sums, result), not an (N, K) broadcast
+        assert peak < 4 * n * 8 < n * k * 8 / 3
 
 
 class TestOutage:

@@ -82,7 +82,29 @@ class TestGainStatistics:
         assert abs(total.mean() - 1.0) < band
 
 
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_equals_complex_gaussian_formula_bitwise(self, baseline, size):
+        stats = path_variances(baseline.rician_k, baseline.num_paths)
+        shape = (baseline.num_paths,) if size is None else (size, baseline.num_paths)
+        draws = np.random.default_rng(21)
+        expected = np.sqrt(stats.variances / 2.0) * (
+            draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+        )
+        gains = sample_gains(stats, np.random.default_rng(21), size)
+        assert gains.shape == shape
+        assert gains.tobytes() == expected.tobytes()
+
+
 class TestBlockage:
+    def test_frames_equal_shared_probability_formula_bitwise(self, baseline):
+        n, L = 5000, baseline.num_paths
+        blocked_values = np.array([0.05, 0.0, 0.07, 0.02])
+        draws = np.random.default_rng(8)
+        p_hat = draws.uniform(baseline.p_min, baseline.p_max, size=n)
+        expected = np.where(draws.random((n, L)) < p_hat[:, None], blocked_values[None, :], 1.0)
+        factors = blockage_factor_frames(baseline, blocked_values, np.random.default_rng(8), n)
+        assert factors.tobytes() == expected.tobytes()
+
     def test_certain_blockage_idealized(self, rng):
         cfg = SystemConfig(p_min=1.0, p_max=1.0)
         np.testing.assert_array_equal(

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +24,9 @@ from panelalloc import (
     se_cdf,
     uniform_allocation,
 )
-from panelalloc.montecarlo import CHUNK_TRIALS
-from util import blockage_pattern_se_cdf, realistic_se_cdf
+from panelalloc import montecarlo
+from panelalloc.montecarlo import CHUNK_TRIALS, MODES
+from util import blockage_pattern_se_cdf, realistic_se_cdf, serial_channel_power
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,80 @@ class TestChannelPower:
         # the draws ignore tx_snr, so one power array serves a whole SNR sweep
         louder = replace(baseline, tx_snr=40.0)
         assert channel_power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
+
+
+class TestThreadedFill:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("q", [(8, 0, 0, 0), (4, 0, 2, 2), (1, 2, 2, 3)])
+    def test_equals_serial_chunk_loop_bytewise(self, baseline, aods, mode, q):
+        alloc = PanelAllocation(q)
+        for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
+            for seed in (3, 2024):
+                expected = serial_channel_power(baseline, alloc, aods, mode, n, seed)
+                got = channel_power(baseline, alloc, aods, mode, n, seed)
+                assert got.tobytes() == expected.tobytes(), (n, seed)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_traced_peak_is_output_plus_worker_scratch(self, baseline, aods, mode):
+        n = 3 * CHUNK_TRIALS
+        workers = min(montecarlo._usable_cpus(), 3)
+        # per chunk row: complex gains, float draws and bool mask over L paths,
+        # complex h_eq, and in realistic mode the frame's p_hat drawn by the generator
+        row_bytes = baseline.num_paths * (16 + 8 + 1) + 16 + (8 if mode == "realistic" else 0)
+        alloc = uniform_allocation(baseline)
+        channel_power(baseline, alloc, aods, mode, 10, 0)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            channel_power(baseline, alloc, aods, mode, n, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + workers * CHUNK_TRIALS * row_bytes + 2**20
+
+    def test_worker_exception_reaches_caller(self, baseline, aods, monkeypatch):
+        chunk_rng = montecarlo._chunk_rng
+
+        def failing_rng(seed, chunk_index):
+            if chunk_index == 1:
+                raise RuntimeError("chunk 1 failed")
+            return chunk_rng(seed, chunk_index)
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", failing_rng)
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(
+                    channel_power(
+                        baseline, uniform_allocation(baseline), aods, "idealized",
+                        3 * CHUNK_TRIALS, 5,
+                    )
+                )
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "chunk 1 failed"
+
+
+class TestKsDistance:
+    def test_equals_unique_based_distance(self, baseline, aods):
+        # the LoS beam's zero-SE atom gives one long run of tied samples
+        alloc = los_concentration(baseline)
+        result = run_trials(baseline, alloc, aods, "idealized", 20_000, 12)
+        mix = rsnr_mixture(alloc, baseline)
+        xs, counts = np.unique(result.se_samples, return_counts=True)
+        fn_hi = np.cumsum(counts) / result.trials
+        model = se_cdf(mix, xs)
+        model_left = model.copy()
+        model_left[0] = 0.0  # xs[0] is the atom at SE = 0
+        expected = max(np.max(fn_hi - model), np.max(model_left - (fn_hi - counts / result.trials)))
+        assert xs[0] == 0.0 and counts[0] > 1000
+        assert ks_distance(result, lambda se: se_cdf(mix, se)) == float(expected)
 
 
 class TestValidation:

@@ -4,7 +4,14 @@ from itertools import product
 
 import numpy as np
 
-from panelalloc import build_beamformer, equivalent_array_response_exact
+from panelalloc import (
+    beam_hpbw_deg,
+    build_beamformer,
+    equivalent_array_response_exact,
+    validate_allocation,
+)
+from panelalloc.channel import blockage_attenuation
+from panelalloc.montecarlo import CHUNK_TRIALS
 
 
 def composition_count(total: int, parts: int, head_min: int = 1) -> int:
@@ -87,3 +94,45 @@ def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
     hpbw = 102.0 / (q[served] * config.n_a)
     blocked_values[served] = 1.0 / (9.8 + 180.0 / hpbw)
     return blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits)
+
+
+def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
+    """channel_power as one serial loop over the chunks, concatenated at the end.
+
+    The single-threaded chunk loop the threaded fill replaced, with the gain
+    law (scale * (z1 + 1j z2)) and the shared-p_hat blockage law
+    (np.where over the blocked pattern) written out instead of called, so
+    the reference shares no sampling code with the library.
+    """
+    aods = np.asarray(aods, dtype=float)
+    validate_allocation(alloc, config)
+    L = config.num_paths
+    variances = _path_variances(config.rician_k, L)
+    q = alloc.as_array().astype(float)
+
+    if mode == "idealized":
+        a_eq = config.n_a / np.sqrt(config.n_t) * q
+    else:
+        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
+        hpbw = beam_hpbw_deg(alloc, config.n_a)
+        served = q > 0
+        blocked_values = np.zeros(L)
+        blocked_values[served] = blockage_attenuation(hpbw[served])
+
+    full, rem = divmod(n_trials, CHUNK_TRIALS)
+    power_chunks = []
+    for chunk_index, size in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=(seed, chunk_index)))
+        )
+        scale = np.sqrt(variances / 2.0)
+        gains = scale * (rng.standard_normal((size, L)) + 1j * rng.standard_normal((size, L)))
+        if mode == "idealized":
+            omega = (rng.random((size, L)) >= config.p_blk).astype(float)
+        else:
+            p_hat = rng.uniform(config.p_min, config.p_max, size=size)
+            blocked = rng.random((size, L)) < p_hat[:, None]
+            omega = np.where(blocked, blocked_values[None, :], 1.0)
+        h_eq = np.sum(omega * gains.conj() * a_eq[None, :], axis=1)
+        power_chunks.append(np.abs(h_eq) ** 2)
+    return np.concatenate(power_chunks)
