@@ -8,18 +8,14 @@ from .analytic import (
     RsnrMixture,
     average_rsnr,
     average_se_upper_bound,
-    heq_pdf_real,
     outage_probability,
     rsnr_cdf,
     rsnr_mixture,
-    rsnr_pdf,
     score_allocations,
     se_cdf,
 )
 from .beamforming import (
-    Beamformer,
     PanelAllocation,
-    array_response,
     beam_hpbw_deg,
     beam_pattern,
     build_beamformer,
@@ -31,10 +27,8 @@ from .beamforming import (
 )
 from .channel import (
     ChannelRealization,
-    PathStatistics,
     default_min_separation,
     path_variances,
-    sample_blockage,
     sample_channel,
 )
 from .config import SystemConfig, db_to_linear, linear_to_db, load_scenario
@@ -49,7 +43,6 @@ from .montecarlo import (
 from .optimizer import (
     AllocationReport,
     allocation_array,
-    enumerate_allocations,
     g_los,
     maximize_average_se,
     optimize_outmin,

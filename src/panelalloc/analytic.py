@@ -34,9 +34,6 @@ class RsnrMixture:
     weights: np.ndarray
     scales: np.ndarray
 
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.scales))
-
 
 def _survival_masks(rho2: np.ndarray, p_blk: float) -> tuple[np.ndarray, np.ndarray]:
     """Scales of the 2^n survival masks of each row of rho2 (R, n), and the mask weights.
@@ -51,41 +48,30 @@ def _survival_masks(rho2: np.ndarray, p_blk: float) -> tuple[np.ndarray, np.ndar
     return scales, p_blk ** (rho2.shape[1] - survivors) * (1.0 - p_blk) ** survivors
 
 
-def mixture_components(
-    q: np.ndarray, variances: np.ndarray, p_blk: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Survival-pattern weights and per-component variance sums.
-
-    Enumerates the subsets S of the allocation support. Subset S (the
-    surviving paths) has weight p_blk^(N_b - |S|) (1 - p_blk)^|S| and
-    carries total variance sum_{l in S} sigma_l^2 q_l^2. Zero-variance
-    subsets (the empty one, and any more when kappa = 0 makes the LoS gain
-    degenerate) make up the zero mass. Returns (zero_mass, weights,
-    variance_sums).
-    """
-    q = np.asarray(q, dtype=float)
-    support = np.flatnonzero(q)
-    if support.size == 0:
-        raise ConfigurationError("allocation must serve at least one path")
-    rho2 = np.asarray(variances, dtype=float)[support] * q[support] ** 2
-    sums, weights = _survival_masks(rho2[None, :], p_blk)
-    served = sums[0] > 0.0
-    return float(weights[~served].sum()), weights[served], sums[0, served]
-
-
 def rsnr_mixture(alloc: PanelAllocation, config: SystemConfig) -> RsnrMixture:
     """Closed-form RSNR distribution for an allocation under a scenario.
 
-    Exponential scales carry the beamforming gain and transmit SNR:
-    scale(S) = gamma_tx * (N_a^2 / N_t) * sum_{l in S} sigma_l^2 q_l^2.
+    Enumerates the subsets S of the allocation support. Subset S (the
+    surviving paths) has weight p_blk^(N_b - |S|) (1 - p_blk)^|S| and an
+    exponential RSNR of scale
+
+        scale(S) = gamma_tx * (N_a^2 / N_t) * sum_{l in S} sigma_l^2 q_l^2.
+
+    Zero-scale subsets (the empty one, and any more when kappa = 0 makes the
+    LoS gain degenerate) make up the point mass at zero.
     """
     validate_allocation(alloc, config)
-    stats = path_variances(config.rician_k, config.num_paths)
-    zero_mass, weights, var_sums = mixture_components(
-        alloc.as_array(), stats.variances, config.p_blk
-    )
+    q = alloc.as_array().astype(float)
+    support = np.flatnonzero(q)
+    rho2 = path_variances(config.rician_k, config.num_paths)[support] * q[support] ** 2
+    sums, weights = _survival_masks(rho2[None, :], config.p_blk)
+    served = sums[0] > 0.0
     gain = config.tx_snr * config.n_a**2 / config.n_t
-    return RsnrMixture(zero_mass=zero_mass, weights=weights, scales=gain * var_sums)
+    return RsnrMixture(
+        zero_mass=float(weights[~served].sum()),
+        weights=weights[served],
+        scales=gain * sums[0, served],
+    )
 
 
 # Elements of one (rows, K) block of a mixture sum: 512 KB temporaries, which
@@ -94,63 +80,24 @@ def rsnr_mixture(alloc: PanelAllocation, config: SystemConfig) -> RsnrMixture:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _mixture_sum(x: np.ndarray, k: int, terms) -> np.ndarray | float:
-    """sum_i terms(x)[..., i] over k mixture components, for every element of x.
-
-    ``terms`` maps a column (rows, 1) of points to the (rows, k) per-component
-    terms. Points go through in row blocks of about 2^16 / k rows, so memory
-    does not grow with N k; each row sums as in one (N, k) broadcast, bit
-    for bit. Returns x's shape, or a float for a scalar x.
-    """
-    flat = np.atleast_1d(x).ravel()
-    out = np.empty(flat.size)
-    rows = _BLOCK_ELEMENTS // max(1, k)
-    for start in range(0, flat.size, rows):
-        np.sum(terms(flat[start : start + rows, None]), axis=-1, out=out[start : start + rows])
-    return out.reshape(x.shape) if x.shape else float(out[0])
-
-
-def heq_pdf_real(
-    alloc: PanelAllocation, config: SystemConfig, x: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Density of the real part of the equivalent channel (continuous part).
-
-    Each complex-Gaussian mixture component of variance v contributes a real
-    Gaussian of variance v/2. The point mass at zero is excluded from the
-    density and returned separately; the continuous part integrates to
-    1 - zero_mass.
-    """
-    validate_allocation(alloc, config)
-    x = np.asarray(x, dtype=float)
-    stats = path_variances(config.rician_k, config.num_paths)
-    zero_mass, weights, var_sums = mixture_components(
-        alloc.as_array(), stats.variances, config.p_blk
-    )
-    v = config.n_a**2 / config.n_t * var_sums  # complex variance per component
-    density = _mixture_sum(
-        x, v.size, lambda xb: weights * np.exp(-(xb**2) / v) / np.sqrt(np.pi * v)
-    )
-    return density, zero_mass
-
-
 def rsnr_cdf(mix: RsnrMixture, gamma: np.ndarray) -> np.ndarray:
-    """CDF of the RSNR: zero_mass + sum_i w_i (1 - exp(-gamma / scale_i))."""
+    """CDF of the RSNR: zero_mass + sum_i w_i (1 - exp(-gamma / scale_i)).
+
+    Points go through in row blocks of about 2^16 / K rows, so memory does
+    not grow with N K; each point sums as in one (N, K) broadcast, bit for
+    bit. Returns gamma's shape, or a float for a scalar gamma.
+    """
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0.0):
         raise ValueError("RSNR CDF argument must be nonnegative")
-    return mix.zero_mass + _mixture_sum(
-        gamma, mix.scales.size, lambda g: mix.weights * (1.0 - np.exp(-g / mix.scales))
-    )
-
-
-def rsnr_pdf(mix: RsnrMixture, gamma: np.ndarray) -> np.ndarray:
-    """Density of the continuous part of the RSNR (point mass excluded)."""
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
-        raise ValueError("RSNR PDF argument must be nonnegative")
-    return _mixture_sum(
-        gamma, mix.scales.size, lambda g: mix.weights / mix.scales * np.exp(-g / mix.scales)
-    )
+    flat = np.atleast_1d(gamma).ravel()
+    out = np.empty(flat.size)
+    rows = _BLOCK_ELEMENTS // max(1, mix.scales.size)
+    for start in range(0, flat.size, rows):
+        block = out[start : start + rows]
+        g = flat[start : start + rows, None]
+        np.sum(mix.weights * (1.0 - np.exp(-g / mix.scales)), axis=-1, out=block)
+    return mix.zero_mass + (out.reshape(gamma.shape) if gamma.shape else float(out[0]))
 
 
 def se_cdf(mix: RsnrMixture, se_bits: np.ndarray) -> np.ndarray:
@@ -184,7 +131,7 @@ def score_allocations(
     """
     if not target_se >= 0.0:
         raise ConfigurationError(f"target SE must be nonnegative, got {target_se}")
-    variances = path_variances(config.rician_k, config.num_paths).variances
+    variances = path_variances(config.rician_k, config.num_paths)
     gain = config.tx_snr * config.n_a**2 / config.n_t
     rho2 = gain * variances * np.asarray(q, dtype=float) ** 2
     profiles, inverse = _unique_rows(np.sort(rho2, axis=1))

@@ -44,20 +44,6 @@ class PanelAllocation:
         return np.asarray(self.q, dtype=int)
 
 
-@dataclass(frozen=True)
-class Beamformer:
-    """Stacked analog beamforming vector."""
-
-    f: np.ndarray
-
-
-def array_response(n: int, theta: float) -> np.ndarray:
-    """ULA array response a(n, theta), entry k = exp(j pi k cos(theta))."""
-    if n < 1:
-        raise ConfigurationError(f"array size must be >= 1, got {n}")
-    return np.exp(1j * np.pi * np.arange(n) * np.cos(theta))
-
-
 def validate_allocation(alloc: PanelAllocation, config: SystemConfig) -> None:
     """Raise ConfigurationError unless alloc covers config's paths with its n_p panels."""
     if len(alloc.q) != config.num_paths or alloc.num_panels != config.n_p:
@@ -68,8 +54,8 @@ def validate_allocation(alloc: PanelAllocation, config: SystemConfig) -> None:
 
 def build_beamformer(
     alloc: PanelAllocation, aods: np.ndarray, config: SystemConfig
-) -> Beamformer:
-    """Stack per-panel steering vectors into one unit-norm beamformer.
+) -> np.ndarray:
+    """Stack per-panel steering vectors into one unit-norm beamformer f (N_t,).
 
     Panels are assigned to paths in path order: the first q_1 panels point at
     aods[0], the next q_2 at aods[1], and so on. Panel m (1-based, global
@@ -92,26 +78,24 @@ def build_beamformer(
     psi = np.exp(1j * np.pi * panel_index * n_a * cos_phi)
     # (N_p, N_a) panel responses, scaled and flattened in panel order
     per_panel = psi[:, None] * np.exp(1j * np.pi * np.arange(n_a)[None, :] * cos_phi[:, None])
-    f = per_panel.reshape(n_t) / np.sqrt(n_t)
-    return Beamformer(f=f)
+    return per_panel.reshape(n_t) / np.sqrt(n_t)
 
 
-def beam_pattern(bf: Beamformer, grid: np.ndarray) -> np.ndarray:
-    """|a(N_t, theta)^H f| over the given angle grid (radians)."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("angle grid must be nonempty")
-    n_t = bf.f.size
-    steering = np.exp(1j * np.pi * np.outer(np.cos(grid), np.arange(n_t)))
-    return np.abs(steering.conj() @ bf.f)
+def equivalent_array_response_exact(aods: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Exact equivalent array response a_eq[l] = a(N_t, theta_l)^H f.
 
-
-def equivalent_array_response_exact(aods: np.ndarray, bf: Beamformer) -> np.ndarray:
-    """Exact equivalent array response a_eq[l] = a(N_t, theta_l)^H f."""
+    a(n, theta) is the ULA response with entries exp(j pi k cos(theta)).
+    """
     aods = np.atleast_1d(np.asarray(aods, dtype=float))
-    n_t = bf.f.size
-    steering = np.exp(1j * np.pi * np.outer(np.cos(aods), np.arange(n_t)))
-    return steering.conj() @ bf.f
+    steering = np.exp(1j * np.pi * np.outer(np.cos(aods), np.arange(f.size)))
+    return steering.conj() @ f
+
+
+def beam_pattern(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """|a(N_t, theta)^H f| over the given angle grid (radians)."""
+    if np.size(grid) == 0:
+        raise ValueError("angle grid must be nonempty")
+    return np.abs(equivalent_array_response_exact(grid, f))
 
 
 def equivalent_array_response_approx(

@@ -19,27 +19,14 @@ ETA_BASE = 9.8
 _AOD_MAX_ATTEMPTS = 10_000
 
 
-@dataclass(frozen=True)
-class PathStatistics:
-    """Per-path gain variances; index 0 is the LoS path."""
-
-    variances: np.ndarray
-
-    @property
-    def num_paths(self) -> int:
-        return self.variances.size
-
-
 @dataclass
 class ChannelRealization:
-    """One draw of AoDs, complex path gains and multiplicative blockage factors."""
+    """One training-phase draw of the path AoDs."""
 
     aods: np.ndarray
-    gains: np.ndarray
-    blockage: np.ndarray
 
 
-def path_variances(kappa: float, num_paths: int) -> PathStatistics:
+def path_variances(kappa: float, num_paths: int) -> np.ndarray:
     """Per-path gain variances for a Rician channel with K-factor ``kappa``.
 
     The LoS path carries kappa/(kappa+1) of the unit total power; the
@@ -54,7 +41,7 @@ def path_variances(kappa: float, num_paths: int) -> PathStatistics:
         raise ConfigurationError(f"kappa must be nonnegative, got {kappa}")
     variances = np.full(num_paths, 1.0 / ((kappa + 1.0) * (num_paths - 1)))
     variances[0] = kappa / (kappa + 1.0)
-    return PathStatistics(variances=variances)
+    return variances
 
 
 def default_min_separation(config: SystemConfig) -> float:
@@ -62,30 +49,19 @@ def default_min_separation(config: SystemConfig) -> float:
     return 4.0 * math.radians(HPBW_COEFF_DEG / config.n_t)
 
 
-def sample_gains(
-    stats: PathStatistics, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Zero-mean circularly-symmetric complex Gaussian gains, one per path.
+def _fill_gains(variances: np.ndarray, rng: np.random.Generator, out, buf) -> None:
+    """Fill complex ``out`` (..., L) with path gains, in place.
 
-    With ``size`` set, returns a (size, L) matrix of independent draws.
-    """
-    shape = (stats.num_paths,) if size is None else (size, stats.num_paths)
-    gains = np.empty(shape, dtype=complex)
-    _fill_gains(stats, rng, gains, np.empty(shape))
-    return gains
-
-
-def _fill_gains(stats: PathStatistics, rng: np.random.Generator, out, buf) -> None:
-    """Fill complex ``out`` (..., L) with the gains sqrt(sigma^2 / 2) (z1 + 1j z2), in place.
-
-    z1 then z2 are standard normal draws made through the float scratch
-    ``buf`` of out's shape; bit for bit the values of scale * (z1 + 1j * z2).
+    Each gain is zero-mean circularly-symmetric complex Gaussian,
+    sqrt(sigma_l^2 / 2) (z1 + 1j z2): z1 then z2 are standard normal draws
+    made through the float scratch ``buf`` of out's shape, bit for bit the
+    values of scale * (z1 + 1j * z2).
     """
     rng.standard_normal(out=buf)
     out.real = buf
     rng.standard_normal(out=buf)
     out.imag = buf
-    out *= np.sqrt(stats.variances / 2.0)
+    out *= np.sqrt(variances / 2.0)
 
 
 def sample_aods(
@@ -127,19 +103,12 @@ def sample_channel(
     min_separation: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> ChannelRealization:
-    """Draw one training-phase channel: AoDs, path gains, blockage all-clear.
+    """Draw one training-phase channel: the AoDs the beamformers are steered to.
 
-    Blockage is applied separately per transmission frame (sample_blockage);
-    the returned realization has every blockage factor equal to 1.
+    Path gains and blockage are redrawn per transmission frame by the Monte
+    Carlo engine (``montecarlo.channel_power``), not here.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    aods = sample_aods(config, min_separation, rng)
-    stats = path_variances(config.rician_k, config.num_paths)
-    gains = sample_gains(stats, rng)
-    return ChannelRealization(
-        aods=aods, gains=gains, blockage=np.ones(config.num_paths)
-    )
+    return ChannelRealization(aods=sample_aods(config, min_separation, rng))
 
 
 def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
@@ -148,27 +117,6 @@ def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
     if np.any(~(hpbw > 0.0)):
         raise ConfigurationError("hpbw_deg entries must be positive")
     return 1.0 / (ETA_BASE + 180.0 / hpbw)
-
-
-def blockage_factor_frames(
-    config: SystemConfig,
-    blocked_values: np.ndarray,
-    rng: np.random.Generator,
-    n_frames: int,
-) -> np.ndarray:
-    """Per-frame blockage factors, shape (n_frames, L).
-
-    One blockage probability p_hat ~ U(p_min, p_max) is drawn per frame and
-    shared by all paths; each path is then blocked independently with
-    probability p_hat. A blocked path l takes blocked_values[l], a clear
-    path takes 1. Marginally each path is blocked with probability p_blk,
-    but blockage events within a frame are positively correlated.
-    """
-    shape = (n_frames, config.num_paths)
-    omega = np.ones(shape)
-    blocked_values = np.broadcast_to(np.asarray(blocked_values, dtype=float), shape[1:])
-    _shared_blockage(config, blocked_values, rng, omega, np.empty(shape), np.empty(shape, bool))
-    return omega
 
 
 def _block(out, blocked_values, p_block, rng: np.random.Generator, buf, mask) -> None:
@@ -185,36 +133,14 @@ def _block(out, blocked_values, p_block, rng: np.random.Generator, buf, mask) ->
 
 
 def _shared_blockage(config: SystemConfig, blocked_values, rng, out, buf, mask) -> None:
-    """The shared-p_hat law of ``blockage_factor_frames``, applied to ``out`` in place."""
+    """Apply per-frame shared blockage to ``out`` (n_frames, L), in place.
+
+    One blockage probability p_hat ~ U(p_min, p_max) is drawn per frame and
+    shared by all paths; each path is then blocked independently with
+    probability p_hat. A blocked path l is multiplied by blocked_values[l],
+    a clear path is left as it is. Marginally each path is blocked with
+    probability p_blk, but blockage events within a frame are positively
+    correlated.
+    """
     p_hat = rng.uniform(config.p_min, config.p_max, size=len(out))
     _block(out, blocked_values, p_hat[:, None], rng, buf, mask)
-
-
-def sample_blockage(
-    config: SystemConfig,
-    mode: str,
-    hpbw_deg: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Draw one frame of per-path blockage factors.
-
-    mode "idealized": blocked paths are nulled (factor 0).
-    mode "realistic": blocked paths are attenuated by 1/eta with
-    eta = 9.8 + 180 / hpbw_deg[l]; requires positive beamwidths.
-    Clear paths always take factor 1.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    if mode == "idealized":
-        blocked_values = np.zeros(config.num_paths)
-    elif mode == "realistic":
-        if hpbw_deg is None:
-            raise ConfigurationError("realistic blockage requires hpbw_deg")
-        blocked_values = blockage_attenuation(hpbw_deg)
-        if blocked_values.shape != (config.num_paths,):
-            raise ConfigurationError(
-                f"hpbw_deg must have length {config.num_paths}, got {blocked_values.shape}"
-            )
-    else:
-        raise ConfigurationError(f"unknown blockage mode {mode!r}")
-    return blockage_factor_frames(config, blocked_values, rng, 1)[0]

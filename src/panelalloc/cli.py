@@ -38,10 +38,8 @@ from .config import SystemConfig, linear_to_db, load_scenario
 from .errors import CapacityError, ConfigurationError, SamplingError
 from .export import (
     write_candidates_csv,
-    write_cdf_csv,
     write_columns_csv,
     write_csv,
-    write_pattern_csv,
     write_samples_csv,
     write_summary_csv,
 )
@@ -104,8 +102,7 @@ def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig |
 def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     """Per-method SE CDF: analytic curve plus both Monte Carlo modes."""
     grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.0, 10.0, 101)
-    rng = np.random.default_rng(spec.seed)
-    aods = sample_channel(spec.config, rng=rng).aods
+    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     written = []
     for method in spec.methods:
         alloc = resolve_allocation(spec, method)
@@ -116,11 +113,11 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
             "cdf", method=method, q="/".join(map(str, alloc.q)), target_se=spec.target_se
         )
         written.append(
-            write_cdf_csv(
+            write_columns_csv(
                 spec.output_dir / f"cdf_{method}.csv",
                 comment,
-                grid,
                 {
+                    "se_bits": grid,
                     "cdf_analytic": se_cdf(mix, grid),
                     "cdf_mc_idealized": ideal.empirical_cdf(grid),
                     "cdf_mc_realistic": real.empirical_cdf(grid),
@@ -164,8 +161,7 @@ def _mean_se(
 def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
     """Outage probability and mean SE as functions of the target SE."""
     grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.25, 8.0, 32)
-    rng = np.random.default_rng(spec.seed)
-    aods = sample_channel(spec.config, rng=rng).aods
+    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     outages, cells = {}, []
     for method in spec.methods:
         if method in ("los", "uniform"):
@@ -192,17 +188,15 @@ def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
 def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
     """Mean RSNR, Jensen SE bound and Monte Carlo mean SE vs transmit SNR."""
     snr_db = spec.snr_grid_db if spec.snr_grid_db is not None else np.arange(0.0, 21.0, 5.0)
-    rng = np.random.default_rng(spec.seed)
-    aods = sample_channel(spec.config, rng=rng).aods
+    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     per_method = {m: ([], []) for m in spec.methods}
     cells = []
     for snr in snr_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
         for method in spec.methods:
             alloc = resolve_allocation(spec, method, cfg)
-            avg = average_rsnr(alloc, cfg)
             rows = per_method[method]
-            rows[0].append(linear_to_db(avg) if avg > 0 else float("-inf"))
+            rows[0].append(linear_to_db(average_rsnr(alloc, cfg)))
             rows[1].append(average_se_upper_bound(alloc, cfg))
             cells.append((cfg.tx_snr, alloc))
     means = _mean_se(spec, aods, cells).reshape(snr_db.size, len(spec.methods))
@@ -255,8 +249,7 @@ def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
 
 def cmd_pattern(spec: ExperimentSpec) -> list[Path]:
     """Beam-pattern magnitude over [0, 180] degrees for each method."""
-    rng = np.random.default_rng(spec.seed)
-    aods = sample_channel(spec.config, rng=rng).aods
+    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     theta_deg = np.linspace(0.0, 180.0, spec.pattern_points)
     theta_rad = np.radians(theta_deg)
     written = []
@@ -264,17 +257,15 @@ def cmd_pattern(spec: ExperimentSpec) -> list[Path]:
     if spec.alloc_override is not None:
         targets.append(("custom", PanelAllocation(spec.alloc_override)))
     for name, alloc in targets:
-        bf = build_beamformer(alloc, aods, spec.config)
-        gain = beam_pattern(bf, theta_rad)
+        gain = beam_pattern(build_beamformer(alloc, aods, spec.config), theta_rad)
         comment = spec.comment(
             "pattern",
             method=name,
             q="/".join(map(str, alloc.q)),
             aods_deg="/".join(f"{np.degrees(a):.3f}" for a in aods),
         )
-        written.append(
-            write_pattern_csv(spec.output_dir / f"pattern_{name}.csv", comment, theta_deg, gain)
-        )
+        path = spec.output_dir / f"pattern_{name}.csv"
+        written.append(write_columns_csv(path, comment, {"theta_deg": theta_deg, "gain_abs": gain}))
     return written
 
 

@@ -26,7 +26,8 @@ def db_to_linear(value_db: float) -> float:
 
 
 def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)
+    """10 log10(value); a zero power, such as the mean RSNR at p_blk = 1, is -inf dB."""
+    return 10.0 * math.log10(value) if value != 0.0 else float("-inf")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""CSV writers for patterns, CDF curves, candidate tables and sample dumps.
+"""CSV writers for column tables, candidate tables and sample dumps.
 
 Every file starts with a single '#' comment line recording the resolved
 configuration, so results stay auditable without a side channel.
@@ -42,21 +42,13 @@ def write_columns_csv(path, comment, columns: dict[str, np.ndarray]) -> Path:
     return write_csv(path, comment, names, rows)
 
 
-def write_pattern_csv(path, comment, theta_deg, gain_abs) -> Path:
-    return write_columns_csv(path, comment, {"theta_deg": theta_deg, "gain_abs": gain_abs})
-
-
-def write_cdf_csv(path, comment, se_bits, cdf_columns: dict[str, np.ndarray]) -> Path:
-    return write_columns_csv(path, comment, {"se_bits": se_bits, **cdf_columns})
-
-
 def write_candidates_csv(path, comment, report) -> Path:
     """Full optimizer candidate table; the chosen row is flagged."""
     num_paths = len(report.chosen.q)
     header = [f"q_{l + 1}" for l in range(num_paths)] + ["outage", "avg_rsnr_db", "chosen"]
     rows = [
         list(alloc.q)
-        + [outage, linear_to_db(avg) if avg > 0 else float("-inf"), int(alloc.q == report.chosen.q)]
+        + [outage, linear_to_db(avg), int(alloc.q == report.chosen.q)]
         for alloc, outage, avg in report.candidates
     ]
     return write_csv(path, comment, header, rows)

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import (
-    Beamformer,
     PanelAllocation,
     beam_hpbw_deg,
     build_beamformer,
+    equivalent_array_response_approx,
     equivalent_array_response_exact,
     validate_allocation,
 )
@@ -57,7 +57,6 @@ class TrialBatchResult:
     trials: int
     seed: int
     mode: str
-    aods: np.ndarray
     _sorted: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -113,16 +112,14 @@ def channel_power(
         raise ValueError(f"expected {config.num_paths} AoDs, got shape {aods.shape}")
     validate_allocation(alloc, config)
 
-    stats = path_variances(config.rician_k, config.num_paths)
-    q = alloc.as_array().astype(float)
+    variances = path_variances(config.rician_k, config.num_paths)
 
     if mode == "idealized":
-        a_eq = config.n_a / np.sqrt(config.n_t) * q
+        a_eq = equivalent_array_response_approx(alloc, config)
     else:
-        bf: Beamformer = build_beamformer(alloc, aods, config)
-        a_eq = equivalent_array_response_exact(aods, bf)
+        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
         hpbw = beam_hpbw_deg(alloc, config.n_a)
-        served = q > 0
+        served = alloc.as_array() > 0
         # complex, like a_eq below, so the in-place products need no buffered cast
         blocked_values = np.zeros(config.num_paths, complex)
         blocked_values[served] = blockage_attenuation(hpbw[served])
@@ -146,7 +143,7 @@ def channel_power(
             size = sizes[chunk_index]
             gains, draws, mask, h_eq = (buf[:size] for buf in scratch[worker])
             rng = _chunk_rng(seed, chunk_index)
-            _fill_gains(stats, rng, gains, draws)
+            _fill_gains(variances, rng, gains, draws)
             np.conjugate(gains, out=gains)
             if mode == "idealized":
                 # independent binary blockage at the marginal probability p_blk
@@ -191,7 +188,6 @@ def run_trials(
         trials=n_trials,
         seed=seed,
         mode=mode,
-        aods=np.asarray(aods, dtype=float),
     )
 
 

@@ -91,14 +91,6 @@ def allocation_array(n_p: int, num_paths: int, require_los: bool = True) -> np.n
     return q
 
 
-def enumerate_allocations(
-    n_p: int, num_paths: int, require_los: bool = True
-) -> list[PanelAllocation]:
-    """All candidate allocations in lexicographic order (list view of allocation_array)."""
-    q = allocation_array(n_p, num_paths, require_los)
-    return [PanelAllocation(tuple(row)) for row in q.tolist()]
-
-
 def g_los(alloc: PanelAllocation) -> float:
     """Normalized LoS beam gain q_1 / N_p."""
     return alloc.q[0] / alloc.num_panels
@@ -146,6 +138,18 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
     return best
 
 
+def _outmin(
+    config: SystemConfig, target_se: float, epsilon: float, require_los: bool
+) -> AllocationReport:
+    # rows within epsilon of the minimum outage are feasible; the highest mean
+    # RSNR among them wins. With epsilon = 0 the feasible rows are exactly the
+    # minimum-outage ones, so this is also the outage minimizer.
+    q = allocation_array(config.n_p, config.num_paths, require_los)
+    outages, avgs = score_allocations(q, config, target_se)
+    infeasible = outages > outages.min() + epsilon
+    return _report(q, outages, avgs, _first(infeasible, -avgs))
+
+
 def optimize_outmin(
     config: SystemConfig, target_se: float, require_los: bool = True
 ) -> AllocationReport:
@@ -154,9 +158,7 @@ def optimize_outmin(
     Ties are broken by higher mean RSNR, then by lexicographically smallest
     allocation, so the result is deterministic.
     """
-    q = allocation_array(config.n_p, config.num_paths, require_los)
-    outages, avgs = score_allocations(q, config, target_se)
-    return _report(q, outages, avgs, _first(outages, -avgs))
+    return _outmin(config, target_se, 0.0, require_los)
 
 
 def optimize_outmin_ase(
@@ -174,7 +176,4 @@ def optimize_outmin_ase(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-    q = allocation_array(config.n_p, config.num_paths, require_los)
-    outages, avgs = score_allocations(q, config, target_se)
-    infeasible = outages > outages.min() + epsilon
-    return _report(q, outages, avgs, _first(infeasible, -avgs))
+    return _outmin(config, target_se, epsilon, require_los)

@@ -34,10 +34,11 @@ import numpy as np
 import pytest
 
 from panelalloc import (
+    PanelAllocation,
     SystemConfig,
+    allocation_array,
     average_rsnr,
     average_se_upper_bound,
-    enumerate_allocations,
     empirical_outage,
     ks_distance,
     los_concentration,
@@ -123,7 +124,8 @@ def test_criterion_2_zero_se_atoms(ideal_million):
 
 def test_criterion_3_average_se_maximizer(baseline):
     chosen = maximize_average_se(baseline)
-    candidates = enumerate_allocations(baseline.n_p, baseline.num_paths)
+    rows = allocation_array(baseline.n_p, baseline.num_paths).tolist()
+    candidates = [PanelAllocation(tuple(row)) for row in rows]
     scores = [(average_rsnr(a, baseline), a.q) for a in candidates]
     best_score = max(s for s, _ in scores)
     argmax = [q for s, q in scores if s == best_score]
@@ -139,7 +141,7 @@ def test_criterion_4_enumeration_counts():
         for L in range(2, 9):
             closed = pattern_count(n_p, L)
             recursive = composition_count(n_p, L, 1)
-            enumerated = len(enumerate_allocations(n_p, L))
+            enumerated = len(allocation_array(n_p, L))
             if not (closed == recursive == enumerated):
                 ok = False
             max_count = max(max_count, closed)
@@ -203,11 +205,11 @@ def test_criterion_7_glos_nonmonotone(baseline):
 
 def test_criterion_8_average_rsnr_formula(baseline, aods):
     gen = np.random.default_rng(123)
-    candidates = enumerate_allocations(baseline.n_p, baseline.num_paths)
+    candidates = allocation_array(baseline.n_p, baseline.num_paths)
     picks = gen.choice(len(candidates), size=10, replace=False)
     worst = 0.0
     for i, idx in enumerate(picks):
-        alloc = candidates[idx]
+        alloc = PanelAllocation(tuple(candidates[idx].tolist()))
         result = run_trials(baseline, alloc, aods, "idealized", TRIALS, SEED + 1 + i)
         expected = average_rsnr(alloc, baseline)
         worst = max(worst, abs(result.mean_rsnr - expected) / expected)

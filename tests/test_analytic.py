@@ -13,20 +13,18 @@ from panelalloc import (
     allocation_array,
     average_rsnr,
     average_se_upper_bound,
-    heq_pdf_real,
     los_concentration,
     outage_probability,
     path_variances,
     rsnr_cdf,
     rsnr_mixture,
-    rsnr_pdf,
     run_trials,
     sample_channel,
     score_allocations,
     se_cdf,
     uniform_allocation,
 )
-from panelalloc.analytic import _BLOCK_ELEMENTS, mixture_components
+from panelalloc.analytic import _BLOCK_ELEMENTS
 from util import blockage_pattern_se_cdf
 
 
@@ -38,6 +36,11 @@ def random_allocation(rng, n_p, num_paths):
         q[donor] -= 1
         q[0] += 1
     return PanelAllocation(tuple(int(v) for v in q))
+
+
+def mixture_mean(mix):
+    """Mean RSNR of a mixture: the weighted sum of its exponential scales."""
+    return float(np.dot(mix.weights, mix.scales))
 
 
 class TestMixture:
@@ -75,9 +78,9 @@ class TestMixture:
         gen = np.random.default_rng(seed)
         q = gen.integers(0, 4, size=4)
         q[gen.integers(4)] += 1  # nonempty support
-        variances = path_variances(kappa, 4).variances
-        zero_mass, weights, _ = mixture_components(q, variances, p_blk)
-        assert zero_mass + weights.sum() == pytest.approx(1.0, abs=1e-12)
+        cfg = SystemConfig(n_p=int(q.sum()), rician_k=kappa, p_min=p_blk, p_max=p_blk)
+        mix = rsnr_mixture(PanelAllocation(tuple(q.tolist())), cfg)
+        assert mix.zero_mass + mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_los_variance_folds_into_zero_mass(self):
         # kappa = 0 makes the LoS gain identically zero: subsets containing
@@ -90,42 +93,26 @@ class TestMixture:
         assert mix.zero_mass + mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_allocation_paths_do_not_matter(self, baseline):
-        variances = path_variances(baseline.rician_k, baseline.num_paths).variances
-        full = mixture_components(np.array([3, 5, 0, 0]), variances, baseline.p_blk)
-        trimmed = mixture_components(np.array([3, 5]), variances[:2], baseline.p_blk)
-        assert full[0] == trimmed[0]
-        np.testing.assert_allclose(np.sort(full[1]), np.sort(trimmed[1]))
-        np.testing.assert_allclose(np.sort(full[2]), np.sort(trimmed[2]))
+        # only the two served paths' subsets appear, written out by hand
+        mix = rsnr_mixture(PanelAllocation((3, 5, 0, 0)), baseline)
+        p = baseline.p_blk
+        s1, s2 = path_variances(baseline.rician_k, baseline.num_paths)[:2]
+        gain = baseline.tx_snr * baseline.n_a**2 / baseline.n_t
+        assert mix.zero_mass == pytest.approx(p**2, abs=1e-15)
+        np.testing.assert_allclose(mix.weights, [p * (1 - p), p * (1 - p), (1 - p) ** 2])
+        np.testing.assert_allclose(mix.scales, gain * np.array([9 * s1, 25 * s2, 9 * s1 + 25 * s2]))
 
-    def test_mismatched_allocation_rejected(self, baseline):
-        with pytest.raises(ConfigurationError):
-            rsnr_mixture(PanelAllocation((4, 4, 4, 4)), baseline)
-
-
-class TestHeqPdf:
     def test_four_pattern_weights(self):
         # two paths, two panels each: blockage patterns weigh
         # {0.16 atom, 0.24, 0.24, 0.36}
         cfg = SystemConfig(n_a=32, n_p=4, num_paths=2)
-        variances = path_variances(cfg.rician_k, cfg.num_paths).variances
-        zero_mass, weights, _ = mixture_components(np.array([2, 2]), variances, cfg.p_blk)
-        assert zero_mass == pytest.approx(0.16)
-        np.testing.assert_allclose(np.sort(weights), [0.24, 0.24, 0.36])
+        mix = rsnr_mixture(PanelAllocation((2, 2)), cfg)
+        assert mix.zero_mass == pytest.approx(0.16)
+        np.testing.assert_allclose(np.sort(mix.weights), [0.24, 0.24, 0.36])
 
-    def test_continuous_part_integrates_to_one_minus_atom(self, baseline):
-        alloc = uniform_allocation(baseline)
-        density = lambda x: heq_pdf_real(alloc, baseline, x)[0]
-        _, zero_mass = heq_pdf_real(alloc, baseline, 0.0)
-        total, _ = quad(density, -np.inf, np.inf, limit=200)
-        assert total == pytest.approx(1.0 - zero_mass, abs=1e-6)
-        assert zero_mass == pytest.approx(baseline.p_blk**4)
-
-    def test_symmetry(self, baseline):
-        alloc = PanelAllocation((5, 1, 1, 1))
-        x = np.linspace(0.0, 30.0, 64)
-        left, _ = heq_pdf_real(alloc, baseline, -x)
-        right, _ = heq_pdf_real(alloc, baseline, x)
-        np.testing.assert_allclose(left, right, rtol=1e-12)
+    def test_mismatched_allocation_rejected(self, baseline):
+        with pytest.raises(ConfigurationError):
+            rsnr_mixture(PanelAllocation((4, 4, 4, 4)), baseline)
 
 
 class TestRsnrCdf:
@@ -178,12 +165,17 @@ class TestRsnrCdf:
             assert np.all(np.abs(analytic - empirical) <= band)
 
     def test_pdf_quadrature_matches_cdf(self, baseline):
+        # the CDF against the integral of the exponential mixture's density
         alloc = PanelAllocation((2, 3, 2, 1))
         mix = rsnr_mixture(alloc, baseline)
-        total, _ = quad(lambda g: rsnr_pdf(mix, g), 0, np.inf, limit=500)
+
+        def pdf(g):
+            return float(np.sum(mix.weights / mix.scales * np.exp(-g / mix.scales)))
+
+        total, _ = quad(pdf, 0, np.inf, limit=500)
         assert total == pytest.approx(1.0 - mix.zero_mass, abs=1e-6)
         for gamma in np.linspace(0.5, 400.0, 15):
-            running, _ = quad(lambda g: rsnr_pdf(mix, g), 0, gamma, limit=500)
+            running, _ = quad(pdf, 0, gamma, limit=500)
             assert running + mix.zero_mass == pytest.approx(
                 float(rsnr_cdf(mix, gamma)), abs=1e-6
             )
@@ -204,30 +196,17 @@ class TestRowBlocks:
         points = np.linspace(0.0, 60.0, 2 * rows + 6)  # crosses two block boundaries
         return mix, [points[rows], points, points.reshape(2, -1)]
 
-    def test_rsnr_cdf_and_pdf_equal_unblocked_broadcast(self, baseline):
+    def test_rsnr_cdf_equals_unblocked_broadcast(self, baseline):
         mix, inputs = self._inputs(baseline)
         for gamma in inputs:
             g = np.atleast_1d(gamma)[..., None]
-            cdf = mix.zero_mass + np.sum(mix.weights * (1.0 - np.exp(-g / mix.scales)), axis=-1)
-            pdf = np.sum(mix.weights / mix.scales * np.exp(-g / mix.scales), axis=-1)
-            for got, expected in ((rsnr_cdf(mix, gamma), cdf), (rsnr_pdf(mix, gamma), pdf)):
-                if np.ndim(gamma) == 0:
-                    assert isinstance(got, float) and got == float(expected[0])
-                else:
-                    assert got.shape == gamma.shape
-                    assert got.tobytes() == expected.reshape(gamma.shape).tobytes()
-
-    def test_heq_pdf_equals_unblocked_broadcast(self, baseline):
-        alloc = uniform_allocation(baseline)
-        _, inputs = self._inputs(baseline)
-        stats = path_variances(baseline.rician_k, baseline.num_paths)
-        _, weights, var_sums = mixture_components(alloc.as_array(), stats.variances, baseline.p_blk)
-        v = baseline.n_a**2 / baseline.n_t * var_sums
-        for x in inputs:
-            x = x - 30.0
-            expected = np.sum(weights * np.exp(-(x[..., None] ** 2) / v) / np.sqrt(np.pi * v), axis=-1)
-            got, _ = heq_pdf_real(alloc, baseline, x)
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            expected = mix.zero_mass + np.sum(mix.weights * (1.0 - np.exp(-g / mix.scales)), axis=-1)
+            got = rsnr_cdf(mix, gamma)
+            if np.ndim(gamma) == 0:
+                assert isinstance(got, float) and got == float(expected[0])
+            else:
+                assert got.shape == gamma.shape
+                assert got.tobytes() == expected.reshape(gamma.shape).tobytes()
 
     def test_se_cdf_memory_does_not_scale_with_components(self, baseline):
         mix = rsnr_mixture(uniform_allocation(baseline), baseline)
@@ -279,7 +258,7 @@ class TestAverageRsnr:
         for _ in range(20):
             alloc = random_allocation(rng, baseline.n_p, baseline.num_paths)
             mix = rsnr_mixture(alloc, baseline)
-            assert average_rsnr(alloc, baseline) == pytest.approx(mix.mean(), rel=1e-9)
+            assert average_rsnr(alloc, baseline) == pytest.approx(mixture_mean(mix), rel=1e-9)
 
     def test_monte_carlo_confirms_mean(self, baseline, rng):
         aods = sample_channel(baseline, rng=rng).aods
@@ -343,7 +322,7 @@ class TestScoreAllocations:
         for i in gen.choice(len(q), size=min(len(q), 12), replace=False):
             mix = rsnr_mixture(PanelAllocation(tuple(q[i].tolist())), cfg)
             assert outage[i] == pytest.approx(float(se_cdf(mix, xi)), rel=0.0, abs=1e-12)
-            assert avg[i] == pytest.approx(mix.mean(), rel=1e-12, abs=1e-300)
+            assert avg[i] == pytest.approx(mixture_mean(mix), rel=1e-12, abs=1e-300)
             a_eq = cfg.n_a / np.sqrt(cfg.n_t) * q[i]
             exact = float(blockage_pattern_se_cdf(fixed, a_eq, blocked, xi))
             assert outage[i] == pytest.approx(exact, rel=0.0, abs=1e-12)

@@ -318,3 +318,45 @@ class TestPatternAndCount:
         assert np.all(counts <= 10**6)
         row = (n_p == 8) & (L == 4)
         assert counts[row][0] == 120
+
+
+EDGE_SCENARIOS = {
+    "p_blk_0": SCENARIO.replace("p_min = 0.1", "p_min = 0").replace("p_max = 0.5", "p_max = 0"),
+    "p_blk_1": SCENARIO.replace("p_min = 0.1", "p_min = 1").replace("p_max = 0.5", "p_max = 1"),
+    "kappa_0": SCENARIO.replace("rician_k_db = 7", "rician_k_db = -inf"),
+    "n_p_below_L": SCENARIO.replace("n_p = 4", "n_p = 2"),
+}
+COMMANDS = ("cdf", "sweep-se", "sweep-snr", "allocate", "pattern", "count")
+
+
+class TestEdgeScenarios:
+    """Degenerate but valid scenarios: every subcommand ends with a documented exit code."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("name", list(EDGE_SCENARIOS))
+    def test_exit_code(self, tmp_path, capsys, name, command):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(EDGE_SCENARIOS[name])
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(scn), "--trials", "2000", "--out", str(out)]
+        # an uncaught exception here would be exit code 1
+        rc = run_cli(argv)
+        if name == "n_p_below_L" and command not in ("allocate", "count"):
+            # the uniform method needs at least one panel per path: a usage error
+            assert rc == 2 and "uniform allocation needs" in capsys.readouterr().err
+            return
+        assert rc == 0
+        if name == "p_blk_1" and command == "cdf":
+            # every path is blocked in every idealized frame: zero power, -inf dB
+            for method in cli.METHODS:
+                summary = out / f"summary_{method}.csv"
+                assert column(summary, "mean_rsnr_db")[0] == float("-inf")
+        if name == "p_blk_1" and command in ("sweep-snr", "allocate"):
+            path = out / f"{command.replace('-', '_')}.csv"
+            names = [h for h in read_table(path)[0] if h.startswith("avg_rsnr_db_")]
+            assert names and all(np.all(column(path, h) == float("-inf")) for h in names)
+        if name == "kappa_0" and command == "cdf":
+            # the LoS beam serves a path with no power at kappa = 0
+            assert column(out / "summary_los.csv", "mean_rsnr_db")[0] == float("-inf")
+        if name == "kappa_0" and command == "sweep-snr":
+            assert np.all(column(out / "sweep_snr.csv", "avg_rsnr_db_los") == float("-inf"))

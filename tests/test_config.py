@@ -52,6 +52,7 @@ def test_db_conversions():
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(0.0) == 1.0
     assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3)
+    assert linear_to_db(0.0) == float("-inf")
 
 
 SCENARIO_TEXT = """\

@@ -3,17 +3,15 @@ import numpy as np
 from panelalloc import optimize_outmin, run_trials, sample_channel, uniform_allocation
 from panelalloc.export import (
     write_candidates_csv,
-    write_cdf_csv,
-    write_pattern_csv,
+    write_columns_csv,
     write_samples_csv,
     write_summary_csv,
 )
 
 
 def test_pattern_csv_layout(tmp_path):
-    path = write_pattern_csv(
-        tmp_path / "p.csv", "config-info", np.array([0.0, 1.5]), np.array([0.25, 16.0])
-    )
+    columns = {"theta_deg": np.array([0.0, 1.5]), "gain_abs": np.array([0.25, 16.0])}
+    path = write_columns_csv(tmp_path / "p.csv", "config-info", columns)
     lines = path.read_text().splitlines()
     assert lines[0] == "# config-info"
     assert lines[1] == "theta_deg,gain_abs"
@@ -22,12 +20,8 @@ def test_pattern_csv_layout(tmp_path):
 
 
 def test_cdf_csv_columns(tmp_path):
-    path = write_cdf_csv(
-        tmp_path / "c.csv",
-        "meta",
-        np.array([0.0, 1.0]),
-        {"cdf_analytic": np.array([0.4, 0.5])},
-    )
+    columns = {"se_bits": np.array([0.0, 1.0]), "cdf_analytic": np.array([0.4, 0.5])}
+    path = write_columns_csv(tmp_path / "c.csv", "meta", columns)
     lines = path.read_text().splitlines()
     assert lines[1] == "se_bits,cdf_analytic"
     assert len(lines) == 4

@@ -14,6 +14,11 @@ from panelalloc.channel import blockage_attenuation
 from panelalloc.montecarlo import CHUNK_TRIALS
 
 
+def array_response(n: int, theta: float) -> np.ndarray:
+    """ULA array response a(n, theta), entry k = exp(j pi k cos(theta))."""
+    return np.exp(1j * np.pi * np.arange(n) * np.cos(theta))
+
+
 def composition_count(total: int, parts: int, head_min: int = 1) -> int:
     """Count integer vectors q >= 0 with sum(q) = total and q[0] >= head_min.
 
