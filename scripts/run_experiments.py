@@ -4,8 +4,8 @@
 Produces, under --out (default results/):
   cdf_<method>.csv        SE CDF, analytic vs both Monte Carlo modes,
                           at target SE 1 and 4 (subdirectories per target)
-  sweep_se.csv            outage probability and mean SE vs target SE
-  sweep_snr.csv           mean RSNR / SE bound / mean SE vs transmit SNR
+  sweep_se.csv            outage probability and exact mean SE vs target SE
+  sweep_snr.csv           mean RSNR / SE bound / exact mean SE vs transmit SNR
   allocate.csv            optimizer allocations, outage and G_LoS vs target SE
   pattern_<method>.csv    beam-pattern cuts
   count.csv               candidate-set sizes over (panels, paths)

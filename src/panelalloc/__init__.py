@@ -13,6 +13,7 @@ from .analytic import (
     rsnr_mixture,
     score_allocations,
     se_cdf,
+    se_mean,
 )
 from .beamforming import (
     PanelAllocation,
@@ -35,7 +36,6 @@ from .config import SystemConfig, db_to_linear, linear_to_db, load_scenario
 from .errors import CapacityError, ConfigurationError, SamplingError
 from .montecarlo import (
     TrialBatchResult,
-    channel_power,
     empirical_outage,
     ks_distance,
     run_trials,

@@ -111,11 +111,7 @@ def los_concentration(config: SystemConfig) -> PanelAllocation:
 
 
 def uniform_allocation(config: SystemConfig) -> PanelAllocation:
-    """Panels split equally across all paths, remainder to the first paths."""
-    if config.n_p < config.num_paths:
-        raise ConfigurationError(
-            f"uniform allocation needs n_p >= num_paths, got {config.n_p} < {config.num_paths}"
-        )
+    """Panels split across all paths as equally as possible, remainder to the first paths."""
     base, rem = divmod(config.n_p, config.num_paths)
     q = tuple(base + (1 if l < rem else 0) for l in range(config.num_paths))
     return PanelAllocation(q)

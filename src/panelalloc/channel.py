@@ -106,7 +106,7 @@ def sample_channel(
     """Draw one training-phase channel: the AoDs the beamformers are steered to.
 
     Path gains and blockage are redrawn per transmission frame by the Monte
-    Carlo engine (``montecarlo.channel_power``), not here.
+    Carlo engine (``montecarlo.run_trials``), not here.
     """
     return ChannelRealization(aods=sample_aods(config, min_separation, rng))
 

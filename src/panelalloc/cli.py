@@ -1,4 +1,4 @@
-"""Experiment CLI: analytic curves, Monte Carlo sweeps and allocation tables.
+"""Experiment CLI: SE distributions, exact sweeps and allocation tables.
 
 Subcommands mirror the evaluation workflow: ``cdf`` (SE distribution per
 method, analytic vs both Monte Carlo modes), ``sweep-se`` (outage and mean
@@ -24,6 +24,7 @@ from .analytic import (
     average_se_upper_bound,
     rsnr_mixture,
     se_cdf,
+    se_mean,
 )
 from .beamforming import (
     PanelAllocation,
@@ -43,7 +44,7 @@ from .export import (
     write_samples_csv,
     write_summary_csv,
 )
-from .montecarlo import channel_power, run_trials
+from .montecarlo import run_trials
 from .optimizer import optimize_outmin, optimize_outmin_ase, pattern_count
 
 METHODS = ("los", "uniform", "outmin", "outmin_ase")
@@ -101,7 +102,6 @@ def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig |
 
 def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     """Per-method SE CDF: analytic curve plus both Monte Carlo modes."""
-    grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.0, 10.0, 101)
     aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     written = []
     for method in spec.methods:
@@ -117,10 +117,10 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
                 spec.output_dir / f"cdf_{method}.csv",
                 comment,
                 {
-                    "se_bits": grid,
-                    "cdf_analytic": se_cdf(mix, grid),
-                    "cdf_mc_idealized": ideal.empirical_cdf(grid),
-                    "cdf_mc_realistic": real.empirical_cdf(grid),
+                    "se_bits": spec.se_grid,
+                    "cdf_analytic": se_cdf(mix, spec.se_grid),
+                    "cdf_mc_idealized": ideal.empirical_cdf(spec.se_grid),
+                    "cdf_mc_realistic": real.empirical_cdf(spec.se_grid),
                 },
             )
         )
@@ -137,48 +137,20 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     return written
 
 
-def _mean_se(
-    spec: ExperimentSpec, aods: np.ndarray, cells: list[tuple[float, PanelAllocation]]
-) -> np.ndarray:
-    """Idealized Monte Carlo mean SE of each (tx_snr, allocation) cell.
-
-    Equal to ``run_trials(...).mean_se`` per cell, but cells that share an
-    allocation share one ``channel_power`` run: its draws do not depend on
-    tx_snr. Groups run one at a time, so one power array is alive at once.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (_, alloc) in enumerate(cells):
-        groups.setdefault(alloc.q, []).append(i)
-    means = np.empty(len(cells))
-    for members in groups.values():
-        alloc = cells[members[0]][1]
-        power = channel_power(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
-        for i in members:
-            means[i] = float(np.log2(1.0 + cells[i][0] * power).mean())
-    return means
-
-
 def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
-    """Outage probability and mean SE as functions of the target SE."""
-    grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.25, 8.0, 32)
-    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
-    outages, cells = {}, []
+    """Outage probability and exact mean SE as functions of the target SE."""
+    grid = spec.se_grid
+    columns: dict[str, np.ndarray] = {"xi_th": grid}
     for method in spec.methods:
         if method in ("los", "uniform"):
-            alloc = resolve_allocation(spec, method)
-            outages[method] = se_cdf(rsnr_mixture(alloc, spec.config), grid)
-            chosen = [alloc] * grid.size
+            mix = rsnr_mixture(resolve_allocation(spec, method), spec.config)
+            outage, mean = se_cdf(mix, grid), np.full(grid.size, se_mean(mix))
         else:
             reports = [_optimize(spec, method, float(xi), spec.config) for xi in grid]
-            outages[method] = np.array([r.outage for r in reports])
-            chosen = [r.chosen for r in reports]
-        cells += [(spec.config.tx_snr, alloc) for alloc in chosen]
-    means = _mean_se(spec, aods, cells).reshape(len(spec.methods), grid.size)
-
-    columns: dict[str, np.ndarray] = {"xi_th": grid}
-    for method, row in zip(spec.methods, means):
-        columns[f"outage_{method}"] = outages[method]
-        columns[f"mean_se_{method}"] = row
+            outage = np.array([r.outage for r in reports])
+            mean = np.array([se_mean(rsnr_mixture(r.chosen, spec.config)) for r in reports])
+        columns[f"outage_{method}"] = outage
+        columns[f"mean_se_{method}"] = mean
     path = write_columns_csv(
         spec.output_dir / "sweep_se.csv", spec.comment("sweep-se"), columns
     )
@@ -186,26 +158,23 @@ def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
 
 
 def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
-    """Mean RSNR, Jensen SE bound and Monte Carlo mean SE vs transmit SNR."""
-    snr_db = spec.snr_grid_db if spec.snr_grid_db is not None else np.arange(0.0, 21.0, 5.0)
-    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
-    per_method = {m: ([], []) for m in spec.methods}
-    cells = []
-    for snr in snr_db:
+    """Mean RSNR, Jensen SE bound and exact mean SE vs transmit SNR."""
+    per_method: dict[str, list[tuple[float, float, float]]] = {m: [] for m in spec.methods}
+    for snr in spec.snr_grid_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
         for method in spec.methods:
             alloc = resolve_allocation(spec, method, cfg)
-            rows = per_method[method]
-            rows[0].append(linear_to_db(average_rsnr(alloc, cfg)))
-            rows[1].append(average_se_upper_bound(alloc, cfg))
-            cells.append((cfg.tx_snr, alloc))
-    means = _mean_se(spec, aods, cells).reshape(snr_db.size, len(spec.methods))
+            per_method[method].append((
+                linear_to_db(average_rsnr(alloc, cfg)),
+                average_se_upper_bound(alloc, cfg),
+                se_mean(rsnr_mixture(alloc, cfg)),
+            ))
 
-    columns: dict[str, np.ndarray] = {"tx_snr_db": snr_db}
-    for method, mean_se in zip(spec.methods, means.T):
-        avg_db, bound = per_method[method]
-        columns[f"avg_rsnr_db_{method}"] = np.asarray(avg_db)
-        columns[f"se_bound_{method}"] = np.asarray(bound)
+    columns: dict[str, np.ndarray] = {"tx_snr_db": spec.snr_grid_db}
+    for method, rows in per_method.items():
+        avg_db, bound, mean_se = np.array(rows).T
+        columns[f"avg_rsnr_db_{method}"] = avg_db
+        columns[f"se_bound_{method}"] = bound
         columns[f"mean_se_{method}"] = mean_se
     path = write_columns_csv(
         spec.output_dir / "sweep_snr.csv",
@@ -217,14 +186,13 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
 
 def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
     """Optimizer allocations, outage, mean RSNR and G_LoS across target SEs."""
-    grid = spec.se_grid if spec.se_grid is not None else np.linspace(0.25, 8.0, 32)
     L = spec.config.num_paths
     header = ["xi_th"]
     for tag in ("outmin", "outmin_ase"):
         header += [f"q_{l + 1}_{tag}" for l in range(L)]
         header += [f"outage_{tag}", f"avg_rsnr_db_{tag}", f"g_los_{tag}"]
     rows = []
-    for xi in grid:
+    for xi in spec.se_grid:
         row = [float(xi)]
         for tag in ("outmin", "outmin_ase"):
             report = _optimize(spec, tag, float(xi), spec.config)

@@ -10,7 +10,7 @@ one blockage probability per frame shared by all paths, and attenuates
 blocked served paths by 1/eta instead of nulling them; unserved paths have
 no beam and are nulled when blocked.
 
-``channel_power`` fills its chunks on all usable cores: min(len(
+``run_trials`` fills its chunks on all usable cores: min(len(
 os.sched_getaffinity(0)), chunks) threads, since numpy's generators and
 ufuncs release the interpreter lock. Each worker owns scratch arrays sized
 to one chunk, (CHUNK_TRIALS, L) complex gains, float draws and bool mask
@@ -86,7 +86,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def channel_power(
+def _channel_power(
     config: SystemConfig,
     alloc: PanelAllocation,
     aods: np.ndarray,
@@ -98,10 +98,9 @@ def channel_power(
 
     Every frame resamples the path gains and the blockage state; the AoDs
     (and hence the beamformer in realistic mode) stay fixed for the batch.
-    The draws do not depend on the transmit SNR, so one array serves every
-    tx_snr. Deterministic for a fixed (mode, seed) regardless of chunk
-    scheduling: min(usable CPUs, chunks) threads fill the chunks, worker w
-    taking chunks w, w + W, ..., each into its own slice of the result.
+    Deterministic for a fixed (mode, seed) regardless of chunk scheduling:
+    min(usable CPUs, chunks) threads fill the chunks, worker w taking chunks
+    w, w + W, ..., each into its own slice of the result.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -176,10 +175,10 @@ def run_trials(
 ) -> TrialBatchResult:
     """Simulate n_trials transmission frames and record the SE of each.
 
-    The frames are those of ``channel_power``; the RSNR of a frame is
+    The frames are those of ``_channel_power``; the RSNR of a frame is
     tx_snr |h_eq|^2.
     """
-    gamma = config.tx_snr * channel_power(config, alloc, aods, mode, n_trials, seed)
+    gamma = config.tx_snr * _channel_power(config, alloc, aods, mode, n_trials, seed)
     se = np.log2(1.0 + gamma)
     return TrialBatchResult(
         se_samples=se,

@@ -50,6 +50,7 @@ from panelalloc import (
     run_trials,
     sample_channel,
     se_cdf,
+    se_mean,
     uniform_allocation,
 )
 from util import composition_count, realistic_se_cdf
@@ -267,3 +268,18 @@ def test_criterion_10_jensen_gap(baseline, aods, methods):
         f"max (mean - bound) = {worst_violation:.4f} <= 0"
     )
     assert report(10, ok, detail)
+
+
+def test_criterion_11_exact_mean_se(baseline, methods, ideal_million):
+    results, _ = ideal_million
+    rows = []
+    ok = True
+    for name, alloc in methods.items():
+        samples = results[name].se_samples
+        exact = se_mean(rsnr_mixture(alloc, baseline))
+        stderr = float(samples.std()) / math.sqrt(TRIALS)
+        z = (results[name].mean_se - exact) / stderr
+        ok = ok and abs(z) <= 5.0
+        rows.append(f"{name}: exact={exact:.5f} MC={results[name].mean_se:.5f} ({z:+.1f} sigma)")
+    detail = "exact mean SE vs idealized MC within 5 sigma; " + "; ".join(rows)
+    assert report(11, ok, detail)

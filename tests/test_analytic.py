@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from panelalloc import (
     ConfigurationError,
@@ -22,9 +23,10 @@ from panelalloc import (
     sample_channel,
     score_allocations,
     se_cdf,
+    se_mean,
     uniform_allocation,
 )
-from panelalloc.analytic import _BLOCK_ELEMENTS
+from panelalloc.analytic import _BLOCK_ELEMENTS, _exp_e1
 from util import blockage_pattern_se_cdf
 
 
@@ -289,6 +291,36 @@ class TestAverageSeBound:
             if alloc.n_b >= 2:
                 # strict gap: the SE distribution is far from degenerate
                 assert bound - result.mean_se > 0.1
+
+
+class TestSeMean:
+    def test_exp_e1_matches_scipy(self):
+        x = np.concatenate((
+            [1e-12, 1e-6, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 700.0],
+            np.geomspace(1e-3, 1.0, 500), np.geomspace(1.0, 50.0, 500),
+        ))
+        expected = np.exp(x) * exp1(x)
+        assert np.max(np.abs(_exp_e1(x) / expected - 1.0)) <= 1e-12
+
+    def test_matches_quadrature_and_stays_below_jensen_bound(self, baseline):
+        # E[log2(1 + gamma)] = int_0^inf P(gamma > g) / ((1 + g) ln 2) dg
+        for row in allocation_array(baseline.n_p, baseline.num_paths):
+            alloc = PanelAllocation(tuple(row.tolist()))
+            mix = rsnr_mixture(alloc, baseline)
+            expected, _ = quad(
+                lambda g: (1.0 - rsnr_cdf(mix, g)) / ((1.0 + g) * np.log(2.0)),
+                0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=500,
+            )
+            mean = se_mean(mix)
+            assert abs(mean - expected) <= 1e-9, alloc.q
+            assert mean <= average_se_upper_bound(alloc, baseline), alloc.q
+
+    def test_no_served_power_gives_exactly_zero(self, baseline):
+        blocked = SystemConfig(p_min=1.0, p_max=1.0)
+        for alloc in (los_concentration(blocked), uniform_allocation(blocked)):
+            assert se_mean(rsnr_mixture(alloc, blocked)) == 0.0
+        no_los = replace(baseline, rician_k=0.0)
+        assert se_mean(rsnr_mixture(los_concentration(no_los), no_los)) == 0.0
 
 
 class TestScoreAllocations:

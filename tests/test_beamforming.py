@@ -220,13 +220,9 @@ class TestCannedAllocations:
         assert uniform_allocation(baseline).q == (2, 2, 2, 2)
 
     def test_uniform_remainder_goes_first(self):
-        cfg = SystemConfig(n_p=6, num_paths=4)
-        assert uniform_allocation(cfg).q == (2, 2, 1, 1)
-
-    def test_uniform_needs_enough_panels(self):
-        cfg = SystemConfig(n_p=3, num_paths=4)
-        with pytest.raises(ConfigurationError):
-            uniform_allocation(cfg)
+        assert uniform_allocation(SystemConfig(n_p=6, num_paths=4)).q == (2, 2, 1, 1)
+        # fewer panels than paths: the first n_p paths get one panel each
+        assert uniform_allocation(SystemConfig(n_p=2, num_paths=3)).q == (1, 1, 0)
 
     def test_beam_hpbw(self, baseline):
         hpbw = beam_hpbw_deg(PanelAllocation((2, 0, 1, 5)), baseline.n_a)

@@ -9,12 +9,12 @@ from panelalloc import (
     ConfigurationError,
     SamplingError,
     SystemConfig,
-    channel_power,
     default_min_separation,
     los_concentration,
     path_variances,
     sample_channel,
 )
+from panelalloc import montecarlo
 from panelalloc.channel import (
     _block,
     _fill_gains,
@@ -157,7 +157,7 @@ class TestBlockage:
     def test_mode_and_hpbw_validation(self, baseline):
         alloc, aods = los_concentration(baseline), np.linspace(0.3, 2.8, baseline.num_paths)
         with pytest.raises(ConfigurationError):
-            channel_power(baseline, alloc, aods, "exact", 10, 0)
+            montecarlo._channel_power(baseline, alloc, aods, "exact", 10, 0)
         with pytest.raises(ConfigurationError):
             blockage_attenuation(np.zeros(baseline.num_paths))
         with pytest.raises(ConfigurationError):

@@ -5,15 +5,14 @@ import pytest
 
 from panelalloc import (
     SystemConfig,
-    channel_power,
     los_concentration,
     optimize_outmin,
     optimize_outmin_ase,
-    run_trials,
-    sample_channel,
+    rsnr_mixture,
+    se_mean,
     uniform_allocation,
 )
-from panelalloc import cli
+from panelalloc import cli, montecarlo
 
 
 def run_cli(args):
@@ -219,18 +218,33 @@ def allocation_of(config, method, target_se):
     return optimize_outmin_ase(config, target_se, cli.DEFAULT_EPSILON).chosen
 
 
-class TestSweepMonteCarlo:
-    """The sweeps run one Monte Carlo batch per distinct allocation."""
+SWEEPS = [["sweep-se", "--se-points", "9"], ["sweep-snr", "--target-se", "4"]]
 
-    def test_mean_se_columns_equal_per_cell_run_trials(self, tmp_path):
-        trials = ["--trials", "300"]
-        assert run_cli(["sweep-se", "--se-points", "9", "--out", str(tmp_path)] + trials) == 0
-        assert run_cli(["sweep-snr", "--target-se", "4", "--out", str(tmp_path)] + trials) == 0
+
+class TestSweepExactMean:
+    """The sweeps' mean SE is exact: no simulation, so seed and trials do not matter."""
+
+    @pytest.mark.parametrize("args", SWEEPS, ids=lambda a: a[0])
+    def test_independent_of_seed_and_trials(self, tmp_path, args):
+        runs = [["--seed", "1"], ["--seed", "2"], ["--trials", "100"], ["--trials", "1000"]]
+        name = args[0].replace("-", "_") + ".csv"
+        texts = []
+        for i, extra in enumerate(runs):
+            assert run_cli(args + extra + ["--out", str(tmp_path / str(i))]) == 0
+            texts.append((tmp_path / str(i) / name).read_text().split("\n", 1))
+        # only the comment line, which records the resolved seed and trials, differs
+        assert len({body for _, body in texts}) == 1
+        comments = {" ".join(w for w in c.split() if not w.startswith(("seed=", "trials=")))
+                    for c, _ in texts}
+        assert len(comments) == 1
+
+    def test_mean_se_columns_equal_exact_mean_per_cell(self, tmp_path):
+        assert run_cli(SWEEPS[0] + ["--out", str(tmp_path)]) == 0
+        assert run_cli(SWEEPS[1] + ["--out", str(tmp_path)]) == 0
         config = SystemConfig()
-        aods = sample_channel(config, rng=np.random.default_rng(cli.DEFAULT_SEED)).aods
 
         def mean_se(cfg, alloc):
-            return run_trials(cfg, alloc, aods, "idealized", 300, cli.DEFAULT_SEED).mean_se
+            return se_mean(rsnr_mixture(alloc, cfg))
 
         sweep_se, sweep_snr = tmp_path / "sweep_se.csv", tmp_path / "sweep_snr.csv"
         for method in cli.METHODS:
@@ -245,22 +259,14 @@ class TestSweepMonteCarlo:
                 expected.append(mean_se(cfg, allocation_of(cfg, method, 4.0)))
             assert column(sweep_snr, f"mean_se_{method}").tolist() == expected
 
-    @pytest.mark.parametrize(
-        "args, distinct",
-        [(["sweep-se", "--se-points", "33"], 10), (["sweep-snr", "--target-se", "4"], 7)],
-    )
-    def test_one_channel_power_call_per_distinct_allocation(
-        self, tmp_path, monkeypatch, args, distinct
-    ):
-        simulated = []
+    @pytest.mark.parametrize("args", SWEEPS, ids=lambda a: a[0])
+    def test_sweeps_draw_and_simulate_nothing(self, tmp_path, monkeypatch, args):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep drew AoDs or simulated channel frames")
 
-        def counting(config, alloc, *rest):
-            simulated.append(alloc.q)
-            return channel_power(config, alloc, *rest)
-
-        monkeypatch.setattr(cli, "channel_power", counting)
-        assert run_cli(args + ["--trials", "100", "--out", str(tmp_path)]) == 0
-        assert len(simulated) == len(set(simulated)) == distinct
+        monkeypatch.setattr(cli, "sample_channel", forbidden)
+        monkeypatch.setattr(montecarlo, "_channel_power", forbidden)
+        assert run_cli(args + ["--out", str(tmp_path)]) == 0
 
 
 class TestAllocate:
@@ -334,18 +340,18 @@ class TestEdgeScenarios:
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("name", list(EDGE_SCENARIOS))
-    def test_exit_code(self, tmp_path, capsys, name, command):
+    def test_exit_code(self, tmp_path, name, command):
         scn = tmp_path / "scn.txt"
         scn.write_text(EDGE_SCENARIOS[name])
         out = tmp_path / "out"
         argv = [command, "--scenario", str(scn), "--trials", "2000", "--out", str(out)]
         # an uncaught exception here would be exit code 1
         rc = run_cli(argv)
-        if name == "n_p_below_L" and command not in ("allocate", "count"):
-            # the uniform method needs at least one panel per path: a usage error
-            assert rc == 2 and "uniform allocation needs" in capsys.readouterr().err
-            return
         assert rc == 0
+        if name == "n_p_below_L" and command == "cdf":
+            # the uniform method gives the first n_p paths one panel each
+            comment = (out / "cdf_uniform.csv").read_text().splitlines()[0]
+            assert "q=1/1/0" in comment.split()
         if name == "p_blk_1" and command == "cdf":
             # every path is blocked in every idealized frame: zero power, -inf dB
             for method in cli.METHODS:

@@ -10,7 +10,6 @@ from panelalloc import (
     ConfigurationError,
     PanelAllocation,
     SystemConfig,
-    channel_power,
     allocation_array,
     empirical_outage,
     ks_distance,
@@ -23,7 +22,7 @@ from panelalloc import (
     uniform_allocation,
 )
 from panelalloc import montecarlo
-from panelalloc.montecarlo import CHUNK_TRIALS, MODES
+from panelalloc.montecarlo import CHUNK_TRIALS, MODES, _channel_power
 from util import blockage_pattern_se_cdf, realistic_se_cdf, serial_channel_power
 
 
@@ -148,13 +147,13 @@ class TestChannelPower:
     def test_run_trials_is_log2_of_scaled_power(self, baseline, aods, mode):
         n = CHUNK_TRIALS + 17  # cross a chunk boundary
         alloc = PanelAllocation((2, 1, 2, 3))
-        power = channel_power(baseline, alloc, aods, mode, n, 41)
+        power = _channel_power(baseline, alloc, aods, mode, n, 41)
         expected = np.log2(1 + baseline.tx_snr * power)
         result = run_trials(baseline, alloc, aods, mode, n, 41)
         assert result.se_samples.tobytes() == expected.tobytes()
-        # the draws ignore tx_snr, so one power array serves a whole SNR sweep
+        # the draws ignore tx_snr; run_trials applies it
         louder = replace(baseline, tx_snr=40.0)
-        assert channel_power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
+        assert _channel_power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
 
 
 class TestThreadedFill:
@@ -165,7 +164,7 @@ class TestThreadedFill:
         for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
             for seed in (3, 2024):
                 expected = serial_channel_power(baseline, alloc, aods, mode, n, seed)
-                got = channel_power(baseline, alloc, aods, mode, n, seed)
+                got = _channel_power(baseline, alloc, aods, mode, n, seed)
                 assert got.tobytes() == expected.tobytes(), (n, seed)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -176,10 +175,10 @@ class TestThreadedFill:
         # complex h_eq, and in realistic mode the frame's p_hat drawn by the generator
         row_bytes = baseline.num_paths * (16 + 8 + 1) + 16 + (8 if mode == "realistic" else 0)
         alloc = uniform_allocation(baseline)
-        channel_power(baseline, alloc, aods, mode, 10, 0)  # lazy imports happen outside the trace
+        _channel_power(baseline, alloc, aods, mode, 10, 0)  # lazy imports happen outside the trace
         tracemalloc.start()
         try:
-            channel_power(baseline, alloc, aods, mode, n, 9)
+            _channel_power(baseline, alloc, aods, mode, n, 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -199,7 +198,7 @@ class TestThreadedFill:
         def call():
             try:
                 outcome.append(
-                    channel_power(
+                    _channel_power(
                         baseline, uniform_allocation(baseline), aods, "idealized",
                         3 * CHUNK_TRIALS, 5,
                     )

@@ -102,7 +102,8 @@ def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
 
 
 def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
-    """channel_power as one serial loop over the chunks, concatenated at the end.
+    """``montecarlo._channel_power`` as one serial loop over the chunks,
+    concatenated at the end.
 
     The single-threaded chunk loop the threaded fill replaced, with the gain
     law (scale * (z1 + 1j z2)) and the shared-p_hat blockage law
