@@ -48,6 +48,7 @@ from .optimizer import (
     optimize_outmin,
     optimize_outmin_ase,
     pattern_count,
+    profile_array,
 )
 
 __version__ = "0.1.0"

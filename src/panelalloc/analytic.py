@@ -10,8 +10,8 @@ Gaussian component into an exponential, which yields the RSNR distribution
 in closed form.
 
 ``score_allocations`` is the one candidate-scoring kernel: it scores a whole
-(C, L) array of allocations at once, and ``outage_probability`` and
-``average_rsnr`` are one-row calls of it.
+(C, L) array of allocations at once, at one target SE or a grid of them, and
+``outage_probability`` and ``average_rsnr`` are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def score_allocations(
-    q: np.ndarray, config: SystemConfig, target_se: float = 0.0
+    q: np.ndarray, config: SystemConfig, target_se: float | np.ndarray = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outage probability at target_se and mean RSNR of every allocation row.
 
@@ -164,19 +164,26 @@ def score_allocations(
     depend only on the multiset of rho^2, so each distinct sorted profile is scored once:
     rows with equal profiles (e.g. permuted NLoS entries) get bit-identical scores. Rows
     are not validated.
+
+    A scalar target_se gives (C,) outages; an array of G targets gives (C, G), from one
+    set of masks, scales and weights, each column bit-identical to the scalar call.
     """
-    if not target_se >= 0.0:
+    targets = np.asarray(target_se, dtype=float)
+    if not np.all(targets >= 0.0):
         raise ConfigurationError(f"target SE must be nonnegative, got {target_se}")
     variances = path_variances(config.rician_k, config.num_paths)
     gain = config.tx_snr * config.n_a**2 / config.n_t
     rho2 = gain * variances * np.asarray(q, dtype=float) ** 2
     profiles, inverse = _unique_rows(np.sort(rho2, axis=1))
     scales, weights = _survival_masks(profiles, config.p_blk)
-    gamma_th = 2.0**target_se - 1.0
-    ratio = np.divide(gamma_th, scales, out=np.full_like(scales, np.inf), where=scales > 0.0)
-    outage = -np.expm1(-ratio) @ weights
+    served = scales > 0.0
+    outage = np.empty((len(profiles), targets.size))
+    for j, xi in enumerate(targets.ravel().tolist()):
+        gamma_th = 2.0**xi - 1.0
+        ratio = np.divide(gamma_th, scales, out=np.full_like(scales, np.inf), where=served)
+        outage[:, j] = -np.expm1(-ratio) @ weights
     mean = (1.0 - config.p_blk) * profiles.sum(axis=1)
-    return outage[inverse], mean[inverse]
+    return (outage[inverse] if targets.ndim else outage[inverse, 0]), mean[inverse]
 
 
 def outage_probability(

@@ -23,6 +23,7 @@ from .analytic import (
     average_rsnr,
     average_se_upper_bound,
     rsnr_mixture,
+    score_allocations,
     se_cdf,
     se_mean,
 )
@@ -45,9 +46,10 @@ from .export import (
     write_summary_csv,
 )
 from .montecarlo import run_trials
-from .optimizer import optimize_outmin, optimize_outmin_ase, pattern_count
+from .optimizer import allocation_array, outmin_reports, pattern_count
 
 METHODS = ("los", "uniform", "outmin", "outmin_ase")
+DESIGNS = ("outmin", "outmin_ase")
 
 DEFAULT_SEED = 2025
 DEFAULT_TRIALS = 100_000
@@ -74,18 +76,24 @@ class ExperimentSpec:
     dump_samples: bool = False
     dump_candidates: bool = False
 
-    def comment(self, command: str, **extra) -> str:
-        parts = [f"command={command}", self.config.summary(), f"seed={self.seed}"]
-        parts += [f"trials={self.trials}", f"epsilon={self.epsilon:.6g}"]
+    def comment(self, command: str, sampled: bool = True, **extra) -> str:
+        """The '#' line: command, configuration, and seed and trials if the file is sampled."""
+        parts = [f"command={command}", self.config.summary()]
+        if sampled:
+            parts += [f"seed={self.seed}", f"trials={self.trials}"]
+        parts += [f"epsilon={self.epsilon:.6g}"]
         parts += [f"{k}={v}" for k, v in extra.items()]
         return " ".join(parts)
 
 
-def _optimize(spec: ExperimentSpec, design: str, target_se: float, config: SystemConfig):
-    """Report of optimizer design ``outmin`` or ``outmin_ase`` at target_se."""
-    if design == "outmin":
-        return optimize_outmin(config, target_se)
-    return optimize_outmin_ase(config, target_se, spec.epsilon)
+def _optimize(spec: ExperimentSpec, designs, target_ses, config: SystemConfig):
+    """Reports of optimizer designs (``outmin``, ``outmin_ase``) at each target SE.
+
+    One profile table, scored once, serves every design and target:
+    ``reports[design][j]`` is the report at target_ses[j].
+    """
+    epsilons = [0.0 if design == "outmin" else spec.epsilon for design in designs]
+    return dict(zip(designs, outmin_reports(config, target_ses, epsilons)))
 
 
 def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig | None = None):
@@ -95,8 +103,8 @@ def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig |
         return los_concentration(cfg)
     if method == "uniform":
         return uniform_allocation(cfg)
-    if method in ("outmin", "outmin_ase"):
-        return _optimize(spec, method, spec.target_se, cfg).chosen
+    if method in DESIGNS:
+        return _optimize(spec, [method], [spec.target_se], cfg)[method][0].chosen
     raise ConfigurationError(f"unknown method {method!r}")
 
 
@@ -140,19 +148,21 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
 def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
     """Outage probability and exact mean SE as functions of the target SE."""
     grid = spec.se_grid
+    designs = [m for m in spec.methods if m in DESIGNS]
+    searched = _optimize(spec, designs, grid, spec.config) if designs else {}
     columns: dict[str, np.ndarray] = {"xi_th": grid}
     for method in spec.methods:
-        if method in ("los", "uniform"):
-            mix = rsnr_mixture(resolve_allocation(spec, method), spec.config)
-            outage, mean = se_cdf(mix, grid), np.full(grid.size, se_mean(mix))
-        else:
-            reports = [_optimize(spec, method, float(xi), spec.config) for xi in grid]
+        if method in searched:
+            reports = searched[method]
             outage = np.array([r.outage for r in reports])
             mean = np.array([se_mean(rsnr_mixture(r.chosen, spec.config)) for r in reports])
+        else:
+            mix = rsnr_mixture(resolve_allocation(spec, method), spec.config)
+            outage, mean = se_cdf(mix, grid), np.full(grid.size, se_mean(mix))
         columns[f"outage_{method}"] = outage
         columns[f"mean_se_{method}"] = mean
     path = write_columns_csv(
-        spec.output_dir / "sweep_se.csv", spec.comment("sweep-se"), columns
+        spec.output_dir / "sweep_se.csv", spec.comment("sweep-se", sampled=False), columns
     )
     return [path]
 
@@ -178,7 +188,7 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
         columns[f"mean_se_{method}"] = mean_se
     path = write_columns_csv(
         spec.output_dir / "sweep_snr.csv",
-        spec.comment("sweep-snr", target_se=spec.target_se),
+        spec.comment("sweep-snr", sampled=False, target_se=spec.target_se),
         columns,
     )
     return [path]
@@ -186,16 +196,19 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
 
 def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
     """Optimizer allocations, outage, mean RSNR and G_LoS across target SEs."""
-    L = spec.config.num_paths
+    config = spec.config
     header = ["xi_th"]
-    for tag in ("outmin", "outmin_ase"):
-        header += [f"q_{l + 1}_{tag}" for l in range(L)]
+    for tag in DESIGNS:
+        header += [f"q_{l + 1}_{tag}" for l in range(config.num_paths)]
         header += [f"outage_{tag}", f"avg_rsnr_db_{tag}", f"g_los_{tag}"]
+    # the dump's target rides along as one more column of the same table
+    targets = np.append(spec.se_grid, spec.target_se) if spec.dump_candidates else spec.se_grid
+    reports = _optimize(spec, DESIGNS, targets, config)
     rows = []
-    for xi in spec.se_grid:
+    for j, xi in enumerate(spec.se_grid):
         row = [float(xi)]
-        for tag in ("outmin", "outmin_ase"):
-            report = _optimize(spec, tag, float(xi), spec.config)
+        for tag in DESIGNS:
+            report = reports[tag][j]
             row += list(report.chosen.q)
             row += [report.outage, linear_to_db(report.avg_rsnr), report.g_los]
         rows.append(row)
@@ -203,13 +216,15 @@ def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
         write_csv(spec.output_dir / "allocate.csv", spec.comment("allocate"), header, rows)
     ]
     if spec.dump_candidates:
-        for tag in ("outmin", "outmin_ase"):
-            report = _optimize(spec, tag, spec.target_se, spec.config)
+        # every composition, scored once; each design's searched choice is flagged
+        q = allocation_array(config.n_p, config.num_paths)
+        outages, avgs = score_allocations(q, config, spec.target_se)
+        for tag in DESIGNS:
             written.append(
                 write_candidates_csv(
                     spec.output_dir / f"candidates_{tag}.csv",
                     spec.comment("allocate", target_se=spec.target_se, alg=tag),
-                    report,
+                    replace(reports[tag][-1], allocations=q, outages=outages, avg_rsnrs=avgs),
                 )
             )
     return written

@@ -1,12 +1,16 @@
-"""Exhaustive panel-allocation search for the three beam-design objectives.
+"""Exact panel-allocation search for the three beam-design objectives.
 
-All designs share one candidate set: every integer allocation q >= 0 with
-sum(q) = N_p and (by default) at least one panel on the LoS path. The set is
-small for practical array sizes, so each objective is solved by brute force:
-the set is one (C, L) integer array in lexicographic order, scored at once
-by ``analytic.score_allocations``, and each design picks its row with one
-``np.lexsort`` on (outage, -mean, allocation), so ties resolve to the
-lexicographically smallest allocation.
+The candidates are every integer allocation q >= 0 with sum(q) = N_p and (by
+default) at least one panel on the LoS path. Outage and mean RSNR depend only
+on q_1 and the multiset of the NLoS counts, so the search runs over profiles:
+q_1 plus a nondecreasing NLoS tail, i.e. a partition of N_p - q_1 into at most
+L - 1 parts (Knuth, TAOCP 4A, 7.2.1.4). ``profile_array`` lists them as one
+(P, L) integer array in lexicographic order, ``analytic.score_allocations``
+scores it at once, for a whole grid of target SEs if asked, and each design
+picks its row with one ``np.lexsort`` on (outage, -mean, allocation). The
+ascending-tail member is the lexicographically smallest allocation of its
+profile, so the pick is the allocation exhaustive search over all
+compositions (``allocation_array``) would make, ties included.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ MAX_PATTERNS = 10**8
 
 @dataclass
 class AllocationReport:
-    """Optimizer output: the chosen allocation and the full candidate table.
+    """Optimizer output: the chosen allocation and the table it was chosen from.
 
-    ``allocations`` is the (C, L) candidate array; ``outages`` and
-    ``avg_rsnrs`` hold each row's outage probability and mean RSNR.
+    ``allocations`` is the (P, L) profile array that was searched, one row per
+    profile with ascending NLoS entries (see ``profile_array``); ``outages``
+    and ``avg_rsnrs`` hold each row's outage probability and mean RSNR.
     """
 
     chosen: PanelAllocation
@@ -65,6 +70,16 @@ def pattern_count(n_p: int, num_paths: int, require_los: bool = True) -> int:
     return math.comb(n_p + num_paths - 1, num_paths - 1)
 
 
+def _check_capacity(n_p: int, num_paths: int, require_los: bool) -> int:
+    count = pattern_count(n_p, num_paths, require_los)
+    if count > MAX_PATTERNS:
+        raise CapacityError(
+            f"{count} allocation patterns for n_p={n_p}, num_paths={num_paths} "
+            f"exceed the {MAX_PATTERNS} limit"
+        )
+    return count
+
+
 def allocation_array(n_p: int, num_paths: int, require_los: bool = True) -> np.ndarray:
     """All candidate allocations as a (C, L) integer array in lexicographic order.
 
@@ -72,12 +87,7 @@ def allocation_array(n_p: int, num_paths: int, require_los: bool = True) -> np.n
     exceeds MAX_PATTERNS. Each prefix is repeated once per value its next
     entry can take (0 up to the panels left); the last entry takes the rest.
     """
-    count = pattern_count(n_p, num_paths, require_los)
-    if count > MAX_PATTERNS:
-        raise CapacityError(
-            f"{count} allocation patterns for n_p={n_p}, num_paths={num_paths} "
-            f"exceed the {MAX_PATTERNS} limit"
-        )
+    count = _check_capacity(n_p, num_paths, require_los)
     q = np.arange(1 if require_los else 0, n_p + 1)[:, None]
     left = n_p - q[:, 0]
     for _ in range(num_paths - 2):
@@ -91,13 +101,37 @@ def allocation_array(n_p: int, num_paths: int, require_los: bool = True) -> np.n
     return q
 
 
+def profile_array(n_p: int, num_paths: int, require_los: bool = True) -> np.ndarray:
+    """One allocation per profile, as a (P, L) integer array in lexicographic order.
+
+    A profile is q_1 plus the multiset of the NLoS counts; its row is the
+    member with a nondecreasing NLoS tail. Built like ``allocation_array``,
+    except that each NLoS entry runs from the previous one up to
+    left // slots, the panels left shared evenly over the entries still to
+    fill; the last entry takes the rest. The MAX_PATTERNS guard on the
+    composition count applies here too.
+    """
+    _check_capacity(n_p, num_paths, require_los)
+    q = np.arange(1 if require_los else 0, n_p + 1)[:, None]
+    left = n_p - q[:, 0]
+    previous = np.zeros_like(left)
+    for slots in range(num_paths - 1, 1, -1):
+        choices = left // slots - previous + 1
+        first = np.repeat(np.cumsum(choices) - choices, choices)
+        entry = np.repeat(previous, choices) + np.arange(first.size) - first
+        q = np.column_stack((np.repeat(q, choices, axis=0), entry))
+        left = np.repeat(left, choices) - entry
+        previous = entry
+    return np.column_stack((q, left))
+
+
 def g_los(alloc: PanelAllocation) -> float:
     """Normalized LoS beam gain q_1 / N_p."""
     return alloc.q[0] / alloc.num_panels
 
 
 def _first(*keys: np.ndarray) -> int:
-    # keys most significant first; lexsort is stable and allocation_array rows are
+    # keys most significant first; lexsort is stable and profile_array rows are
     # lexicographic, so ties go to the smallest allocation (7x cheaper than q as keys)
     return int(np.lexsort(keys[::-1])[0])
 
@@ -116,7 +150,7 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
     cross-checked against a brute-force scan. Outside that regime a warning
     is emitted and the scan argmax is returned instead.
     """
-    q = allocation_array(config.n_p, config.num_paths)
+    q = profile_array(config.n_p, config.num_paths)
     _, avgs = score_allocations(q, config)
     best_index = _first(-avgs)
     best = PanelAllocation(tuple(q[best_index].tolist()))
@@ -138,16 +172,35 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
     return best
 
 
-def _outmin(
-    config: SystemConfig, target_se: float, epsilon: float, require_los: bool
-) -> AllocationReport:
+def outmin_reports(
+    config: SystemConfig,
+    target_ses: np.ndarray,
+    epsilons: list[float],
+    require_los: bool = True,
+) -> list[list[AllocationReport]]:
+    """Reports of ``optimize_outmin_ase`` for every epsilon and target SE, from one table.
+
+    ``reports[i][j]`` is the report at epsilons[i] and target_ses[j]; epsilon 0
+    is ``optimize_outmin``. The profiles are enumerated and scored once for the
+    whole grid, and every report shares that table.
+    """
+    for epsilon in epsilons:
+        if not 0.0 <= epsilon <= 1.0:
+            raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
+    q = profile_array(config.n_p, config.num_paths, require_los)
+    outages, avgs = score_allocations(q, config, np.asarray(target_ses, dtype=float))
+    outages = outages.T.copy()  # one contiguous row per target SE
+    minima, neg_avgs = outages.min(axis=1), -avgs
     # rows within epsilon of the minimum outage are feasible; the highest mean
     # RSNR among them wins. With epsilon = 0 the feasible rows are exactly the
     # minimum-outage ones, so this is also the outage minimizer.
-    q = allocation_array(config.n_p, config.num_paths, require_los)
-    outages, avgs = score_allocations(q, config, target_se)
-    infeasible = outages > outages.min() + epsilon
-    return _report(q, outages, avgs, _first(infeasible, -avgs))
+    return [
+        [
+            _report(q, outage, avgs, _first(outage > minimum + epsilon, neg_avgs))
+            for outage, minimum in zip(outages, minima)
+        ]
+        for epsilon in epsilons
+    ]
 
 
 def optimize_outmin(
@@ -158,7 +211,7 @@ def optimize_outmin(
     Ties are broken by higher mean RSNR, then by lexicographically smallest
     allocation, so the result is deterministic.
     """
-    return _outmin(config, target_se, 0.0, require_los)
+    return outmin_reports(config, [target_se], [0.0], require_los)[0][0]
 
 
 def optimize_outmin_ase(
@@ -174,6 +227,4 @@ def optimize_outmin_ase(
     lexicographically). The chosen outage therefore exceeds the minimum by
     at most epsilon.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-    return _outmin(config, target_se, epsilon, require_los)
+    return outmin_reports(config, [target_se], [epsilon], require_los)[0][0]

@@ -384,3 +384,33 @@ class TestScoreAllocations:
         a, b = (PanelAllocation(tuple(r[i].tolist())) for r in (q, permuted))
         assert outage_probability(a, cfg, xi) == outage_probability(b, cfg, xi)
         assert average_rsnr(a, cfg) == average_rsnr(b, cfg)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        kappa=st.sampled_from([0.0, 10.0]) | st.floats(0.0, 50.0),
+        p_range=st.sampled_from([(0.0, 0.0), (1.0, 1.0)])
+        | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        grid=st.lists(st.sampled_from([0.0]) | st.floats(0.0, 9.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_columns_equal_scalar_calls(self, seed, kappa, p_range, grid):
+        gen = np.random.default_rng(seed)
+        cfg = SystemConfig(
+            n_p=int(gen.integers(1, 9)),
+            num_paths=int(gen.integers(2, 6)),
+            rician_k=kappa,
+            p_min=float(p_range[0]),
+            p_max=float(p_range[1]),
+        )
+        q = allocation_array(cfg.n_p, cfg.num_paths)
+        outage, avg = score_allocations(q, cfg, np.array(grid))
+        assert outage.shape == (len(q), len(grid))
+        for j, xi in enumerate(grid):
+            outage_j, avg_j = score_allocations(q, cfg, xi)
+            assert outage_j.shape == (len(q),)
+            assert np.array_equal(outage[:, j], outage_j) and np.array_equal(avg, avg_j)
+
+    @pytest.mark.parametrize("target", [-1.0, float("nan"), [1.0, -0.5], [0.0, float("nan")]])
+    def test_rejects_negative_or_nan_targets(self, baseline, target):
+        with pytest.raises(ConfigurationError):
+            score_allocations(allocation_array(8, 4), baseline, target)

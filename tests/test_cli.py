@@ -1,10 +1,14 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from panelalloc import (
     SystemConfig,
+    allocation_array,
+    linear_to_db,
+    load_scenario,
     los_concentration,
     optimize_outmin,
     optimize_outmin_ase,
@@ -13,6 +17,9 @@ from panelalloc import (
     uniform_allocation,
 )
 from panelalloc import cli, montecarlo
+from util import exhaustive_outmin
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def run_cli(args):
@@ -228,15 +235,14 @@ class TestSweepExactMean:
     def test_independent_of_seed_and_trials(self, tmp_path, args):
         runs = [["--seed", "1"], ["--seed", "2"], ["--trials", "100"], ["--trials", "1000"]]
         name = args[0].replace("-", "_") + ".csv"
-        texts = []
+        files = set()
         for i, extra in enumerate(runs):
             assert run_cli(args + extra + ["--out", str(tmp_path / str(i))]) == 0
-            texts.append((tmp_path / str(i) / name).read_text().split("\n", 1))
-        # only the comment line, which records the resolved seed and trials, differs
-        assert len({body for _, body in texts}) == 1
-        comments = {" ".join(w for w in c.split() if not w.startswith(("seed=", "trials=")))
-                    for c, _ in texts}
-        assert len(comments) == 1
+            files.add((tmp_path / str(i) / name).read_bytes())
+        # the comment line records no seed or trials either: the files are equal
+        assert len(files) == 1
+        comment = files.pop().split(b"\n", 1)[0].split()
+        assert not any(w.startswith((b"seed=", b"trials=")) for w in comment)
 
     def test_mean_se_columns_equal_exact_mean_per_cell(self, tmp_path):
         assert run_cli(SWEEPS[0] + ["--out", str(tmp_path)]) == 0
@@ -286,6 +292,40 @@ class TestAllocate:
         assert np.all(outage_ase <= outage_min + 0.05 + 1e-12)
         header, rows = read_table(tmp_path / "candidates_outmin.csv")
         assert len(rows) == 120
+
+    def test_dump_holds_every_composition(self, tmp_path):
+        # the search runs over profiles, the dump still lists all 120 compositions
+        args = ["allocate", "--se-points", "2", "--target-se", "1.5", "--dump-candidates"]
+        assert run_cli(args + ["--out", str(tmp_path)]) == 0
+        config = SystemConfig()
+        chosen = {
+            "outmin": optimize_outmin(config, 1.5).chosen,
+            "outmin_ase": optimize_outmin_ase(config, 1.5, cli.DEFAULT_EPSILON).chosen,
+        }
+        for tag, alloc in chosen.items():
+            header, rows = read_table(tmp_path / f"candidates_{tag}.csv")
+            q = [[int(v) for v in row[:4]] for row in rows]
+            assert q == allocation_array(8, 4).tolist()
+            flagged = [tuple(qi) for qi, row in zip(q, rows) if row[-1] == "1"]
+            assert flagged == [alloc.q]
+            assert all(row[-1] in ("0", "1") for row in rows)
+
+    def test_scale_scenario_matches_exhaustive_search(self, tmp_path):
+        # 16 panels over 8 paths: 564 profiles searched, 170,544 compositions in the oracle
+        scenario = SCENARIOS / "scale_16_8.txt"
+        argv = ["allocate", "--scenario", str(scenario), "--se-points", "4"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        config, _ = load_scenario(scenario)
+        path = tmp_path / "allocate.csv"
+        grid = column(path, "xi_th")
+        assert grid.tolist() == np.linspace(0.25, 8.0, 4).tolist()
+        for tag, epsilon in (("outmin", 0.0), ("outmin_ase", cli.DEFAULT_EPSILON)):
+            q = np.column_stack([column(path, f"q_{l + 1}_{tag}") for l in range(8)])
+            for j, xi in enumerate(grid.tolist()):
+                alloc, outage, avg = exhaustive_outmin(config, xi, epsilon)
+                assert tuple(q[j].astype(int).tolist()) == alloc.q
+                assert column(path, f"outage_{tag}")[j] == outage
+                assert column(path, f"avg_rsnr_db_{tag}")[j] == linear_to_db(avg)
 
 
 class TestPatternAndCount:

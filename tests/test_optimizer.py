@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from panelalloc import (
     CapacityError,
@@ -16,12 +16,15 @@ from panelalloc import (
     optimize_outmin_ase,
     outage_probability,
     pattern_count,
+    profile_array,
     rsnr_mixture,
+    score_allocations,
     se_cdf,
     uniform_allocation,
 )
 from panelalloc.beamforming import PanelAllocation
-from util import composition_count
+from panelalloc.optimizer import outmin_reports
+from util import composition_count, exhaustive_outmin, profile_count
 
 
 def allocations(n_p, num_paths):
@@ -80,6 +83,30 @@ class TestEnumeration:
             pattern_count(8, 1)
 
 
+class TestProfiles:
+    def test_counts(self):
+        for (n_p, L), count in {(8, 4): 31, (16, 6): 408, (16, 8): 564}.items():
+            assert profile_array(n_p, L).shape == (count, L)
+            assert profile_count(n_p, L) == count
+
+    @given(n_p=st.integers(1, 14), num_paths=st.integers(2, 7), require_los=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_one_ascending_row_per_profile(self, n_p, num_paths, require_los):
+        q = profile_array(n_p, num_paths, require_los)
+        rows = [tuple(row) for row in q.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly lexicographic
+        assert np.all(np.diff(q[:, 1:], axis=1) >= 0)
+        assert np.all(q >= 0) and np.all(q.sum(axis=1) == n_p)
+        assert np.all(q[:, 0] >= int(require_los))
+        compositions = allocation_array(n_p, num_paths, require_los).tolist()
+        assert set(rows) == {(c[0], *sorted(c[1:])) for c in compositions}
+        assert len(rows) == profile_count(n_p, num_paths, require_los)
+
+    def test_capacity_guard_covers_profiles(self):
+        with pytest.raises(CapacityError):
+            profile_array(64, 8)
+
+
 class TestMaximizeAverageSe:
     def test_baseline_concentrates_on_los(self, baseline):
         # p_blk = 1 zeroes every mean RSNR: the scan ties exactly, and the
@@ -120,11 +147,12 @@ class TestOutMin:
         # so they tie exactly on outage and mean; the docstring picks the smallest
         report = optimize_outmin(baseline, 1.5)
         assert report.chosen.q == (1, 2, 2, 3)
-        tied = {
-            (outage, avg) for alloc, outage, avg in report.candidates
-            if alloc.q[0] == 1 and sorted(alloc.q[1:]) == [2, 2, 3]
-        }
-        assert len(tied) == 1
+        q = allocation_array(baseline.n_p, baseline.num_paths)
+        outages, avgs = score_allocations(q, baseline, 1.5)
+        members = (q[:, 0] == 1) & np.all(np.sort(q[:, 1:], axis=1) == [2, 2, 3], axis=1)
+        assert members.sum() == 3
+        tied = set(zip(outages[members].tolist(), avgs[members].tolist()))
+        assert tied == {(report.outage, report.avg_rsnr)}
 
     def test_zero_target_ties_on_the_atom(self, baseline):
         # at SE 0 the outage is the atom p_blk^n_b, equal for every four-beam
@@ -150,10 +178,11 @@ class TestOutMin:
         assert all(b >= a - 1e-15 for a, b in zip(outages, outages[1:]))
 
     def test_report_is_consistent(self, baseline):
+        # the report holds the searched table: one row per profile, not the 120 compositions
         report = optimize_outmin(baseline, 2.0)
         qs = [alloc.q for alloc, _, _ in report.candidates]
         assert report.chosen.q in qs
-        assert len(report.candidates) == 120
+        assert len(report.candidates) == profile_count(baseline.n_p, baseline.num_paths) == 31
         assert report.outage == min(outage for _, outage, _ in report.candidates)
         assert report.g_los == report.chosen.q[0] / baseline.n_p
 
@@ -182,19 +211,77 @@ class TestOutMin:
 
 class TestScale:
     def test_sixteen_panels_eight_paths(self):
-        # 170,544 candidates; a seeded subsample is rescored one allocation at a time
+        # 564 profiles stand for 170,544 compositions; a seeded subsample of the
+        # compositions is rescored, and each matches its profile's row
         cfg = SystemConfig(n_p=16, num_paths=8)
         xi = 1.0
         report = optimize_outmin(cfg, xi)
-        assert report.allocations.shape == (pattern_count(16, 8), 8) == (170_544, 8)
+        assert report.allocations.shape == (profile_count(16, 8), 8) == (564, 8)
         assert report.outage == report.outages.min()
-        rows = np.random.default_rng(2025).choice(len(report.allocations), 200, replace=False)
-        for i in rows:
-            alloc = PanelAllocation(tuple(report.allocations[i].tolist()))
+        row_of = {tuple(q): i for i, q in enumerate(report.allocations.tolist())}
+        compositions = allocation_array(16, 8)
+        assert len(compositions) == pattern_count(16, 8) == 170_544
+        outages, avgs = score_allocations(compositions, cfg, xi)
+        rows = np.random.default_rng(2025).choice(len(compositions), 200, replace=False)
+        for c in rows:
+            q = compositions[c].tolist()
+            i = row_of[(q[0], *sorted(q[1:]))]
+            assert outages[c] == report.outages[i] and avgs[c] == report.avg_rsnrs[i]
+            alloc = PanelAllocation(tuple(q))
             outage = outage_probability(alloc, cfg, xi)
             assert report.outages[i] == pytest.approx(outage, rel=0.0, abs=1e-12)
             mixture_outage = float(se_cdf(rsnr_mixture(alloc, cfg), xi))
             assert report.outages[i] == pytest.approx(mixture_outage, rel=0.0, abs=1e-12)
+
+
+class TestExhaustiveOracle:
+    """Profile search against exhaustive search over every composition."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        kappa=st.sampled_from([0.0, 10.0]) | st.floats(0.0, 50.0),
+        p_range=st.sampled_from([(0.0, 0.0), (1.0, 1.0)])
+        | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        xi=st.sampled_from([0.0]) | st.floats(0.0, 9.0),
+        epsilon=st.sampled_from([0.0, 0.05, 1.0]),
+        require_los=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(seed=1, kappa=0.0, p_range=(0.0, 0.0), xi=0.0, epsilon=0.0, require_los=True)
+    @example(seed=2, kappa=0.0, p_range=(1.0, 1.0), xi=1.5, epsilon=0.05, require_los=False)
+    @example(seed=3, kappa=10.0, p_range=(1.0, 1.0), xi=0.0, epsilon=1.0, require_los=True)
+    @example(seed=4, kappa=10.0, p_range=(0.0, 0.0), xi=4.0, epsilon=0.05, require_los=False)
+    def test_bit_equal_choice(self, seed, kappa, p_range, xi, epsilon, require_los):
+        gen = np.random.default_rng(seed)
+        cfg = SystemConfig(
+            n_a=int(gen.integers(2, 64)),
+            n_p=int(gen.integers(1, 11)),  # n_p < L happens
+            num_paths=int(gen.integers(2, 7)),
+            rician_k=kappa,
+            tx_snr=float(gen.uniform(0.5, 100.0)),
+            p_min=float(p_range[0]),
+            p_max=float(p_range[1]),
+        )
+        report = optimize_outmin_ase(cfg, xi, epsilon, require_los)
+        expected = exhaustive_outmin(cfg, xi, epsilon, require_los)
+        assert (report.chosen, report.outage, report.avg_rsnr) == expected
+        report = optimize_outmin(cfg, xi, require_los)
+        assert (report.chosen, report.outage, report.avg_rsnr) == exhaustive_outmin(
+            cfg, xi, 0.0, require_los
+        )
+
+    def test_grid_reports_equal_single_queries(self, baseline):
+        grid = np.linspace(0.0, 8.0, 9)
+        epsilons = [0.0, 0.05, 1.0]
+        reports = outmin_reports(baseline, grid, epsilons)
+        assert [len(row) for row in reports] == [len(grid)] * len(epsilons)
+        for epsilon, row in zip(epsilons, reports):
+            for xi, report in zip(grid.tolist(), row):
+                single = optimize_outmin_ase(baseline, xi, epsilon)
+                assert (report.chosen, report.outage, report.avg_rsnr) == (
+                    single.chosen, single.outage, single.avg_rsnr
+                )
+                assert np.array_equal(report.outages, single.outages)
 
 
 class TestOutMinAse:

@@ -5,9 +5,12 @@ from itertools import product
 import numpy as np
 
 from panelalloc import (
+    PanelAllocation,
+    allocation_array,
     beam_hpbw_deg,
     build_beamformer,
     equivalent_array_response_exact,
+    score_allocations,
     validate_allocation,
 )
 from panelalloc.channel import blockage_attenuation
@@ -30,6 +33,39 @@ def composition_count(total: int, parts: int, head_min: int = 1) -> int:
         composition_count(total - head, parts - 1, 0)
         for head in range(head_min, total + 1)
     )
+
+
+def partition_count(total: int, parts: int) -> int:
+    """Partitions of total into at most ``parts`` positive parts.
+
+    Plain recursion p(n, k) = p(n, k - 1) + p(n - k, k): either no part
+    equals k in the conjugate, or subtract one from each of k parts.
+    """
+    if total == 0:
+        return 1
+    if total < 0 or parts == 0:
+        return 0
+    return partition_count(total, parts - 1) + partition_count(total - parts, parts)
+
+
+def profile_count(n_p: int, num_paths: int, require_los: bool = True) -> int:
+    """Allocation profiles: q_1 plus a partition of n_p - q_1 into at most L - 1 parts."""
+    return sum(
+        partition_count(n_p - q1, num_paths - 1) for q1 in range(int(require_los), n_p + 1)
+    )
+
+
+def exhaustive_outmin(config, target_se, epsilon, require_los=True):
+    """The outage designs by exhaustive search over every composition.
+
+    Scores the whole ``allocation_array`` table with ``score_allocations`` and
+    picks the row with the lexsort on (infeasible, -mean, allocation order).
+    Returns (chosen q, outage, mean RSNR).
+    """
+    q = allocation_array(config.n_p, config.num_paths, require_los)
+    outages, avgs = score_allocations(q, config, target_se)
+    best = int(np.lexsort((-avgs, outages > outages.min() + epsilon))[0])
+    return PanelAllocation(tuple(q[best].tolist())), float(outages[best]), float(avgs[best])
 
 
 def pattern_energy(f: np.ndarray, npts: int = 40001) -> float:
