@@ -180,7 +180,9 @@ def score_allocations(
     outage = np.empty((len(profiles), targets.size))
     for j, xi in enumerate(targets.ravel().tolist()):
         gamma_th = 2.0**xi - 1.0
-        ratio = np.divide(gamma_th, scales, out=np.full_like(scales, np.inf), where=served)
+        # a subnormal scale (kappa near 5e-324) overflows the ratio to inf: outage term 1
+        with np.errstate(over="ignore"):
+            ratio = np.divide(gamma_th, scales, out=np.full_like(scales, np.inf), where=served)
         outage[:, j] = -np.expm1(-ratio) @ weights
     mean = (1.0 - config.p_blk) * profiles.sum(axis=1)
     return (outage[inverse] if targets.ndim else outage[inverse, 0]), mean[inverse]

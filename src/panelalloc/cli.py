@@ -96,24 +96,40 @@ def _optimize(spec: ExperimentSpec, designs, target_ses, config: SystemConfig):
     return dict(zip(designs, outmin_reports(config, target_ses, epsilons)))
 
 
+def resolve_allocations(
+    spec: ExperimentSpec, config: SystemConfig | None = None
+) -> dict[str, PanelAllocation]:
+    """Allocation of every method of the spec at its target SE.
+
+    Both optimizer designs come from one ``_optimize`` call, so one profile
+    table is built and scored per configuration.
+    """
+    cfg = config if config is not None else spec.config
+    designs = [m for m in spec.methods if m in DESIGNS]
+    searched = _optimize(spec, designs, [spec.target_se], cfg) if designs else {}
+    allocs = {}
+    for method in spec.methods:
+        if method == "los":
+            allocs[method] = los_concentration(cfg)
+        elif method == "uniform":
+            allocs[method] = uniform_allocation(cfg)
+        elif method in searched:
+            allocs[method] = searched[method][0].chosen
+        else:
+            raise ConfigurationError(f"unknown method {method!r}")
+    return allocs
+
+
 def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig | None = None):
     """Allocation used by a named method at the spec's target SE."""
-    cfg = config if config is not None else spec.config
-    if method == "los":
-        return los_concentration(cfg)
-    if method == "uniform":
-        return uniform_allocation(cfg)
-    if method in DESIGNS:
-        return _optimize(spec, [method], [spec.target_se], cfg)[method][0].chosen
-    raise ConfigurationError(f"unknown method {method!r}")
+    return resolve_allocations(replace(spec, methods=(method,)), config)[method]
 
 
 def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     """Per-method SE CDF: analytic curve plus both Monte Carlo modes."""
     aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     written = []
-    for method in spec.methods:
-        alloc = resolve_allocation(spec, method)
+    for method, alloc in resolve_allocations(spec).items():
         mix = rsnr_mixture(alloc, spec.config)
         ideal = run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
         real = run_trials(spec.config, alloc, aods, "realistic", spec.trials, spec.seed)
@@ -172,8 +188,7 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
     per_method: dict[str, list[tuple[float, float, float]]] = {m: [] for m in spec.methods}
     for snr in spec.snr_grid_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
-        for method in spec.methods:
-            alloc = resolve_allocation(spec, method, cfg)
+        for method, alloc in resolve_allocations(spec, cfg).items():
             per_method[method].append((
                 linear_to_db(average_rsnr(alloc, cfg)),
                 average_se_upper_bound(alloc, cfg),
@@ -236,10 +251,10 @@ def cmd_pattern(spec: ExperimentSpec) -> list[Path]:
     theta_deg = np.linspace(0.0, 180.0, spec.pattern_points)
     theta_rad = np.radians(theta_deg)
     written = []
-    targets = [(m, resolve_allocation(spec, m)) for m in spec.methods]
+    targets = resolve_allocations(spec)
     if spec.alloc_override is not None:
-        targets.append(("custom", PanelAllocation(spec.alloc_override)))
-    for name, alloc in targets:
+        targets["custom"] = PanelAllocation(spec.alloc_override)
+    for name, alloc in targets.items():
         gain = beam_pattern(build_beamformer(alloc, aods, spec.config), theta_rad)
         comment = spec.comment(
             "pattern",

@@ -176,14 +176,19 @@ def run_trials(
     """Simulate n_trials transmission frames and record the SE of each.
 
     The frames are those of ``_channel_power``; the RSNR of a frame is
-    tx_snr |h_eq|^2.
+    tx_snr |h_eq|^2. The power buffer becomes the RSNR and then the SE in
+    place, so the batch holds no array beyond the samples and their sorted
+    copy; the bytes equal log2(1 + tx_snr |h_eq|^2).
     """
-    gamma = config.tx_snr * _channel_power(config, alloc, aods, mode, n_trials, seed)
-    se = np.log2(1.0 + gamma)
+    se = _channel_power(config, alloc, aods, mode, n_trials, seed)
+    se *= config.tx_snr
+    mean_rsnr = float(se.mean())
+    se += 1.0
+    np.log2(se, out=se)
     return TrialBatchResult(
         se_samples=se,
         mean_se=float(se.mean()),
-        mean_rsnr=float(gamma.mean()),
+        mean_rsnr=mean_rsnr,
         trials=n_trials,
         seed=seed,
         mode=mode,
@@ -196,25 +201,65 @@ def empirical_outage(result: TrialBatchResult, target_se: float) -> float:
     return idx / result.trials
 
 
+# ks_distance walks the sorted samples in blocks of about this many, so it
+# holds a few block-sized arrays instead of several sample-length ones.
+_KS_BLOCK = 256
+# blocks evaluated per se_cdf call
+_KS_BATCH = 8
+# rounding may make a model CDF fall by a few ulps; more than this is a fault
+_KS_SLACK = 1e-12
+
+
 def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     """Kolmogorov-Smirnov distance between the sample set and an SE CDF.
 
     ``se_cdf`` is a vectorized callable returning the model CDF at given SE
-    values. The model may carry a point mass at SE = 0 (the all-blocked
-    atom) and must be continuous elsewhere; tied zero samples are collapsed
-    so the atom is compared jump-against-jump.
+    values; it must be a CDF, nondecreasing in SE. The model may carry a
+    point mass at SE = 0 (the all-blocked atom) and must be continuous
+    elsewhere; tied zero samples are collapsed so the atom is compared
+    jump-against-jump.
+
+    The sorted samples are cut into blocks of about 256, each ending at the
+    end of its run of ties. One model call on every block's first and last
+    sample bounds the block's deviation by
+    max(b/n - F(first), F(last) - a/n) for block [a, b); blocks are then
+    evaluated run by run in descending bound until no bound left reaches
+    the largest deviation found. Memory is a few block-sized arrays, and the
+    distance is bit for bit that of evaluating every run. Raises ValueError
+    if the model falls by more than 1e-12 between block endpoints.
     """
-    # runs of equal values in the sorted samples, as np.unique finds them without sorting again
-    s = result._sorted
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    xs, counts = s[starts], np.diff(np.r_[starts, s.size])
-    n = result.trials
-    fn_hi = np.cumsum(counts) / n  # empirical CDF at xs
-    fn_lo = fn_hi - counts / n  # empirical CDF just below xs
+    s, n = result._sorted, result.trials
+    ends = np.union1d(np.searchsorted(s, s[_KS_BLOCK - 1 :: _KS_BLOCK], side="right"), n)
+    starts = np.r_[0, ends[:-1]]
+    endpoints = np.asarray(se_cdf(np.column_stack((s[starts], s[ends - 1])).ravel()), dtype=float)
+    if not np.all(np.diff(endpoints) >= -_KS_SLACK):
+        raise ValueError("se_cdf must be a CDF: it decreases between sorted samples")
+    first, last = endpoints.reshape(-1, 2).T
+    bound = np.maximum(ends / n - first, last - starts / n)
+    order = np.argsort(-bound, kind="stable")
+    best = 0.0
+    for i in range(0, order.size, _KS_BATCH):
+        group = order[i : i + _KS_BATCH]
+        group = group[bound[group] >= best - _KS_SLACK]
+        if group.size == 0:
+            break
+        best = max(best, _ks_blocks(s, n, starts[group], ends[group], se_cdf))
+    return float(best)
+
+
+def _ks_blocks(s: np.ndarray, n: int, starts, ends, se_cdf) -> float:
+    """Largest deviation over the runs of ties in blocks s[a:b] that start and end runs."""
+    run_starts, run_ends = [], []
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        block = s[a:b]
+        first = a + np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
+        run_starts.append(first)
+        run_ends.append(np.r_[first[1:], b])
+    lo, hi = np.concatenate(run_starts), np.concatenate(run_ends)
+    xs = s[lo]
+    fn_hi = hi / n  # empirical CDF at xs
+    fn_lo = fn_hi - (hi - lo) / n  # empirical CDF just below xs
     model = np.asarray(se_cdf(xs), dtype=float)
-    model_left = model.copy()
-    if xs.size and xs[0] == 0.0:
-        model_left[0] = 0.0
-    d_plus = np.max(fn_hi - model)
-    d_minus = np.max(model_left - fn_lo)
-    return float(max(d_plus, d_minus, 0.0))
+    # the atom at SE = 0 jumps from 0, so the model just below it is 0
+    model_left = np.where((lo == 0) & (xs == 0.0), 0.0, model)
+    return max(np.max(fn_hi - model), np.max(model_left - fn_lo))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +410,22 @@ class TestScoreAllocations:
             outage_j, avg_j = score_allocations(q, cfg, xi)
             assert outage_j.shape == (len(q),)
             assert np.array_equal(outage[:, j], outage_j) and np.array_equal(avg, avg_j)
+
+    def test_subnormal_kappa_scores_quietly_as_kappa_zero(self, baseline):
+        # a subnormal LoS scale overflows gamma_th / scale to inf: outage term 1, as at
+        # kappa = 0 for any positive target (at target 0 only kappa = 0 makes it an atom)
+        tiny, zero = replace(baseline, rician_k=5e-324), replace(baseline, rician_k=0.0)
+        q = allocation_array(tiny.n_p, tiny.num_paths)
+        targets = np.array([0.5, 1.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outage, avg = score_allocations(q, tiny, targets)
+            scalar = [outage_probability(PanelAllocation(tuple(r)), tiny, 1.0) for r in q.tolist()]
+        outage_zero, avg_zero = score_allocations(q, zero, targets)
+        assert np.array_equal(outage, outage_zero)
+        assert scalar == [outage_probability(PanelAllocation(tuple(r)), zero, 1.0) for r in q.tolist()]
+        # the mean RSNR differs from kappa = 0 only by the subnormal LoS term
+        np.testing.assert_allclose(avg, avg_zero, rtol=0.0, atol=1e-300)
 
     @pytest.mark.parametrize("target", [-1.0, float("nan"), [1.0, -0.5], [0.0, float("nan")]])
     def test_rejects_negative_or_nan_targets(self, baseline, target):

@@ -16,7 +16,7 @@ from panelalloc import (
     se_mean,
     uniform_allocation,
 )
-from panelalloc import cli, montecarlo
+from panelalloc import cli, montecarlo, optimizer
 from util import exhaustive_outmin
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -273,6 +273,28 @@ class TestSweepExactMean:
         monkeypatch.setattr(cli, "sample_channel", forbidden)
         monkeypatch.setattr(montecarlo, "_channel_power", forbidden)
         assert run_cli(args + ["--out", str(tmp_path)]) == 0
+
+
+class TestOneTablePerConfiguration:
+    @pytest.mark.parametrize(
+        "args, tables",
+        [
+            (["cdf", "--trials", "100"], 1),
+            (["pattern", "--points", "5"], 1),
+            (["sweep-snr", "--snr-db", "0,10,20"], 3),
+            (["sweep-se", "--se-points", "4"], 1),
+        ],
+    )
+    def test_both_designs_share_one_search(self, tmp_path, monkeypatch, args, tables):
+        calls = []
+
+        def counted(config, target_ses, epsilons, *rest):
+            calls.append(list(epsilons))
+            return optimizer.outmin_reports(config, target_ses, epsilons, *rest)
+
+        monkeypatch.setattr(cli, "outmin_reports", counted)
+        assert run_cli(args + ["--out", str(tmp_path)]) == 0
+        assert calls == [[0.0, cli.DEFAULT_EPSILON]] * tables
 
 
 class TestAllocate:

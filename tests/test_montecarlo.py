@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panelalloc import (
     ConfigurationError,
@@ -14,6 +15,7 @@ from panelalloc import (
     empirical_outage,
     ks_distance,
     los_concentration,
+    optimize_outmin,
     outage_probability,
     rsnr_mixture,
     run_trials,
@@ -22,8 +24,13 @@ from panelalloc import (
     uniform_allocation,
 )
 from panelalloc import montecarlo
-from panelalloc.montecarlo import CHUNK_TRIALS, MODES, _channel_power
-from util import blockage_pattern_se_cdf, realistic_se_cdf, serial_channel_power
+from panelalloc.montecarlo import _KS_BLOCK, CHUNK_TRIALS, MODES, TrialBatchResult, _channel_power
+from util import (
+    blockage_pattern_se_cdf,
+    realistic_se_cdf,
+    serial_channel_power,
+    unique_ks_distance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +158,8 @@ class TestChannelPower:
         expected = np.log2(1 + baseline.tx_snr * power)
         result = run_trials(baseline, alloc, aods, mode, n, 41)
         assert result.se_samples.tobytes() == expected.tobytes()
+        assert result.mean_se == float(expected.mean())
+        assert result.mean_rsnr == float((baseline.tx_snr * power).mean())
         # the draws ignore tx_snr; run_trials applies it
         louder = replace(baseline, tx_snr=40.0)
         assert _channel_power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
@@ -214,6 +223,11 @@ class TestThreadedFill:
         assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "chunk 1 failed"
 
 
+def _batch(samples) -> TrialBatchResult:
+    samples = np.asarray(samples, dtype=float)
+    return TrialBatchResult(samples, float(samples.mean()), 0.0, samples.size, 0, "idealized")
+
+
 class TestKsDistance:
     def test_equals_unique_based_distance(self, baseline, aods):
         # the LoS beam's zero-SE atom gives one long run of tied samples
@@ -228,6 +242,63 @@ class TestKsDistance:
         expected = max(np.max(fn_hi - model), np.max(model_left - (fn_hi - counts / result.trials)))
         assert xs[0] == 0.0 and counts[0] > 1000
         assert ks_distance(result, lambda se: se_cdf(mix, se)) == float(expected)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        n=st.sampled_from([1, 2, _KS_BLOCK, _KS_BLOCK + 1]) | st.integers(1, 40 * _KS_BLOCK + 77),
+        distinct=st.sampled_from([1, 2, 3, 40]) | st.integers(1, 2000),
+        zero_share=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.0),
+        shift=st.sampled_from([0.0, 1.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_unpruned_oracle_bitwise(self, baseline, seed, n, distinct, zero_share, shift):
+        gen = np.random.default_rng(seed)
+        # few distinct values make runs of ties that cross block boundaries
+        pool = np.sort(gen.exponential(2.0, distinct)) + 1e-3
+        samples = np.where(gen.random(n) < zero_share, 0.0, gen.choice(pool, n))
+        q = allocation_array(baseline.n_p, baseline.num_paths)
+        mix = rsnr_mixture(PanelAllocation(tuple(q[gen.integers(len(q))].tolist())), baseline)
+
+        def model(se):  # shifting the mixture CDF right gives a large distance
+            return se_cdf(mix, np.maximum(np.asarray(se) - shift, 0.0))
+
+        assert ks_distance(_batch(samples), model) == unique_ks_distance(samples, model)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_oracle_designs_at_scale_equal_unpruned_oracle(self, baseline, aods, mode):
+        for alloc in (uniform_allocation(baseline), optimize_outmin(baseline, 1.0).chosen):
+            result = run_trials(baseline, alloc, aods, mode, 2 * 10**5, 5)
+            mix = rsnr_mixture(alloc, baseline)
+            expected = unique_ks_distance(result.se_samples, lambda se: se_cdf(mix, se))
+            assert ks_distance(result, lambda se: se_cdf(mix, se)) == expected
+
+    def test_model_falling_between_blocks_is_rejected(self):
+        samples = np.arange(3 * _KS_BLOCK) / (3 * _KS_BLOCK)
+        edge = samples[_KS_BLOCK]  # first sample of the second block
+
+        def falling(drop):
+            return lambda se: np.asarray(se) - drop * (np.asarray(se) >= edge)
+
+        with pytest.raises(ValueError, match="CDF"):
+            ks_distance(_batch(samples), falling(0.25))
+        # a fall within rounding slack is no fault
+        assert ks_distance(_batch(samples), falling(1e-13)) == unique_ks_distance(
+            samples, falling(1e-13)
+        )
+
+    @pytest.mark.parametrize("design", [los_concentration, uniform_allocation])
+    def test_traced_peak_is_block_sized(self, baseline, aods, design):
+        # the LoS beam holds a 400k-sample zero atom; the uniform one ~974k distinct values
+        alloc = design(baseline)
+        result = run_trials(baseline, alloc, aods, "idealized", 10**6, 8)
+        mix = rsnr_mixture(alloc, baseline)
+        tracemalloc.start()
+        try:
+            ks_distance(result, lambda se: se_cdf(mix, se))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestValidation:

@@ -68,6 +68,24 @@ def exhaustive_outmin(config, target_se, epsilon, require_los=True):
     return PanelAllocation(tuple(q[best].tolist())), float(outages[best]), float(avgs[best])
 
 
+def unique_ks_distance(samples, se_cdf) -> float:
+    """KS distance of samples to a model CDF, evaluating the model at every distinct sample.
+
+    np.unique gives the distinct values and their counts; the empirical CDF
+    at and just below each one is compared with the model there. A tied run
+    at SE = 0 is the atom, so the model just below it is 0. No blocks, no
+    pruning.
+    """
+    xs, counts = np.unique(samples, return_counts=True)
+    n = np.size(samples)
+    fn_hi = np.cumsum(counts) / n
+    model = np.asarray(se_cdf(xs), dtype=float)
+    model_left = model.copy()
+    if xs[0] == 0.0:
+        model_left[0] = 0.0
+    return float(max(np.max(fn_hi - model), np.max(model_left - (fn_hi - counts / n)), 0.0))
+
+
 def pattern_energy(f: np.ndarray, npts: int = 40001) -> float:
     """(N_t / 2) * integral of |a(u)^H f|^2 over u = cos(theta) in [-1, 1]."""
     n_t = f.size
