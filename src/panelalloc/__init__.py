@@ -38,6 +38,7 @@ from .montecarlo import (
     TrialBatchResult,
     empirical_outage,
     ks_distance,
+    run_batches,
     run_trials,
 )
 from .optimizer import (

@@ -96,7 +96,10 @@ def rsnr_cdf(mix: RsnrMixture, gamma: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, rows):
         block = out[start : start + rows]
         g = flat[start : start + rows, None]
-        np.sum(mix.weights * (1.0 - np.exp(-g / mix.scales)), axis=-1, out=block)
+        # a subnormal scale (kappa near 5e-324) sends the ratio to inf: exp gives 0
+        with np.errstate(over="ignore"):
+            ratio = -g / mix.scales
+        np.sum(mix.weights * (1.0 - np.exp(ratio)), axis=-1, out=block)
     return mix.zero_mass + (out.reshape(gamma.shape) if gamma.shape else float(out[0]))
 
 
@@ -140,7 +143,10 @@ def se_mean(mix: RsnrMixture) -> float:
     (Abramowitz & Stegun 5.1), so the mean is sum_k w_k e^{1/s_k} E1(1/s_k) / ln 2;
     the zero atom adds nothing.
     """
-    return float(mix.weights @ _exp_e1(1.0 / mix.scales) / np.log(2.0))
+    # a subnormal scale (kappa near 5e-324) sends 1/s to inf, whose term is 0
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / mix.scales
+    return float(mix.weights @ _exp_e1(inverse) / np.log(2.0))
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -49,19 +49,19 @@ def default_min_separation(config: SystemConfig) -> float:
     return 4.0 * math.radians(HPBW_COEFF_DEG / config.n_t)
 
 
-def _fill_gains(variances: np.ndarray, rng: np.random.Generator, out, buf) -> None:
-    """Fill complex ``out`` (..., L) with path gains, in place.
+def _fill_gains(variances: np.ndarray, rng: np.random.Generator, re, im) -> None:
+    """Fill the float planes ``re`` and ``im`` (..., L) with path gains, in place.
 
     Each gain is zero-mean circularly-symmetric complex Gaussian,
-    sqrt(sigma_l^2 / 2) (z1 + 1j z2): z1 then z2 are standard normal draws
-    made through the float scratch ``buf`` of out's shape, bit for bit the
-    values of scale * (z1 + 1j * z2).
+    sqrt(sigma_l^2 / 2) (z1 + 1j z2): z1 is drawn into ``re``, then z2 into
+    ``im``, and both are scaled, so re + 1j im has the values of
+    scale * (z1 + 1j * z2).
     """
-    rng.standard_normal(out=buf)
-    out.real = buf
-    rng.standard_normal(out=buf)
-    out.imag = buf
-    out *= np.sqrt(variances / 2.0)
+    scale = np.sqrt(variances / 2.0)
+    rng.standard_normal(out=re)
+    re *= scale
+    rng.standard_normal(out=im)
+    im *= scale
 
 
 def sample_aods(
@@ -106,7 +106,7 @@ def sample_channel(
     """Draw one training-phase channel: the AoDs the beamformers are steered to.
 
     Path gains and blockage are redrawn per transmission frame by the Monte
-    Carlo engine (``montecarlo.run_trials``), not here.
+    Carlo engine (``montecarlo.run_batches``), not here.
     """
     return ChannelRealization(aods=sample_aods(config, min_separation, rng))
 
@@ -119,28 +119,24 @@ def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
     return 1.0 / (ETA_BASE + 180.0 / hpbw)
 
 
-def _block(out, blocked_values, p_block, rng: np.random.Generator, buf, mask) -> None:
-    """Block each entry of ``out`` (n, L) with probability p_block, in place.
+def _blockage_probability(config: SystemConfig, shared: bool, rng, n_frames: int) -> np.ndarray:
+    """Probability (n_frames, 1) that each path of a frame is blocked.
 
-    A blocked entry in column l is multiplied by blocked_values[l]. p_block
-    broadcasts against (n, L): a scalar blocks every path independently, a
-    column (n, 1) gives each frame its own probability. The draws go through
-    the float scratch ``buf``, the blocked pattern through the bool ``mask``.
+    Independent blockage draws nothing: every frame has the marginal p_blk.
+    Shared blockage draws one p_hat ~ U(p_min, p_max) per frame, shared by
+    all its paths; marginally each path is still blocked with probability
+    p_blk, but blockage events within a frame are positively correlated.
+    """
+    if not shared:
+        return np.broadcast_to(config.p_blk, (n_frames, 1))
+    return rng.uniform(config.p_min, config.p_max, size=n_frames)[:, None]
+
+
+def _block(rng: np.random.Generator, p_block, buf, mask) -> None:
+    """Draw the blocked pattern ``mask`` (n, L): each path blocked with probability p_block.
+
+    p_block broadcasts against (n, L), e.g. a ``_blockage_probability``
+    column. The uniform draws go through the float scratch ``buf``.
     """
     rng.random(out=buf)
     np.less(buf, p_block, out=mask)
-    np.multiply(out, blocked_values, out=out, where=mask)
-
-
-def _shared_blockage(config: SystemConfig, blocked_values, rng, out, buf, mask) -> None:
-    """Apply per-frame shared blockage to ``out`` (n_frames, L), in place.
-
-    One blockage probability p_hat ~ U(p_min, p_max) is drawn per frame and
-    shared by all paths; each path is then blocked independently with
-    probability p_hat. A blocked path l is multiplied by blocked_values[l],
-    a clear path is left as it is. Marginally each path is blocked with
-    probability p_blk, but blockage events within a frame are positively
-    correlated.
-    """
-    p_hat = rng.uniform(config.p_min, config.p_max, size=len(out))
-    _block(out, blocked_values, p_hat[:, None], rng, buf, mask)

@@ -45,7 +45,7 @@ from .export import (
     write_samples_csv,
     write_summary_csv,
 )
-from .montecarlo import run_trials
+from .montecarlo import MODES, run_batches
 from .optimizer import allocation_array, outmin_reports, pattern_count
 
 METHODS = ("los", "uniform", "outmin", "outmin_ase")
@@ -128,11 +128,13 @@ def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig |
 def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     """Per-method SE CDF: analytic curve plus both Monte Carlo modes."""
     aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
+    allocs = resolve_allocations(spec)
+    # every design and both modes from one pass over common random numbers
+    batches = run_batches(spec.config, allocs.values(), aods, spec.trials, spec.seed, MODES)
     written = []
-    for method, alloc in resolve_allocations(spec).items():
+    for method, alloc in allocs.items():
         mix = rsnr_mixture(alloc, spec.config)
-        ideal = run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
-        real = run_trials(spec.config, alloc, aods, "realistic", spec.trials, spec.seed)
+        ideal, real = (batches[mode, alloc.q] for mode in MODES)
         comment = spec.comment(
             "cdf", method=method, q="/".join(map(str, alloc.q)), target_se=spec.target_se
         )

@@ -10,20 +10,28 @@ one blockage probability per frame shared by all paths, and attenuates
 blocked served paths by 1/eta instead of nulling them; unserved paths have
 no beam and are nulled when blocked.
 
-``run_trials`` fills its chunks on all usable cores: min(len(
-os.sched_getaffinity(0)), chunks) threads, since numpy's generators and
-ufuncs release the interpreter lock. Each worker owns scratch arrays sized
-to one chunk, (CHUNK_TRIALS, L) complex gains, float draws and bool mask
-plus a complex h_eq column: about 7.6 MB at L = 4, on top of the
-8 n_trials-byte result. Worker threads call only numpy and the private
-in-place helpers of ``channel``. The samples are bit-identical to a serial
-pass over the chunks.
+``run_batches`` simulates several allocations in both modes from common
+random numbers: one seed gives every design the same frames. Each chunk
+draws its path gains once; each mode's blockage is drawn once, from the
+generator state right after the gains, so a mode's frames do not depend on
+which other modes or allocations share the call. Every allocation's
+|h_eq|^2 is then formed in row sub-blocks of ``SUB_ROWS``. ``run_trials``
+is its one-allocation, one-mode call.
+
+Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
+chunks) threads, since numpy's generators and ufuncs release the
+interpreter lock. Each worker owns scratch arrays: two float gain planes
+sized to one chunk, (CHUNK_TRIALS, L), plus a float draw, a bool mask and
+a complex gain block of (SUB_ROWS, L) and a complex h_eq column: about
+5.1 MB at L = 4, on top of 8 n_trials bytes per result. Worker threads call
+only numpy and the private in-place helpers of ``channel``. The samples are
+bit-identical to a serial pass over the chunks.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +43,13 @@ from .beamforming import (
     equivalent_array_response_exact,
     validate_allocation,
 )
-from .channel import _block, _fill_gains, _shared_blockage, blockage_attenuation, path_variances
+from .channel import (
+    _block,
+    _blockage_probability,
+    _fill_gains,
+    blockage_attenuation,
+    path_variances,
+)
 from .config import SystemConfig
 from .errors import ConfigurationError
 
@@ -43,6 +57,9 @@ from .errors import ConfigurationError
 # keyed by (seed, chunk index) and its own slice of the result, so the
 # sample sequence is reproducible no matter how chunks are scheduled.
 CHUNK_TRIALS = 1 << 16
+# Rows of a chunk turned into |h_eq|^2 at a time, so the per-allocation
+# working set stays small while the chunk's gain planes are reused.
+SUB_ROWS = 1 << 13
 
 MODES = ("idealized", "realistic")
 
@@ -57,16 +74,11 @@ class TrialBatchResult:
     trials: int
     seed: int
     mode: str
-    _sorted: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self._sorted is None:
-            self._sorted = np.sort(self.se_samples)
 
     def empirical_cdf(self, se_bits: np.ndarray) -> np.ndarray:
         """Fraction of samples <= se_bits (right-continuous empirical CDF)."""
-        idx = np.searchsorted(self._sorted, np.asarray(se_bits, dtype=float), side="right")
-        return idx / self.trials
+        s = np.sort(self.se_samples)
+        return np.searchsorted(s, np.asarray(se_bits, dtype=float), side="right") / self.trials
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -86,76 +98,100 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _channel_power(
-    config: SystemConfig,
-    alloc: PanelAllocation,
-    aods: np.ndarray,
-    mode: str,
-    n_trials: int,
-    seed: int,
-) -> np.ndarray:
-    """Per-frame unit-SNR channel power |h_eq|^2 of n_trials frames.
+def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, mode: str):
+    """(a_eq, blocked_values) of an allocation in a mode, both complex (L,).
+
+    Complex, so the in-place products of the fill need no buffered cast. A
+    blocked path is multiplied by its blocked value: 0 in idealized mode; in
+    realistic mode 1/eta on a served path and 0 on an unserved one.
+    """
+    blocked_values = np.zeros(config.num_paths, complex)
+    if mode == "idealized":
+        return equivalent_array_response_approx(alloc, config).astype(complex), blocked_values
+    a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
+    served = alloc.as_array() > 0
+    blocked_values[served] = blockage_attenuation(beam_hpbw_deg(alloc, config.n_a)[served])
+    return a_eq.astype(complex), blocked_values
+
+
+def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int, modes):
+    """Per-frame unit-SNR channel power |h_eq|^2, ``{(mode, alloc.q): (n_trials,)}``.
 
     Every frame resamples the path gains and the blockage state; the AoDs
     (and hence the beamformer in realistic mode) stay fixed for the batch.
-    Deterministic for a fixed (mode, seed) regardless of chunk scheduling:
-    min(usable CPUs, chunks) threads fill the chunks, worker w taking chunks
-    w, w + W, ..., each into its own slice of the result.
+    For a fixed seed all allocations see the same gains and, within a mode,
+    the same blocked patterns, and each array is bit for bit the one a call
+    with that allocation and mode alone gives, whatever the chunk
+    scheduling: min(usable CPUs, chunks) threads fill the chunks, worker w
+    taking chunks w, w + W, ..., each into its own slice of every array.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    modes = tuple(dict.fromkeys(modes))
+    if not modes or not set(modes) <= set(MODES):
+        raise ConfigurationError(f"modes must be a nonempty subset of {MODES}, got {modes!r}")
     aods = np.asarray(aods, dtype=float)
     if aods.shape != (config.num_paths,):
         raise ValueError(f"expected {config.num_paths} AoDs, got shape {aods.shape}")
-    validate_allocation(alloc, config)
+    distinct: dict[tuple[int, ...], PanelAllocation] = {}
+    for alloc in allocs:
+        validate_allocation(alloc, config)
+        distinct.setdefault(alloc.q, alloc)
+    if not distinct:
+        raise ConfigurationError("run_batches needs at least one allocation")
 
+    power = {(mode, q): np.empty(n_trials) for mode in modes for q in distinct}
+    # per mode: (a_eq, blocked_values, result buffer) of each allocation
+    targets = {
+        mode: [
+            (*_responses(config, alloc, aods, mode), power[mode, q])
+            for q, alloc in distinct.items()
+        ]
+        for mode in modes
+    }
     variances = path_variances(config.rician_k, config.num_paths)
-
-    if mode == "idealized":
-        a_eq = equivalent_array_response_approx(alloc, config)
-    else:
-        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-        hpbw = beam_hpbw_deg(alloc, config.n_a)
-        served = alloc.as_array() > 0
-        # complex, like a_eq below, so the in-place products need no buffered cast
-        blocked_values = np.zeros(config.num_paths, complex)
-        blocked_values[served] = blockage_attenuation(hpbw[served])
-
     L = config.num_paths
-    a_eq = a_eq.astype(complex)
     sizes = _chunk_sizes(n_trials)
     workers = min(_usable_cpus(), len(sizes))
-    power = np.empty(n_trials)
-    # Scratch for gains, uniform draws, blocked pattern and h_eq, one set per
-    # worker sized to its first (largest) chunk. It is allocated here, not in
-    # the threads, whose per-thread malloc arenas would raise the peak RSS.
+    # Scratch, one set per worker: the chunk's gain planes, sized to its first
+    # (largest) chunk, and the sub-block's draws, blocked pattern, gains and
+    # h_eq. It is allocated here, not in the threads, whose per-thread malloc
+    # arenas would raise the peak RSS.
+    sub = min(SUB_ROWS, sizes[0])
     scratch = [
-        (np.empty((rows, L), complex), np.empty((rows, L)), np.empty((rows, L), bool),
-         np.empty(rows, complex))
+        (np.empty((rows, L)), np.empty((rows, L)), np.empty((sub, L)), np.empty((sub, L), bool),
+         np.empty((sub, L), complex), np.empty(sub, complex))
         for rows in sizes[:workers]
     ]
 
     def fill(worker: int) -> None:
+        re_all, im_all, draws_all, mask_all, gains_all, h_all = scratch[worker]
         for chunk_index in range(worker, len(sizes), workers):
             size = sizes[chunk_index]
-            gains, draws, mask, h_eq = (buf[:size] for buf in scratch[worker])
+            re, im = re_all[:size], im_all[:size]
             rng = _chunk_rng(seed, chunk_index)
-            _fill_gains(variances, rng, gains, draws)
-            np.conjugate(gains, out=gains)
-            if mode == "idealized":
-                # independent binary blockage at the marginal probability p_blk
-                _block(gains, 0.0, config.p_blk, rng, draws, mask)
-            else:
-                # one blockage probability per frame, shared by all paths
-                _shared_blockage(config, blocked_values, rng, gains, draws, mask)
-            gains *= a_eq
-            np.sum(gains, axis=1, out=h_eq)
+            _fill_gains(variances, rng, re, im)
+            # every mode draws its blockage from the state right after the gains
+            after_gains = rng.bit_generator.state
             start = chunk_index * CHUNK_TRIALS
-            out = power[start : start + size]
-            np.abs(h_eq, out=out)
-            out **= 2
+            for m, mode in enumerate(modes):
+                if m:
+                    rng.bit_generator.state = after_gains
+                p_block = _blockage_probability(config, mode == "realistic", rng, size)
+                for a in range(0, size, sub):
+                    rows = min(sub, size - a)
+                    mask, gains, h_eq = mask_all[:rows], gains_all[:rows], h_all[:rows]
+                    _block(rng, p_block[a : a + rows], draws_all[:rows], mask)
+                    for a_eq, blocked_values, out in targets[mode]:
+                        # the conjugated gains h^* of the frames
+                        gains.real = re[a : a + rows]
+                        np.negative(im[a : a + rows], out=gains.imag)
+                        np.multiply(gains, blocked_values, out=gains, where=mask)
+                        gains *= a_eq
+                        np.sum(gains, axis=1, out=h_eq)
+                        rows_out = out[start + a : start + a + rows]
+                        np.abs(h_eq, out=rows_out)
+                        rows_out **= 2
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -163,6 +199,40 @@ def _channel_power(
         # reading every result re-raises a worker's exception here
         list(pool.map(fill, range(workers)))
     return power
+
+
+def run_batches(
+    config: SystemConfig,
+    allocs,
+    aods: np.ndarray,
+    n_trials: int,
+    seed: int,
+    modes=MODES,
+) -> dict[tuple[str, tuple[int, ...]], TrialBatchResult]:
+    """Simulate n_trials frames for every allocation in every mode.
+
+    Returns ``{(mode, alloc.q): TrialBatchResult}``, one entry per distinct
+    allocation and mode, from the frames of ``_channel_powers``: common
+    random numbers, and each result bit-identical to a ``run_trials`` call
+    of its allocation and mode. The SE of a frame is
+    log2(1 + tx_snr |h_eq|^2); each power buffer becomes the RSNR and then
+    the SE in place, so a result holds no array beyond its samples.
+    """
+    results = {}
+    for (mode, q), se in _channel_powers(config, allocs, aods, n_trials, seed, modes).items():
+        se *= config.tx_snr
+        mean_rsnr = float(se.mean())
+        se += 1.0
+        np.log2(se, out=se)
+        results[mode, q] = TrialBatchResult(
+            se_samples=se,
+            mean_se=float(se.mean()),
+            mean_rsnr=mean_rsnr,
+            trials=n_trials,
+            seed=seed,
+            mode=mode,
+        )
+    return results
 
 
 def run_trials(
@@ -173,37 +243,26 @@ def run_trials(
     n_trials: int,
     seed: int,
 ) -> TrialBatchResult:
-    """Simulate n_trials transmission frames and record the SE of each.
+    """Simulate n_trials transmission frames of one allocation in one mode.
 
-    The frames are those of ``_channel_power``; the RSNR of a frame is
-    tx_snr |h_eq|^2. The power buffer becomes the RSNR and then the SE in
-    place, so the batch holds no array beyond the samples and their sorted
-    copy; the bytes equal log2(1 + tx_snr |h_eq|^2).
+    The one-allocation, one-mode call of ``run_batches``.
     """
-    se = _channel_power(config, alloc, aods, mode, n_trials, seed)
-    se *= config.tx_snr
-    mean_rsnr = float(se.mean())
-    se += 1.0
-    np.log2(se, out=se)
-    return TrialBatchResult(
-        se_samples=se,
-        mean_se=float(se.mean()),
-        mean_rsnr=mean_rsnr,
-        trials=n_trials,
-        seed=seed,
-        mode=mode,
-    )
+    return run_batches(config, [alloc], aods, n_trials, seed, (mode,))[mode, alloc.q]
 
 
 def empirical_outage(result: TrialBatchResult, target_se: float) -> float:
     """Fraction of trials with SE strictly below the target."""
-    idx = np.searchsorted(result._sorted, target_se, side="left")
-    return idx / result.trials
+    return int(np.count_nonzero(result.se_samples < target_se)) / result.trials
 
 
-# ks_distance walks the sorted samples in blocks of about this many, so it
-# holds a few block-sized arrays instead of several sample-length ones.
-_KS_BLOCK = 256
+# ks_distance sorts the samples one value slab of about this many at a time,
+# so it never holds a sorted copy of them all.
+_KS_SLAB = 1 << 17
+# ks_distance gathers a slab from this many samples at a time
+_KS_PIECE = 1 << 16
+# ks_distance walks each sorted slab in blocks of about this many, so it
+# holds a few block-sized arrays instead of several slab-length ones.
+_KS_BLOCK = 128
 # blocks evaluated per se_cdf call
 _KS_BATCH = 8
 # rounding may make a model CDF fall by a few ulps; more than this is a fault
@@ -219,47 +278,132 @@ def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     elsewhere; tied zero samples are collapsed so the atom is compared
     jump-against-jump.
 
-    The sorted samples are cut into blocks of about 256, each ending at the
-    end of its run of ties. One model call on every block's first and last
-    sample bounds the block's deviation by
-    max(b/n - F(first), F(last) - a/n) for block [a, b); blocks are then
-    evaluated run by run in descending bound until no bound left reaches
-    the largest deviation found. Memory is a few block-sized arrays, and the
+    The samples are cut by value into slabs of about 131,072
+    (``_ks_edges``); a value that fills half a slab alone, like the atom,
+    gets a slab of its own, which is one run of ties and is only counted.
+    Each other slab is gathered piece by piece, sorted and cut into blocks
+    of about 128, each ending at the end of its run of ties. One model call
+    on every block's first and last sample gives the exact deviation of
+    those two runs, and bounds the block's deviation by
+    max(b/n - F(first), F(last) - a/n) for block [a, b) in global sorted
+    positions; blocks are then evaluated run by run in descending bound
+    until no bound left reaches the largest deviation found. Slabs are
+    visited where a strided subsample deviates most first, so that the
+    largest deviation found rises early. Memory is about one slab, and the
     distance is bit for bit that of evaluating every run. Raises ValueError
-    if the model falls by more than 1e-12 between block endpoints.
+    if the model falls by more than 1e-12 between block endpoints, or if a
+    sample is NaN.
     """
-    s, n = result._sorted, result.trials
-    ends = np.union1d(np.searchsorted(s, s[_KS_BLOCK - 1 :: _KS_BLOCK], side="right"), n)
+    x, n = result.se_samples, result.trials
+    if np.isnan(x).any():  # a NaN falls in no slab
+        raise ValueError("samples must not be NaN")
+    edges, sub = _ks_edges(x)
+    lows, highs = np.r_[-np.inf, edges], np.r_[edges, np.inf]
+    at_or_above = [np.count_nonzero(x >= edge) for edge in edges]
+    counts = -np.diff(np.r_[n, at_or_above, 0])
+    offsets = n - np.r_[n, at_or_above]
+    score = np.zeros(counts.size)
+    if sub.size:
+        # the subsample's deviation at its own ranks guesses where the maximum lies
+        guess = np.abs((np.arange(sub.size) + 0.5) / sub.size - se_cdf(sub))
+        np.maximum.at(score, np.searchsorted(edges, sub, side="right"), guess)
+    best, endpoints = 0.0, {}
+    for j in np.argsort(-score, kind="stable").tolist():
+        start, size = int(offsets[j]), int(counts[j])
+        if size == 0:
+            continue
+        if np.nextafter(lows[j], np.inf) == highs[j]:  # one value: one run of ties
+            xs = lows[j : j + 1]
+            model = np.asarray(se_cdf(xs), dtype=float)
+            run = np.array([start])
+            best = max(best, _ks_runs(n, run, run + size, xs, model))
+            endpoints[j] = model
+        else:
+            s = _ks_take(x, lows[j], highs[j], size)
+            best, endpoints[j] = _ks_slab(s, start, n, se_cdf, best)
+            del s  # before the next slab is gathered
+    values = np.concatenate([endpoints[j] for j in sorted(endpoints)])
+    if not np.all(np.diff(values) >= -_KS_SLACK):
+        raise ValueError("se_cdf must be a CDF: it decreases between sorted samples")
+    return float(best)
+
+
+def _ks_edges(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inner slab edges, sorted strided subsample) of samples x.
+
+    The subsample keeps about 64 points per slab of ``_KS_SLAB``; its
+    quantiles split x into slabs of about that many. A value that fills
+    half a slab of the subsample is heavy and gets the slab
+    [v, nextafter(v)) alone.
+    """
+    slabs = -(-x.size // _KS_SLAB)
+    if slabs == 1:
+        return np.empty(0), np.empty(0)
+    stride = max(1, _KS_SLAB // 64)
+    sub = np.sort(x[::stride])
+    values, hits = np.unique(sub, return_counts=True)
+    heavy = values[hits >= max(1, _KS_SLAB // stride // 2)]
+    pivots = sub[np.arange(1, slabs) * sub.size // slabs]
+    return np.unique(np.r_[pivots, heavy, np.nextafter(heavy, np.inf)]), sub
+
+
+def _ks_take(x: np.ndarray, lo: float, hi: float, size: int) -> np.ndarray:
+    """The ``size`` samples in [lo, hi), gathered piece by piece, sorted."""
+    s = np.empty(size)
+    filled = 0
+    for a in range(0, x.size, _KS_PIECE):
+        piece = x[a : a + _KS_PIECE]
+        keep = piece >= lo
+        if hi < np.inf:
+            keep &= piece < hi
+        k = np.count_nonzero(keep)
+        np.compress(keep, piece, out=s[filled : filled + k])
+        filled += k
+    s.sort()
+    return s
+
+
+def _ks_slab(s: np.ndarray, start: int, n: int, se_cdf, best: float):
+    """(best, model at block endpoints) after walking sorted slab s at global positions start on."""
+    ends = np.union1d(np.searchsorted(s, s[_KS_BLOCK - 1 :: _KS_BLOCK], side="right"), s.size)
     starts = np.r_[0, ends[:-1]]
     endpoints = np.asarray(se_cdf(np.column_stack((s[starts], s[ends - 1])).ravel()), dtype=float)
-    if not np.all(np.diff(endpoints) >= -_KS_SLACK):
-        raise ValueError("se_cdf must be a CDF: it decreases between sorted samples")
-    first, last = endpoints.reshape(-1, 2).T
-    bound = np.maximum(ends / n - first, last - starts / n)
+    first, last = endpoints[0::2], endpoints[1::2]
+    # the first and last run of every block, exactly
+    lo = np.r_[starts, np.searchsorted(s, s[ends - 1], side="left")]
+    hi = np.r_[np.searchsorted(s, s[starts], side="right"), ends]
+    best = max(best, _ks_runs(n, start + lo, start + hi, s[lo], np.r_[first, last]))
+    bound = np.maximum((start + ends) / n - first, last - (start + starts) / n)
     order = np.argsort(-bound, kind="stable")
-    best = 0.0
     for i in range(0, order.size, _KS_BATCH):
         group = order[i : i + _KS_BATCH]
         group = group[bound[group] >= best - _KS_SLACK]
         if group.size == 0:
             break
-        best = max(best, _ks_blocks(s, n, starts[group], ends[group], se_cdf))
-    return float(best)
+        best = max(best, _ks_blocks(s, start, n, starts[group], ends[group], se_cdf))
+    return best, endpoints
 
 
-def _ks_blocks(s: np.ndarray, n: int, starts, ends, se_cdf) -> float:
+def _ks_blocks(s: np.ndarray, start: int, n: int, starts, ends, se_cdf) -> float:
     """Largest deviation over the runs of ties in blocks s[a:b] that start and end runs."""
-    run_starts, run_ends = [], []
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        block = s[a:b]
-        first = a + np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
-        run_starts.append(first)
-        run_ends.append(np.r_[first[1:], b])
-    lo, hi = np.concatenate(run_starts), np.concatenate(run_ends)
-    xs = s[lo]
+    lengths = ends - starts
+    block_ends = np.cumsum(lengths)
+    pos = np.arange(block_ends[-1]) + np.repeat(starts - (block_ends - lengths), lengths)
+    vals = s[pos]
+    # a value is one run in one block, so runs start where the value changes
+    first = np.empty(pos.size, bool)
+    first[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    last = np.append(first[1:], True)
+    xs = vals[first]
+    return _ks_runs(n, start + pos[first], start + pos[last] + 1, xs, se_cdf(xs))
+
+
+def _ks_runs(n: int, lo, hi, xs, model) -> float:
+    """Largest deviation over runs of ties xs at global sorted positions [lo, hi)."""
+    model = np.asarray(model, dtype=float)
     fn_hi = hi / n  # empirical CDF at xs
     fn_lo = fn_hi - (hi - lo) / n  # empirical CDF just below xs
-    model = np.asarray(se_cdf(xs), dtype=float)
     # the atom at SE = 0 jumps from 0, so the model just below it is 0
     model_left = np.where((lo == 0) & (xs == 0.0), 0.0, model)
     return max(np.max(fn_hi - model), np.max(model_left - fn_lo))

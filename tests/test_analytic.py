@@ -323,6 +323,21 @@ class TestSeMean:
         no_los = replace(baseline, rician_k=0.0)
         assert se_mean(rsnr_mixture(los_concentration(no_los), no_los)) == 0.0
 
+    def test_subnormal_kappa_is_quiet_and_equals_kappa_zero(self, baseline):
+        # the LoS-only component's subnormal scale sends -g / s and 1 / s to inf
+        tiny, zero = replace(baseline, rician_k=5e-324), replace(baseline, rician_k=0.0)
+        alloc = PanelAllocation((8, 0, 0, 0))
+        # positive SE only: at SE = 0 just kappa = 0 makes the component an atom
+        se_bits = np.geomspace(1e-6, 12.0, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mix = rsnr_mixture(alloc, tiny)
+            cdf, mean = se_cdf(mix, se_bits), se_mean(mix)
+        assert mix.scales.size == 1 and 0.0 < mix.scales[0] < np.finfo(float).tiny
+        zero_mix = rsnr_mixture(alloc, zero)
+        assert cdf.tobytes() == se_cdf(zero_mix, se_bits).tobytes()
+        assert mean == se_mean(zero_mix) == 0.0
+
 
 class TestScoreAllocations:
     """The vectorized kernel against per-allocation mixtures and an exact enumeration."""

@@ -17,8 +17,8 @@ from panelalloc import (
 from panelalloc import montecarlo
 from panelalloc.channel import (
     _block,
+    _blockage_probability,
     _fill_gains,
-    _shared_blockage,
     blockage_attenuation,
     sample_aods,
 )
@@ -27,25 +27,27 @@ from panelalloc.channel import (
 def gain_draws(variances, rng, size=None):
     """Gains from the library's in-place law, one row per frame when size is set."""
     shape = (variances.size,) if size is None else (size, variances.size)
+    re, im = np.empty(shape), np.empty(shape)
+    _fill_gains(variances, rng, re, im)
     gains = np.empty(shape, dtype=complex)
-    _fill_gains(variances, rng, gains, np.empty(shape))
+    gains.real, gains.imag = re, im
     return gains
 
 
 def blockage_frames(config, blocked_values, rng, n_frames):
     """Per-frame factors (n_frames, L) of the shared-p_hat law, applied to ones."""
     shape = (n_frames, config.num_paths)
-    omega = np.ones(shape)
-    _shared_blockage(config, blocked_values, rng, omega, np.empty(shape), np.empty(shape, bool))
-    return omega
+    mask = np.empty(shape, bool)
+    _block(rng, _blockage_probability(config, True, rng, n_frames), np.empty(shape), mask)
+    return np.where(mask, blocked_values, 1.0)
 
 
 def independent_frames(config, p_block, rng, n_frames):
     """Per-frame factors (n_frames, L) of idealized blockage: independent, nulled."""
     shape = (n_frames, config.num_paths)
-    omega = np.ones(shape)
-    _block(omega, 0.0, p_block, rng, np.empty(shape), np.empty(shape, bool))
-    return omega
+    mask = np.empty(shape, bool)
+    _block(rng, p_block, np.empty(shape), mask)
+    return np.where(mask, 0.0, 1.0)
 
 
 class TestPathVariances:
@@ -157,7 +159,7 @@ class TestBlockage:
     def test_mode_and_hpbw_validation(self, baseline):
         alloc, aods = los_concentration(baseline), np.linspace(0.3, 2.8, baseline.num_paths)
         with pytest.raises(ConfigurationError):
-            montecarlo._channel_power(baseline, alloc, aods, "exact", 10, 0)
+            montecarlo.run_batches(baseline, [alloc], aods, 10, 0, ("exact",))
         with pytest.raises(ConfigurationError):
             blockage_attenuation(np.zeros(baseline.num_paths))
         with pytest.raises(ConfigurationError):

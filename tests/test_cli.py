@@ -17,7 +17,7 @@ from panelalloc import (
     uniform_allocation,
 )
 from panelalloc import cli, montecarlo, optimizer
-from util import exhaustive_outmin
+from util import exhaustive_outmin, reference_cdf
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -159,6 +159,30 @@ class TestCdf:
         assert len(rows) == 100
         assert (tmp_path / "samples_los_realistic.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--trials", str(montecarlo.CHUNK_TRIALS + 5), "--seed", "3"],
+            ["--trials", "9000", "--target-se", "4", "--dump-samples"],
+            ["--trials", "3000", "--methods", "uniform,outmin", "--dump-samples", "--scenario"],
+        ],
+        ids=["plain", "dump", "scenario"],
+    )
+    def test_equals_separate_runs_per_method_bytewise(self, tmp_path, args):
+        if args[-1] == "--scenario":
+            scn = tmp_path / "scn.txt"
+            scn.write_text(SCENARIO)
+            args = args + [str(scn)]
+        got, expected = tmp_path / "got", tmp_path / "expected"
+        assert run_cli(["cdf", *args, "--out", str(got)]) == 0
+        expected.mkdir()
+        reference_cdf([*args, "--out", str(expected)])
+        names = sorted(p.name for p in expected.iterdir())
+        assert sorted(p.name for p in got.iterdir()) == names
+        assert any(name.startswith("samples_") for name in names) == ("--dump-samples" in args)
+        for name in names:
+            assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_scenario_and_seed_override(self, tmp_path):
         scn = tmp_path / "scn.txt"
         scn.write_text(SCENARIO)
@@ -271,7 +295,9 @@ class TestSweepExactMean:
             raise AssertionError("a sweep drew AoDs or simulated channel frames")
 
         monkeypatch.setattr(cli, "sample_channel", forbidden)
-        monkeypatch.setattr(montecarlo, "_channel_power", forbidden)
+        # every simulated frame goes through run_batches, wherever it is called from
+        for module in (montecarlo, cli):
+            monkeypatch.setattr(module, "run_batches", forbidden)
         assert run_cli(args + ["--out", str(tmp_path)]) == 0
 
 

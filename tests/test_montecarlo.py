@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -18,13 +19,21 @@ from panelalloc import (
     optimize_outmin,
     outage_probability,
     rsnr_mixture,
+    run_batches,
     run_trials,
     sample_channel,
     se_cdf,
     uniform_allocation,
 )
 from panelalloc import montecarlo
-from panelalloc.montecarlo import _KS_BLOCK, CHUNK_TRIALS, MODES, TrialBatchResult, _channel_power
+from panelalloc.montecarlo import (
+    _KS_BLOCK,
+    CHUNK_TRIALS,
+    MODES,
+    SUB_ROWS,
+    TrialBatchResult,
+    _channel_powers,
+)
 from util import (
     blockage_pattern_se_cdf,
     realistic_se_cdf,
@@ -154,7 +163,7 @@ class TestChannelPower:
     def test_run_trials_is_log2_of_scaled_power(self, baseline, aods, mode):
         n = CHUNK_TRIALS + 17  # cross a chunk boundary
         alloc = PanelAllocation((2, 1, 2, 3))
-        power = _channel_power(baseline, alloc, aods, mode, n, 41)
+        power = _power(baseline, alloc, aods, mode, n, 41)
         expected = np.log2(1 + baseline.tx_snr * power)
         result = run_trials(baseline, alloc, aods, mode, n, 41)
         assert result.se_samples.tobytes() == expected.tobytes()
@@ -162,7 +171,21 @@ class TestChannelPower:
         assert result.mean_rsnr == float((baseline.tx_snr * power).mean())
         # the draws ignore tx_snr; run_trials applies it
         louder = replace(baseline, tx_snr=40.0)
-        assert _channel_power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
+        assert _power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
+
+
+def _power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
+    """|h_eq|^2 of one allocation in one mode, from the library kernel."""
+    return _channel_powers(config, [alloc], aods, n_trials, seed, (mode,))[mode, alloc.q]
+
+
+def _worker_scratch(num_paths, mode) -> int:
+    """Bytes of one worker's scratch: per chunk row the two float gain planes
+    over L paths, and in realistic mode the frame's p_hat drawn by the
+    generator; per sub-block row the float draws, bool mask and complex gains
+    over L paths and the complex h_eq."""
+    chunk_row = 16 * num_paths + (8 if mode == "realistic" else 0)
+    return CHUNK_TRIALS * chunk_row + SUB_ROWS * (num_paths * (8 + 1 + 16) + 16)
 
 
 class TestThreadedFill:
@@ -173,25 +196,62 @@ class TestThreadedFill:
         for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
             for seed in (3, 2024):
                 expected = serial_channel_power(baseline, alloc, aods, mode, n, seed)
-                got = _channel_power(baseline, alloc, aods, mode, n, seed)
+                got = _power(baseline, alloc, aods, mode, n, seed)
                 assert got.tobytes() == expected.tobytes(), (n, seed)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_traced_peak_is_output_plus_worker_scratch(self, baseline, aods, mode):
         n = 3 * CHUNK_TRIALS
         workers = min(montecarlo._usable_cpus(), 3)
-        # per chunk row: complex gains, float draws and bool mask over L paths,
-        # complex h_eq, and in realistic mode the frame's p_hat drawn by the generator
-        row_bytes = baseline.num_paths * (16 + 8 + 1) + 16 + (8 if mode == "realistic" else 0)
         alloc = uniform_allocation(baseline)
-        _channel_power(baseline, alloc, aods, mode, 10, 0)  # lazy imports happen outside the trace
+        run_trials(baseline, alloc, aods, mode, 10, 0)  # lazy imports happen outside the trace
         tracemalloc.start()
         try:
-            _channel_power(baseline, alloc, aods, mode, n, 9)
+            run_trials(baseline, alloc, aods, mode, n, 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n + workers * CHUNK_TRIALS * row_bytes + 2**20
+        assert peak < 8 * n + workers * _worker_scratch(baseline.num_paths, mode) + 2**20
+
+    @pytest.mark.parametrize("modes", [("idealized",), MODES])
+    def test_traced_peak_of_batch_is_outputs_plus_worker_scratch(self, baseline, aods, modes):
+        n = 3 * CHUNK_TRIALS
+        workers = min(montecarlo._usable_cpus(), 3)
+        allocs = [
+            uniform_allocation(baseline), los_concentration(baseline), PanelAllocation((1, 2, 2, 3))
+        ]
+        scratch = max(_worker_scratch(baseline.num_paths, mode) for mode in modes)
+        run_batches(baseline, allocs, aods, 10, 0, modes)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            results = run_batches(baseline, allocs, aods, n, 9, modes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(allocs) * len(modes)
+        assert peak < len(results) * 8 * n + workers * scratch + 2**20
+
+    def test_more_workers_than_cores_equal_serial_chunk_loop(self, baseline, aods, monkeypatch):
+        # five workers share every result array, each writing its own chunks' slices
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+        allocs = [PanelAllocation((8, 0, 0, 0)), PanelAllocation((1, 2, 2, 3))]
+        n = 5 * CHUNK_TRIALS + 7
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: outcome.append(_channel_powers(baseline, allocs, aods, n, 6, MODES)),
+                daemon=True,
+            )
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(outcome) == 1
+        for (mode, q), power in outcome[0].items():
+            expected = serial_channel_power(baseline, PanelAllocation(q), aods, mode, n, 6)
+            assert power.tobytes() == expected.tobytes(), (mode, q)
 
     def test_worker_exception_reaches_caller(self, baseline, aods, monkeypatch):
         chunk_rng = montecarlo._chunk_rng
@@ -207,7 +267,7 @@ class TestThreadedFill:
         def call():
             try:
                 outcome.append(
-                    _channel_power(
+                    run_trials(
                         baseline, uniform_allocation(baseline), aods, "idealized",
                         3 * CHUNK_TRIALS, 5,
                     )
@@ -223,9 +283,89 @@ class TestThreadedFill:
         assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "chunk 1 failed"
 
 
+@st.composite
+def batch_cases(draw):
+    """A configuration, AoDs and allocations (zero entries and duplicates included)."""
+    L = draw(st.integers(2, 8))
+    n_p = draw(st.integers(1, 12))
+    kappa = draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 100.0))
+    config = SystemConfig(n_a=8, n_p=n_p, num_paths=L, rician_k=kappa)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    allocs = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = np.sort(gen.integers(0, n_p + 1, size=L - 1))
+        allocs.append(PanelAllocation(tuple(np.diff(np.r_[0, cuts, n_p]).tolist())))
+    allocs += draw(st.lists(st.sampled_from(allocs), max_size=2))  # repeats
+    return config, gen.uniform(0.0, math.pi, L), allocs
+
+
+class TestRunBatches:
+    @given(
+        case=batch_cases(),
+        modes=st.sampled_from([("idealized",), ("realistic",), MODES, MODES[::-1]]),
+        # across the sub-block and chunk boundaries
+        n=st.sampled_from([1, SUB_ROWS - 1, SUB_ROWS + 1, CHUNK_TRIALS, CHUNK_TRIALS + SUB_ROWS])
+        | st.integers(1, CHUNK_TRIALS + 2 * SUB_ROWS),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_separate_run_trials_bytewise(self, case, modes, n, seed):
+        config, aods, allocs = case
+        batches = run_batches(config, allocs, aods, n, seed, modes)
+        assert set(batches) == {(mode, alloc.q) for mode in modes for alloc in allocs}
+        for (mode, q), got in batches.items():
+            alone = run_trials(config, PanelAllocation(q), aods, mode, n, seed)
+            assert got.se_samples.tobytes() == alone.se_samples.tobytes(), (mode, q)
+            assert (got.mean_se, got.mean_rsnr) == (alone.mean_se, alone.mean_rsnr)
+            assert (got.trials, got.seed, got.mode) == (n, seed, mode)
+
+    def test_validation(self, baseline, aods):
+        alloc = los_concentration(baseline)
+        for modes in ((), ("exact",), ("idealized", "exact")):
+            with pytest.raises(ConfigurationError):
+                run_batches(baseline, [alloc], aods, 10, 0, modes)
+        with pytest.raises(ConfigurationError):
+            run_batches(baseline, [], aods, 10, 0)
+        with pytest.raises(ConfigurationError):
+            run_batches(baseline, [alloc, PanelAllocation((1, 1, 1, 1))], aods, 10, 0)
+
+
 def _batch(samples) -> TrialBatchResult:
     samples = np.asarray(samples, dtype=float)
     return TrialBatchResult(samples, float(samples.mean()), 0.0, samples.size, 0, "idealized")
+
+
+def _tied_samples(gen, n, distinct, zero_share) -> np.ndarray:
+    """n samples over `distinct` positive values, runs of ties included, plus a zero atom."""
+    pool = np.sort(gen.exponential(2.0, distinct)) + 1e-3
+    return np.where(gen.random(n) < zero_share, 0.0, gen.choice(pool, n))
+
+
+class TestEmpiricalMetrics:
+    @given(
+        seed=st.integers(0, 2**31),
+        n=st.integers(1, 5000),
+        distinct=st.sampled_from([1, 2, 40]) | st.integers(1, 5000),
+        zero_share=st.sampled_from([0.0, 0.4, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_sort_based_oracle(self, baseline, seed, n, distinct, zero_share):
+        gen = np.random.default_rng(seed)
+        samples = _tied_samples(gen, n, distinct, zero_share)
+        result = _batch(samples)
+        s = np.sort(samples)
+        # every tied value, points between them, and both ends
+        points = np.r_[-1.0, 0.0, np.unique(samples), np.unique(samples) + 1e-9, 1e3]
+        outages = [empirical_outage(result, x) for x in points]
+        assert outages == [np.searchsorted(s, x, side="left") / n for x in points]
+        expected = np.searchsorted(s, points, side="right") / n
+        assert result.empirical_cdf(points).tobytes() == expected.tobytes()
+        mix = rsnr_mixture(uniform_allocation(baseline), baseline)
+        assert ks_distance(result, lambda se: se_cdf(mix, se)) == unique_ks_distance(
+            samples, lambda se: se_cdf(mix, se)
+        )
+        # the samples stay in trial order
+        assert result.se_samples.tobytes() == samples.tobytes()
 
 
 class TestKsDistance:
@@ -264,6 +404,32 @@ class TestKsDistance:
 
         assert ks_distance(_batch(samples), model) == unique_ks_distance(samples, model)
 
+    @given(
+        seed=st.integers(0, 2**31),
+        n=st.integers(1, 3000),
+        distinct=st.sampled_from([1, 2, 40]) | st.integers(1, 3000),
+        zero_share=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.0),
+        heavy_share=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+        slab=st.sampled_from([1, 2, 7, 64, 300]) | st.integers(1, 4000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_value_slabs_equal_unpruned_oracle_bitwise(
+        self, baseline, seed, n, distinct, zero_share, heavy_share, slab
+    ):
+        # small slabs: many of them, some empty, heavy values alone in theirs
+        gen = np.random.default_rng(seed)
+        samples = _tied_samples(gen, n, distinct, zero_share)
+        samples[gen.random(n) < heavy_share] = samples[gen.integers(n)]
+        mix = rsnr_mixture(los_concentration(baseline), baseline)
+
+        def model(se):
+            return se_cdf(mix, se)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_KS_SLAB", slab)
+            got = ks_distance(_batch(samples), model)
+        assert got == unique_ks_distance(samples, model)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_designs_at_scale_equal_unpruned_oracle(self, baseline, aods, mode):
         for alloc in (uniform_allocation(baseline), optimize_outmin(baseline, 1.0).chosen):
@@ -285,6 +451,16 @@ class TestKsDistance:
         assert ks_distance(_batch(samples), falling(1e-13)) == unique_ks_distance(
             samples, falling(1e-13)
         )
+
+    @pytest.mark.parametrize("slab", [1 << 20, 100])
+    def test_nan_sample_is_rejected(self, baseline, slab):
+        samples = np.linspace(0.0, 8.0, 1000)
+        samples[[0, 500]] = np.nan
+        mix = rsnr_mixture(uniform_allocation(baseline), baseline)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_KS_SLAB", slab)
+            with pytest.raises(ValueError, match="NaN"):
+                ks_distance(_batch(samples), lambda se: se_cdf(mix, se))
 
     @pytest.mark.parametrize("design", [los_concentration, uniform_allocation])
     def test_traced_peak_is_block_sized(self, baseline, aods, design):

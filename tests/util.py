@@ -10,10 +10,16 @@ from panelalloc import (
     beam_hpbw_deg,
     build_beamformer,
     equivalent_array_response_exact,
+    rsnr_mixture,
+    run_trials,
+    sample_channel,
     score_allocations,
+    se_cdf,
     validate_allocation,
 )
+from panelalloc import cli
 from panelalloc.channel import blockage_attenuation
+from panelalloc.export import write_columns_csv, write_samples_csv, write_summary_csv
 from panelalloc.montecarlo import CHUNK_TRIALS
 
 
@@ -156,8 +162,8 @@ def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
 
 
 def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
-    """``montecarlo._channel_power`` as one serial loop over the chunks,
-    concatenated at the end.
+    """|h_eq|^2 of one allocation in one mode as one serial loop over the
+    chunks, concatenated at the end.
 
     The single-threaded chunk loop the threaded fill replaced, with the gain
     law (scale * (z1 + 1j z2)) and the shared-p_hat blockage law
@@ -196,3 +202,33 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
         h_eq = np.sum(omega * gains.conj() * a_eq[None, :], axis=1)
         power_chunks.append(np.abs(h_eq) ** 2)
     return np.concatenate(power_chunks)
+
+
+def reference_cdf(argv) -> None:
+    """``panelalloc cdf <argv>`` from one ``run_trials`` call per method and mode.
+
+    The per-method loop the one-pass kernel replaced: the same spec and
+    allocations, each method simulated on its own in each mode, written by
+    the library's writers.
+    """
+    parser = cli.build_parser()
+    spec = cli._spec_from_args(parser, parser.parse_args(["cdf", *argv]))
+    aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
+    for method, alloc in cli.resolve_allocations(spec).items():
+        ideal = run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
+        real = run_trials(spec.config, alloc, aods, "realistic", spec.trials, spec.seed)
+        comment = spec.comment(
+            "cdf", method=method, q="/".join(map(str, alloc.q)), target_se=spec.target_se
+        )
+        grid = spec.se_grid
+        columns = {"se_bits": grid, "cdf_analytic": se_cdf(rsnr_mixture(alloc, spec.config), grid)}
+        for result in (ideal, real):
+            below = np.searchsorted(np.sort(result.se_samples), grid, side="right")
+            columns[f"cdf_mc_{result.mode}"] = below / spec.trials
+        write_columns_csv(spec.output_dir / f"cdf_{method}.csv", comment, columns)
+        write_summary_csv(spec.output_dir / f"summary_{method}.csv", comment, [ideal, real])
+        if spec.dump_samples:
+            for result in (ideal, real):
+                write_samples_csv(
+                    spec.output_dir / f"samples_{method}_{result.mode}.csv", comment, result
+                )
