@@ -141,7 +141,9 @@ def blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits) -> np.ndarray
         k = int(blocked.sum())
         weight = float(np.sum(weights * p_hat**k * (1.0 - p_hat) ** (L - k)))
         scale = config.tx_snr * float(np.where(blocked, blocked_power, clear_power).sum())
-        cdf += weight * (1.0 if scale == 0.0 else -np.expm1(-gamma / scale))
+        # a subnormal scale (kappa near 5e-324) sends gamma / scale to inf: the CDF is 1
+        with np.errstate(over="ignore"):
+            cdf += weight * (1.0 if scale == 0.0 else -np.expm1(-gamma / scale))
     return cdf.reshape(np.shape(se_bits))
 
 
