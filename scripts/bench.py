@@ -1,25 +1,25 @@
 #!/usr/bin/env python3
 """Median wall times of the Monte Carlo layer and of the battery's jobs.
 
-    PYTHONPATH=src python scripts/bench.py [--repeats 5] [--trials 1000000]
+    PYTHONPATH=src python scripts/bench.py
 
 Measures the panelalloc that is importable, so pointing PYTHONPATH at
 another checkout's src measures that one (scripts/run_experiments.py is
 run with the same environment). Prints one JSON object:
 
-  montecarlo   seconds per 10^6 trials on the baseline scenario, AoDs and
-               seed 1: for each mode, one batch (the outmin design) and
-               cdf's four designs; and cdf's whole pass, four designs in
-               both modes (8 batches). A program without ``run_batches``
-               simulates each batch with its own ``run_trials`` call.
+  montecarlo   seconds for TRIALS = 10^6 trials on the baseline scenario,
+               AoDs and seed 1: for each mode, one batch (the outmin
+               design) and cdf's four designs; and cdf's whole pass, four
+               designs in both modes (8 batches). A program without
+               ``run_batches`` simulates each batch with its own
+               ``run_trials`` call.
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
 
-Each number is the median of --repeats timings; the Monte Carlo ones run
-in this process after one warm-up call.
+Each number is the median of REPEATS = 5 timings; the Monte Carlo ones
+run in this process after one warm-up call.
 """
 
-import argparse
 import json
 import re
 import statistics
@@ -36,43 +36,45 @@ from panelalloc import cli, montecarlo
 
 ROOT = Path(__file__).resolve().parents[1]
 DESIGNS = ("los", "uniform", "outmin", "outmin_ase")
+TRIALS = 10**6
+REPEATS = 5
 
 
-def simulate(config, allocs, aods, trials, modes):
+def simulate(config, allocs, aods, modes):
     if hasattr(montecarlo, "run_batches"):
-        return montecarlo.run_batches(config, allocs, aods, trials, 1, modes)
-    return [pa.run_trials(config, a, aods, m, trials, 1) for m in modes for a in allocs]
+        return montecarlo.run_batches(config, allocs, aods, TRIALS, 1, modes)
+    return [pa.run_trials(config, a, aods, m, TRIALS, 1) for m in modes for a in allocs]
 
 
-def median_seconds(fn, repeats: int) -> float:
+def median_seconds(fn) -> float:
     fn()  # warm-up
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
-def montecarlo_layer(trials: int, repeats: int) -> dict:
+def montecarlo_layer() -> dict:
     config = pa.SystemConfig()
-    spec = cli.ExperimentSpec(config, DESIGNS, 1, trials, cli.DEFAULT_EPSILON, 1.0, Path("."))
+    spec = cli.ExperimentSpec(config, DESIGNS, 1, TRIALS, cli.DEFAULT_EPSILON, 1.0, Path("."))
     designs = list(cli.resolve_allocations(spec).values())
     aods = pa.sample_channel(config, rng=np.random.default_rng(1)).aods
-    per_million = 1e6 / trials
     out = {}
     for mode in montecarlo.MODES:
         for name, allocs in (("one_batch", designs[2:3]), ("cdf_designs", designs)):
-            run = lambda: simulate(config, allocs, aods, trials, (mode,))  # noqa: E731
-            out[f"{mode}.{name}_s"] = median_seconds(run, repeats) * per_million
-    run = lambda: simulate(config, designs, aods, trials, montecarlo.MODES)  # noqa: E731
-    out["cdf_pass_8_batches_s"] = median_seconds(run, repeats) * per_million
+            run = lambda: simulate(config, allocs, aods, (mode,))  # noqa: E731
+            out[f"{mode}.{name}_s"] = median_seconds(run)
+    out["cdf_pass_8_batches_s"] = median_seconds(
+        lambda: simulate(config, designs, aods, montecarlo.MODES)
+    )
     return out
 
 
-def battery_jobs(repeats: int) -> dict:
+def battery_jobs() -> dict:
     runs: dict[str, list[float]] = {}
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as out:
             text = subprocess.run(
                 [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), "--seed", "5",
@@ -89,16 +91,7 @@ def battery_jobs(repeats: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--trials", type=int, default=10**6)
-    args = parser.parse_args()
-    result = {
-        "repeats": args.repeats,
-        "trials": args.trials,
-        "montecarlo": montecarlo_layer(args.trials, args.repeats),
-        "battery": battery_jobs(args.repeats),
-    }
+    result = {"montecarlo": montecarlo_layer(), "battery": battery_jobs()}
     print(json.dumps(result, indent=2))
     return 0
 

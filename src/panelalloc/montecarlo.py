@@ -255,9 +255,12 @@ def empirical_outage(result: TrialBatchResult, target_se: float) -> float:
     return int(np.count_nonzero(result.se_samples < target_se)) / result.trials
 
 
-# ks_distance sorts the samples one value slab of about this many at a time,
-# so it never holds a sorted copy of them all.
+# ks_distance sorts the samples one value slab at a time, so it never holds
+# a sorted copy of them all: slabs of about max(_KS_SLAB, n / _KS_SLABS)
+# samples, plus one per heavy value, so it reads the samples a bounded
+# number of times whatever their count.
 _KS_SLAB = 1 << 17
+_KS_SLABS = 16
 # ks_distance gathers a slab from this many samples at a time
 _KS_PIECE = 1 << 16
 # ks_distance walks each sorted slab in blocks of about this many, so it
@@ -278,132 +281,120 @@ def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     elsewhere; tied zero samples are collapsed so the atom is compared
     jump-against-jump.
 
-    The samples are cut by value into slabs of about 131,072
-    (``_ks_edges``); a value that fills half a slab alone, like the atom,
-    gets a slab of its own, which is one run of ties and is only counted.
-    Each other slab is gathered piece by piece, sorted and cut into blocks
-    of about 128, each ending at the end of its run of ties. One model call
-    on every block's first and last sample gives the exact deviation of
-    those two runs, and bounds the block's deviation by
-    max(b/n - F(first), F(last) - a/n) for block [a, b) in global sorted
-    positions; blocks are then evaluated run by run in descending bound
-    until no bound left reaches the largest deviation found. Slabs are
-    visited where a strided subsample deviates most first, so that the
-    largest deviation found rises early. Memory is about one slab, and the
-    distance is bit for bit that of evaluating every run. Raises ValueError
-    if the model falls by more than 1e-12 between block endpoints, or if a
-    sample is NaN.
+    The samples are cut by value into slabs of about max(131,072, n/16)
+    samples, so at most 16 (``_ks_edges``); a value that fills half a slab
+    alone, like the atom, gets a slab of its own, which is only counted.
+    A first pass gathers and sorts each slab in turn and cuts it into
+    blocks of about 128, each ending at the end of its run of ties. One
+    model call on every block's first and last sample bounds the block's
+    deviation by max(b/n - F(first), F(last) - a/n) for block [a, b) in
+    sorted positions. A second pass visits the slabs in descending largest
+    bound, gathers each again and evaluates its blocks run by run in
+    descending bound, until no bound left reaches the largest deviation
+    found. So the samples are read at most twice per slab, and memory is
+    about two slabs plus a few values per block, where a sorted copy would
+    take n. The distance is bit for bit that of evaluating every run.
+    Raises ValueError if the model falls by more than 1e-12 between block
+    endpoints, or if a sample is NaN.
     """
     x, n = result.se_samples, result.trials
-    if np.isnan(x).any():  # a NaN falls in no slab
+    edges = _ks_edges(x)
+    slabs = list(zip(np.r_[-np.inf, edges].tolist(), np.r_[edges, np.inf].tolist()))
+    # first pass, in value order: each slab's blocks in its own positions
+    cuts = [_ks_cut(_ks_take(x, lo, hi)) for lo, hi in slabs]
+    sizes = np.array([ends[-1] if ends.size else 0 for _, ends, _ in cuts], dtype=np.int64)
+    if sizes.sum() != n:  # only a NaN falls in no slab
         raise ValueError("samples must not be NaN")
-    edges, sub = _ks_edges(x)
-    lows, highs = np.r_[-np.inf, edges], np.r_[edges, np.inf]
-    at_or_above = [np.count_nonzero(x >= edge) for edge in edges]
-    counts = -np.diff(np.r_[n, at_or_above, 0])
-    offsets = n - np.r_[n, at_or_above]
-    score = np.zeros(counts.size)
-    if sub.size:
-        # the subsample's deviation at its own ranks guesses where the maximum lies
-        guess = np.abs((np.arange(sub.size) + 0.5) / sub.size - se_cdf(sub))
-        np.maximum.at(score, np.searchsorted(edges, sub, side="right"), guess)
-    best, endpoints = 0.0, {}
-    for j in np.argsort(-score, kind="stable").tolist():
-        start, size = int(offsets[j]), int(counts[j])
-        if size == 0:
-            continue
-        if np.nextafter(lows[j], np.inf) == highs[j]:  # one value: one run of ties
-            xs = lows[j : j + 1]
-            model = np.asarray(se_cdf(xs), dtype=float)
-            run = np.array([start])
-            best = max(best, _ks_runs(n, run, run + size, xs, model))
-            endpoints[j] = model
-        else:
-            s = _ks_take(x, lows[j], highs[j], size)
-            best, endpoints[j] = _ks_slab(s, start, n, se_cdf, best)
-            del s  # before the next slab is gathered
-    values = np.concatenate([endpoints[j] for j in sorted(endpoints)])
-    if not np.all(np.diff(values) >= -_KS_SLACK):
+    offsets = np.cumsum(sizes) - sizes
+    starts = np.concatenate([offset + c[0] for offset, c in zip(offsets, cuts)])
+    ends = np.concatenate([offset + c[1] for offset, c in zip(offsets, cuts)])
+    slab_of = np.repeat(np.arange(len(slabs)), [c[1].size for c in cuts])
+    endpoints = np.asarray(se_cdf(np.concatenate([c[2] for c in cuts])), dtype=float)
+    if not np.all(np.diff(endpoints) >= -_KS_SLACK):
         raise ValueError("se_cdf must be a CDF: it decreases between sorted samples")
+    first, last = endpoints.reshape(-1, 2).T
+    bound = np.maximum(ends / n - first, last - starts / n)
+    tops = np.full(len(slabs), -np.inf)
+    np.maximum.at(tops, slab_of, bound)
+    # second pass, in descending largest bound
+    best = 0.0
+    for j in np.argsort(-tops, kind="stable").tolist():
+        if tops[j] < best - _KS_SLACK:
+            break
+        mine = slab_of == j
+        # gathered in the call, so one slab is held at a time
+        best = _ks_walk(
+            _ks_take(x, *slabs[j]), int(offsets[j]), n, starts[mine], ends[mine], bound[mine],
+            se_cdf, best,
+        )
     return float(best)
 
 
-def _ks_edges(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inner slab edges, sorted strided subsample) of samples x.
+def _ks_edges(x: np.ndarray) -> np.ndarray:
+    """Inner slab edges of x: quantiles of a strided subsample, 64 points per slab.
 
-    The subsample keeps about 64 points per slab of ``_KS_SLAB``; its
-    quantiles split x into slabs of about that many. A value that fills
-    half a slab of the subsample is heavy and gets the slab
-    [v, nextafter(v)) alone.
+    A value that fills half a slab of the subsample gets [v, nextafter(v)).
     """
-    slabs = -(-x.size // _KS_SLAB)
+    slabs = min(_KS_SLABS, -(-x.size // _KS_SLAB))
     if slabs == 1:
-        return np.empty(0), np.empty(0)
-    stride = max(1, _KS_SLAB // 64)
-    sub = np.sort(x[::stride])
+        return np.empty(0)
+    sub = np.sort(x[:: max(1, x.size // (64 * slabs))])
     values, hits = np.unique(sub, return_counts=True)
-    heavy = values[hits >= max(1, _KS_SLAB // stride // 2)]
+    heavy = values[hits >= max(1, sub.size // (2 * slabs))]
     pivots = sub[np.arange(1, slabs) * sub.size // slabs]
-    return np.unique(np.r_[pivots, heavy, np.nextafter(heavy, np.inf)]), sub
+    edges = np.unique(np.r_[pivots, heavy, np.nextafter(heavy, np.inf)])
+    return edges[edges < np.inf]  # the top slab holds +inf
 
 
-def _ks_take(x: np.ndarray, lo: float, hi: float, size: int) -> np.ndarray:
-    """The ``size`` samples in [lo, hi), gathered piece by piece, sorted."""
-    s = np.empty(size)
-    filled = 0
-    for a in range(0, x.size, _KS_PIECE):
-        piece = x[a : a + _KS_PIECE]
-        keep = piece >= lo
-        if hi < np.inf:
-            keep &= piece < hi
-        k = np.count_nonzero(keep)
-        np.compress(keep, piece, out=s[filled : filled + k])
-        filled += k
+def _ks_take(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The samples in [lo, hi), sorted; a one-value slab as a view that holds no copy."""
+    pieces = (x[a : a + _KS_PIECE] for a in range(0, x.size, _KS_PIECE))
+    if np.nextafter(lo, np.inf) == hi:
+        return np.broadcast_to(lo, (sum(np.count_nonzero(p == lo) for p in pieces),))
+    # np.compress gathers a few times faster than a boolean index
+    s = np.concatenate(
+        [np.compress((p >= lo) & (p < hi) if hi < np.inf else p >= lo, p) for p in pieces]
+    )
     s.sort()
     return s
 
 
-def _ks_slab(s: np.ndarray, start: int, n: int, se_cdf, best: float):
-    """(best, model at block endpoints) after walking sorted slab s at global positions start on."""
-    ends = np.union1d(np.searchsorted(s, s[_KS_BLOCK - 1 :: _KS_BLOCK], side="right"), s.size)
-    starts = np.r_[0, ends[:-1]]
-    endpoints = np.asarray(se_cdf(np.column_stack((s[starts], s[ends - 1])).ravel()), dtype=float)
-    first, last = endpoints[0::2], endpoints[1::2]
-    # the first and last run of every block, exactly
-    lo = np.r_[starts, np.searchsorted(s, s[ends - 1], side="left")]
-    hi = np.r_[np.searchsorted(s, s[starts], side="right"), ends]
-    best = max(best, _ks_runs(n, start + lo, start + hi, s[lo], np.r_[first, last]))
-    bound = np.maximum((start + ends) / n - first, last - (start + starts) / n)
+def _ks_cut(s: np.ndarray):
+    """(starts, ends, first and last samples) of blocks of sorted s that end runs of ties."""
+    if s.size and s[0] == s[-1]:  # one run: no search, and s may be a view of one value
+        ends = np.array([s.size])
+    else:
+        ends = np.union1d(np.searchsorted(s, s[_KS_BLOCK - 1 :: _KS_BLOCK], side="right"), s.size)
+        ends = ends[ends > 0]
+    starts = np.r_[0, ends][:-1]
+    return starts, ends, np.column_stack((s[starts], s[ends - 1])).ravel()
+
+
+def _ks_walk(s: np.ndarray, offset: int, n: int, starts, ends, bound, se_cdf, best: float):
+    """best, raised by the blocks of slab s (s[0] at position offset) whose bound reaches it."""
     order = np.argsort(-bound, kind="stable")
     for i in range(0, order.size, _KS_BATCH):
         group = order[i : i + _KS_BATCH]
         group = group[bound[group] >= best - _KS_SLACK]
         if group.size == 0:
             break
-        best = max(best, _ks_blocks(s, start, n, starts[group], ends[group], se_cdf))
-    return best, endpoints
+        best = max(best, _ks_blocks(s, offset, n, starts[group], ends[group], se_cdf))
+    return best
 
 
-def _ks_blocks(s: np.ndarray, start: int, n: int, starts, ends, se_cdf) -> float:
-    """Largest deviation over the runs of ties in blocks s[a:b] that start and end runs."""
-    lengths = ends - starts
-    block_ends = np.cumsum(lengths)
-    pos = np.arange(block_ends[-1]) + np.repeat(starts - (block_ends - lengths), lengths)
-    vals = s[pos]
-    # a value is one run in one block, so runs start where the value changes
-    first = np.empty(pos.size, bool)
-    first[0] = True
-    np.not_equal(vals[1:], vals[:-1], out=first[1:])
-    last = np.append(first[1:], True)
-    xs = vals[first]
-    return _ks_runs(n, start + pos[first], start + pos[last] + 1, xs, se_cdf(xs))
-
-
-def _ks_runs(n: int, lo, hi, xs, model) -> float:
-    """Largest deviation over runs of ties xs at global sorted positions [lo, hi)."""
-    model = np.asarray(model, dtype=float)
+def _ks_blocks(s: np.ndarray, offset: int, n: int, starts, ends, se_cdf) -> float:
+    """Largest deviation over the runs of ties in blocks [a, b) of slab s, s[0] at offset."""
+    run_starts, run_ends = [], []
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        block = s[a - offset : b - offset]
+        first = a + np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
+        run_starts.append(first)
+        run_ends.append(np.r_[first[1:], b])
+    lo, hi = np.concatenate(run_starts), np.concatenate(run_ends)
+    xs = s[lo - offset]
     fn_hi = hi / n  # empirical CDF at xs
     fn_lo = fn_hi - (hi - lo) / n  # empirical CDF just below xs
+    model = np.asarray(se_cdf(xs), dtype=float)
     # the atom at SE = 0 jumps from 0, so the model just below it is 0
     model_left = np.where((lo == 0) & (xs == 0.0), 0.0, model)
     return max(np.max(fn_hi - model), np.max(model_left - fn_lo))

@@ -27,7 +27,9 @@ from panelalloc import (
 )
 from panelalloc import montecarlo
 from panelalloc.montecarlo import (
+    _KS_BATCH,
     _KS_BLOCK,
+    _KS_SLABS,
     CHUNK_TRIALS,
     MODES,
     SUB_ROWS,
@@ -411,15 +413,19 @@ class TestKsDistance:
         zero_share=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.0),
         heavy_share=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
         slab=st.sampled_from([1, 2, 7, 64, 300]) | st.integers(1, 4000),
+        slabs=st.sampled_from([2, 16, 300]),
+        infinite=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
     def test_value_slabs_equal_unpruned_oracle_bitwise(
-        self, baseline, seed, n, distinct, zero_share, heavy_share, slab
+        self, baseline, seed, n, distinct, zero_share, heavy_share, slab, slabs, infinite
     ):
         # small slabs: many of them, some empty, heavy values alone in theirs
         gen = np.random.default_rng(seed)
         samples = _tied_samples(gen, n, distinct, zero_share)
         samples[gen.random(n) < heavy_share] = samples[gen.integers(n)]
+        if infinite:  # the top slab is open above
+            samples[gen.integers(n)] = np.inf
         mix = rsnr_mixture(los_concentration(baseline), baseline)
 
         def model(se):
@@ -427,8 +433,50 @@ class TestKsDistance:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_KS_SLAB", slab)
+            patch.setattr(montecarlo, "_KS_SLABS", slabs)
             got = ks_distance(_batch(samples), model)
         assert got == unique_ks_distance(samples, model)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_block_bound_just_above_best_is_evaluated(self, split):
+        # _KS_BATCH blocks bound near u but deviate u/2; the next block's
+        # bound is u/2 + 5e-5 and it deviates u/2 + 3e-5, so pruning with any
+        # slack above 3e-5, per block or per slab, misses the distance
+        n = (_KS_BATCH + 1) * _KS_BLOCK
+        u = _KS_BLOCK / n
+        values = []
+        for k in range(_KS_BATCH):
+            values += [k * u + (k + 1) * 1e-6] + [k * u + u / 2] * (_KS_BLOCK - 1)
+        f = _KS_BATCH * u + u / 2 - 5e-5
+        values += [f] + [f + 2e-5] * (_KS_BLOCK - 1)
+        samples = np.random.default_rng(0).permutation(values)
+
+        def uniform_cdf(se):
+            return np.clip(np.asarray(se, dtype=float), 0.0, 1.0)
+
+        expected = unique_ks_distance(samples, uniform_cdf)
+        assert expected > u / 2 + 2e-5
+        with pytest.MonkeyPatch.context() as patch:
+            if split:  # the last block in a slab of its own
+                edge = np.array([(values[-_KS_BLOCK - 1] + f) / 2])
+                patch.setattr(montecarlo, "_ks_edges", lambda x: edge)
+            assert ks_distance(_batch(samples), uniform_cdf) == expected
+
+    def test_samples_are_read_a_bounded_number_of_times(self, baseline, aods, monkeypatch):
+        # uncapped, slabs of 1024 would cut 2e5 samples into 196 slabs
+        result = run_trials(baseline, uniform_allocation(baseline), aods, "realistic", 2 * 10**5, 3)
+        mix = rsnr_mixture(uniform_allocation(baseline), baseline)
+        take, gathers = montecarlo._ks_take, []
+
+        def counted(*args):
+            gathers.append(args)
+            return take(*args)
+
+        monkeypatch.setattr(montecarlo, "_KS_SLAB", 1024)
+        monkeypatch.setattr(montecarlo, "_ks_take", counted)
+        ks_distance(result, lambda se: se_cdf(mix, se))
+        # each gather reads the samples once: every slab once, and again at most once
+        assert len(gathers) <= 2 * _KS_SLABS
 
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_designs_at_scale_equal_unpruned_oracle(self, baseline, aods, mode):
