@@ -7,12 +7,14 @@ Measures the panelalloc that is importable, so pointing PYTHONPATH at
 another checkout's src measures that one (scripts/run_experiments.py is
 run with the same environment). Prints one JSON object:
 
-  montecarlo   seconds for TRIALS = 10^6 trials on the baseline scenario,
-               AoDs and seed 1: for each mode, one batch (the outmin
-               design) and cdf's four designs; and cdf's whole pass, four
-               designs in both modes (8 batches). A program without
-               ``run_batches`` simulates each batch with its own
-               ``run_trials`` call.
+  montecarlo   seconds for TRIALS = 10^6 trials at AoDs and seed 1: for
+               each mode, one batch (the outmin design) and cdf's four
+               designs; and cdf's whole pass, four designs in both modes
+               (8 batches). Keys without a prefix are the baseline
+               scenario (8 panels, 4 paths); keys prefixed ``scale_16_8.``
+               are scenarios/scale_16_8.txt (16 panels, 8 paths). A
+               program without ``run_batches`` simulates each batch with
+               its own ``run_trials`` call.
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
 
@@ -57,18 +59,19 @@ def median_seconds(fn) -> float:
 
 
 def montecarlo_layer() -> dict:
-    config = pa.SystemConfig()
-    spec = cli.ExperimentSpec(config, DESIGNS, 1, TRIALS, cli.DEFAULT_EPSILON, 1.0, Path("."))
-    designs = list(cli.resolve_allocations(spec).values())
-    aods = pa.sample_channel(config, rng=np.random.default_rng(1)).aods
     out = {}
-    for mode in montecarlo.MODES:
-        for name, allocs in (("one_batch", designs[2:3]), ("cdf_designs", designs)):
-            run = lambda: simulate(config, allocs, aods, (mode,))  # noqa: E731
-            out[f"{mode}.{name}_s"] = median_seconds(run)
-    out["cdf_pass_8_batches_s"] = median_seconds(
-        lambda: simulate(config, designs, aods, montecarlo.MODES)
-    )
+    scale, _ = pa.load_scenario(ROOT / "scenarios" / "scale_16_8.txt")
+    for prefix, config in (("", pa.SystemConfig()), ("scale_16_8.", scale)):
+        spec = cli.ExperimentSpec(config, DESIGNS, 1, TRIALS, cli.DEFAULT_EPSILON, 1.0, Path("."))
+        designs = list(cli.resolve_allocations(spec).values())
+        aods = pa.sample_channel(config, rng=np.random.default_rng(1)).aods
+        for mode in montecarlo.MODES:
+            for name, allocs in (("one_batch", designs[2:3]), ("cdf_designs", designs)):
+                run = lambda: simulate(config, allocs, aods, (mode,))  # noqa: E731
+                out[f"{prefix}{mode}.{name}_s"] = median_seconds(run)
+        out[f"{prefix}cdf_pass_8_batches_s"] = median_seconds(
+            lambda: simulate(config, designs, aods, montecarlo.MODES)
+        )
     return out
 
 

@@ -119,23 +119,26 @@ def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
     return 1.0 / (ETA_BASE + 180.0 / hpbw)
 
 
-def _blockage_probability(config: SystemConfig, shared: bool, rng, n_frames: int) -> np.ndarray:
-    """Probability (n_frames, 1) that each path of a frame is blocked.
+def _shared_blockage_probability(config: SystemConfig, rng, out) -> np.ndarray:
+    """Probability (n_frames, 1) that each path of a frame is blocked, under shared blockage.
 
-    Independent blockage draws nothing: every frame has the marginal p_blk.
-    Shared blockage draws one p_hat ~ U(p_min, p_max) per frame, shared by
-    all its paths; marginally each path is still blocked with probability
-    p_blk, but blockage events within a frame are positively correlated.
+    One p_hat ~ U(p_min, p_max) per frame, drawn into the float buffer
+    ``out`` (n_frames,) and shared by all the frame's paths; marginally each
+    path is still blocked with probability p_blk, but blockage events
+    within a frame are positively correlated. (Independent blockage draws
+    nothing: every frame has the marginal p_blk.) The draws are bit for bit
+    ``rng.uniform(p_min, p_max, n_frames)``, which is p_min + (p_max - p_min) u.
     """
-    if not shared:
-        return np.broadcast_to(config.p_blk, (n_frames, 1))
-    return rng.uniform(config.p_min, config.p_max, size=n_frames)[:, None]
+    rng.random(out=out)
+    out *= config.p_max - config.p_min
+    out += config.p_min
+    return out[:, None]
 
 
 def _block(rng: np.random.Generator, p_block, buf, mask) -> None:
     """Draw the blocked pattern ``mask`` (n, L): each path blocked with probability p_block.
 
-    p_block broadcasts against (n, L), e.g. a ``_blockage_probability``
+    p_block broadcasts against (n, L), e.g. a ``_shared_blockage_probability``
     column. The uniform draws go through the float scratch ``buf``.
     """
     rng.random(out=buf)

@@ -15,17 +15,23 @@ random numbers: one seed gives every design the same frames. Each chunk
 draws its path gains once; each mode's blockage is drawn once, from the
 generator state right after the gains, so a mode's frames do not depend on
 which other modes or allocations share the call. Every allocation's
-|h_eq|^2 is then formed in row sub-blocks of ``SUB_ROWS``. ``run_trials``
-is its one-allocation, one-mode call.
+|h_eq|^2 is then formed in row sub-blocks of ``SUB_ROWS``: the spent
+blockage draws become a weight plane, 1 on a clear path and the blocked
+value on a blocked one; the gains times the weights times conj(a_eq) give
+the conjugate of h_eq's terms, and ``_row_sum`` adds them in numpy's own
+order, so |h_eq|^2 is bit for bit sum(omega h^* a_eq) of the model.
+``run_trials`` is its one-allocation, one-mode call.
 
 Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
 chunks) threads, since numpy's generators and ufuncs release the
 interpreter lock. Each worker owns scratch arrays: two float gain planes
-sized to one chunk, (CHUNK_TRIALS, L), plus a float draw, a bool mask and
-a complex gain block of (SUB_ROWS, L) and a complex h_eq column: about
-5.1 MB at L = 4, on top of 8 n_trials bytes per result. Worker threads call
-only numpy and the private in-place helpers of ``channel``. The samples are
-bit-identical to a serial pass over the chunks.
+sized to one chunk, (CHUNK_TRIALS, L), and in realistic mode its p_hat
+column, plus a float draw (then weight) plane, bool blocked and clear
+planes and a complex gain block of (SUB_ROWS, L): about 5.0 MB at L = 4
+(0.5 MB more in realistic mode), on top of 8 n_trials bytes per result.
+Worker threads call only numpy and the private in-place helpers of
+``channel``. The samples are bit-identical to a serial pass over the
+chunks.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from .beamforming import (
 )
 from .channel import (
     _block,
-    _blockage_probability,
     _fill_gains,
+    _shared_blockage_probability,
     blockage_attenuation,
     path_variances,
 )
@@ -99,19 +105,58 @@ def _usable_cpus() -> int:
 
 
 def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, mode: str):
-    """(a_eq, blocked_values) of an allocation in a mode, both complex (L,).
+    """(conj(a_eq), blocked_values) of an allocation in a mode: complex and float (L,).
 
-    Complex, so the in-place products of the fill need no buffered cast. A
-    blocked path is multiplied by its blocked value: 0 in idealized mode; in
-    realistic mode 1/eta on a served path and 0 on an unserved one.
+    A blocked path is multiplied by its blocked value: 0 in idealized mode;
+    in realistic mode 1/eta on a served path and 0 on an unserved one.
     """
-    blocked_values = np.zeros(config.num_paths, complex)
+    blocked_values = np.zeros(config.num_paths)
     if mode == "idealized":
-        return equivalent_array_response_approx(alloc, config).astype(complex), blocked_values
-    a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-    served = alloc.as_array() > 0
-    blocked_values[served] = blockage_attenuation(beam_hpbw_deg(alloc, config.n_a)[served])
-    return a_eq.astype(complex), blocked_values
+        a_eq = equivalent_array_response_approx(alloc, config).astype(complex)
+    else:
+        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
+        served = alloc.as_array() > 0
+        blocked_values[served] = blockage_attenuation(beam_hpbw_deg(alloc, config.n_a)[served])
+    return a_eq.conj(), blocked_values
+
+
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """Sums of the rows of complex g (rows, L), in place: returns the column g[:, 0].
+
+    Bit for bit ``np.sum(g, axis=1)`` (but for the sign of a zero sum),
+    with a few column adds instead of one call per row. It replays numpy's
+    pairwise sum of a complex row, unrolled by 8 floats (4 complex
+    accumulators) in blocks of 128 floats: with L < 4 the columns are added
+    in turn; with 4 <= L <= 64 columns 0-3 accumulate columns i..i+3 for
+    i = 4, 8, ... below L - L % 4, then give (c0 + c1) + (c2 + c3), and the
+    last L % 4 columns are added in turn; a wider g is split after
+    (L - L % 8) / 2 columns and the halves' sums are added. Should a numpy
+    release sum differently, ``tests/test_montecarlo.py::TestRowSum`` fails
+    first, then the bytewise fill tests against ``np.sum`` in
+    ``tests/util.serial_channel_power``.
+    """
+    L = g.shape[1]
+    if L > 64:
+        half = (L - L % 8) // 2
+        total = _row_sum(g[:, :half])
+        total += _row_sum(g[:, half:])
+        return total
+    total = g[:, 0]
+    if L < 4:
+        for j in range(1, L):
+            total += g[:, j]
+        return total
+    c = [g[:, j] for j in range(4)]
+    end = L - L % 4
+    for i in range(4, end, 4):
+        for j in range(4):
+            c[j] += g[:, i + j]
+    total += c[1]
+    c[2] += c[3]
+    total += c[2]
+    for j in range(end, L):
+        total += g[:, j]
+    return total
 
 
 def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int, modes):
@@ -141,31 +186,32 @@ def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int
         raise ConfigurationError("run_batches needs at least one allocation")
 
     power = {(mode, q): np.empty(n_trials) for mode in modes for q in distinct}
-    # per mode: (a_eq, blocked_values, result buffer) of each allocation
-    targets = {
-        mode: [
-            (*_responses(config, alloc, aods, mode), power[mode, q])
-            for q, alloc in distinct.items()
-        ]
-        for mode in modes
-    }
+    # per mode and distinct blocked values: (conj(a_eq), result buffer) of each allocation
+    targets = {mode: {} for mode in modes}
+    for mode in modes:
+        for q, alloc in distinct.items():
+            conj_a_eq, blocked_values = _responses(config, alloc, aods, mode)
+            group = targets[mode].setdefault(blocked_values.tobytes(), (blocked_values, []))
+            group[1].append((conj_a_eq, power[mode, q]))
     variances = path_variances(config.rician_k, config.num_paths)
     L = config.num_paths
     sizes = _chunk_sizes(n_trials)
     workers = min(_usable_cpus(), len(sizes))
-    # Scratch, one set per worker: the chunk's gain planes, sized to its first
-    # (largest) chunk, and the sub-block's draws, blocked pattern, gains and
-    # h_eq. It is allocated here, not in the threads, whose per-thread malloc
+    # Scratch, one set per worker: the chunk's gain planes and, in realistic
+    # mode, its p_hat, sized to its first (largest) chunk, and the
+    # sub-block's draws (then weights), blocked and clear patterns and gains.
+    # It is allocated here, not in the threads, whose per-thread malloc
     # arenas would raise the peak RSS.
     sub = min(SUB_ROWS, sizes[0])
     scratch = [
-        (np.empty((rows, L)), np.empty((rows, L)), np.empty((sub, L)), np.empty((sub, L), bool),
-         np.empty((sub, L), complex), np.empty(sub, complex))
+        (np.empty((rows, L)), np.empty((rows, L)), np.empty(rows if "realistic" in modes else 0),
+         np.empty((sub, L)), np.empty((sub, L), bool), np.empty((sub, L), bool),
+         np.empty((sub, L), complex))
         for rows in sizes[:workers]
     ]
 
     def fill(worker: int) -> None:
-        re_all, im_all, draws_all, mask_all, gains_all, h_all = scratch[worker]
+        re_all, im_all, p_hat_all, weights_all, mask_all, keep_all, gains_all = scratch[worker]
         for chunk_index in range(worker, len(sizes), workers):
             size = sizes[chunk_index]
             re, im = re_all[:size], im_all[:size]
@@ -177,21 +223,29 @@ def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int
             for m, mode in enumerate(modes):
                 if m:
                     rng.bit_generator.state = after_gains
-                p_block = _blockage_probability(config, mode == "realistic", rng, size)
+                if mode == "realistic":
+                    p_block = _shared_blockage_probability(config, rng, p_hat_all[:size])
+                else:  # independent blockage: every frame has the marginal p_blk
+                    p_block = np.broadcast_to(config.p_blk, (size, 1))
                 for a in range(0, size, sub):
                     rows = min(sub, size - a)
-                    mask, gains, h_eq = mask_all[:rows], gains_all[:rows], h_all[:rows]
-                    _block(rng, p_block[a : a + rows], draws_all[:rows], mask)
-                    for a_eq, blocked_values, out in targets[mode]:
-                        # the conjugated gains h^* of the frames
-                        gains.real = re[a : a + rows]
-                        np.negative(im[a : a + rows], out=gains.imag)
-                        np.multiply(gains, blocked_values, out=gains, where=mask)
-                        gains *= a_eq
-                        np.sum(gains, axis=1, out=h_eq)
-                        rows_out = out[start + a : start + a + rows]
-                        np.abs(h_eq, out=rows_out)
-                        rows_out **= 2
+                    weights, mask, keep = weights_all[:rows], mask_all[:rows], keep_all[:rows]
+                    gains = gains_all[:rows]
+                    _block(rng, p_block[a : a + rows], weights, mask)
+                    np.logical_not(mask, out=keep)
+                    for blocked_values, responses in targets[mode].values():
+                        # the draws are spent: 1 on a clear path, the blocked value on a
+                        # blocked one, exactly, as blocked values are >= 0
+                        np.multiply(mask, blocked_values, out=weights)
+                        np.maximum(weights, keep, out=weights)
+                        for conj_a_eq, out in responses:
+                            # h_eq's conjugate, which has the same modulus
+                            np.multiply(re[a : a + rows], weights, out=gains.real)
+                            np.multiply(im[a : a + rows], weights, out=gains.imag)
+                            gains *= conj_a_eq
+                            rows_out = out[start + a : start + a + rows]
+                            np.abs(_row_sum(gains), out=rows_out)
+                            rows_out **= 2
 
     from concurrent.futures import ThreadPoolExecutor
 

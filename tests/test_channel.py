@@ -17,8 +17,8 @@ from panelalloc import (
 from panelalloc import montecarlo
 from panelalloc.channel import (
     _block,
-    _blockage_probability,
     _fill_gains,
+    _shared_blockage_probability,
     blockage_attenuation,
     sample_aods,
 )
@@ -38,7 +38,8 @@ def blockage_frames(config, blocked_values, rng, n_frames):
     """Per-frame factors (n_frames, L) of the shared-p_hat law, applied to ones."""
     shape = (n_frames, config.num_paths)
     mask = np.empty(shape, bool)
-    _block(rng, _blockage_probability(config, True, rng, n_frames), np.empty(shape), mask)
+    p_block = _shared_blockage_probability(config, rng, np.empty(n_frames))
+    _block(rng, p_block, np.empty(shape), mask)
     return np.where(mask, blocked_values, 1.0)
 
 
@@ -132,6 +133,22 @@ class TestGainStatistics:
 
 
 class TestBlockage:
+    @given(
+        bounds=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50)
+    def test_shared_probability_equals_uniform_draws_bitwise(self, bounds, n, seed):
+        cfg = SystemConfig(p_min=bounds[0], p_max=bounds[1])
+        draws = np.random.default_rng(seed)
+        expected = draws.uniform(cfg.p_min, cfg.p_max, size=n)
+        rng = np.random.default_rng(seed)
+        p_block = _shared_blockage_probability(cfg, rng, np.empty(n))
+        assert p_block.shape == (n, 1)
+        assert p_block.tobytes() == expected.tobytes()
+        assert rng.random() == draws.random()  # the same number of draws
+
     def test_frames_equal_shared_probability_formula_bitwise(self, baseline):
         n, L = 5000, baseline.num_paths
         blocked_values = np.array([0.05, 0.0, 0.07, 0.02])

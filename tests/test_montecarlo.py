@@ -35,6 +35,7 @@ from panelalloc.montecarlo import (
     SUB_ROWS,
     TrialBatchResult,
     _channel_powers,
+    _row_sum,
 )
 from util import (
     blockage_pattern_se_cdf,
@@ -183,22 +184,54 @@ def _power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
 
 def _worker_scratch(num_paths, mode) -> int:
     """Bytes of one worker's scratch: per chunk row the two float gain planes
-    over L paths, and in realistic mode the frame's p_hat drawn by the
-    generator; per sub-block row the float draws, bool mask and complex gains
-    over L paths and the complex h_eq."""
+    over L paths, and in realistic mode the float p_hat of the frame; per
+    sub-block row, over L paths, the float draws (reused as the weights),
+    the bool blocked mask, the bool clear ("keep") pattern and the complex
+    gains, whose first column then holds h_eq's conjugate."""
     chunk_row = 16 * num_paths + (8 if mode == "realistic" else 0)
-    return CHUNK_TRIALS * chunk_row + SUB_ROWS * (num_paths * (8 + 1 + 16) + 16)
+    return CHUNK_TRIALS * chunk_row + SUB_ROWS * num_paths * (8 + 1 + 1 + 16)
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 63, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [1, 7, SUB_ROWS])
+    def test_equals_numpy_sum_bytewise(self, L, rows):
+        gen = np.random.default_rng(L * rows)
+        spread = lambda: gen.standard_normal((rows, L)) * 10.0 ** gen.uniform(-8, 8, (rows, L))
+        g = spread() + 1j * spread()
+        g[::5] = 0.0  # all-zero rows
+        expected = np.sum(g, axis=1)
+        total = _row_sum(g)
+        assert np.shares_memory(total, g)  # accumulated inside g
+        assert np.ascontiguousarray(total).tobytes() == expected.tobytes()
+
+    def test_negative_zero_sum_equals_numpy_in_value(self):
+        # np.sum adds the row to +0, so it gives +0 where the columns give -0
+        g = np.full((3, 5), complex(-0.0, -0.0))
+        assert np.array_equal(_row_sum(g.copy()), np.sum(g, axis=1))
 
 
 class TestThreadedFill:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("q", [(8, 0, 0, 0), (4, 0, 2, 2), (1, 2, 2, 3)])
-    def test_equals_serial_chunk_loop_bytewise(self, baseline, aods, mode, q):
+    @pytest.mark.parametrize(
+        "q",
+        [
+            (8, 0, 0, 0),
+            (4, 0, 2, 2),
+            (1, 2, 2, 3),
+            # L = 9: one round of column adds, one tail column; L = 13: two rounds, one tail
+            (2, 1, 0, 1, 1, 0, 2, 1, 0),
+            (3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3),
+        ],
+    )
+    def test_equals_serial_chunk_loop_bytewise(self, baseline, mode, q):
+        config = replace(baseline, n_p=sum(q), num_paths=len(q))
+        aods = sample_channel(config, rng=np.random.default_rng(7)).aods
         alloc = PanelAllocation(q)
         for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
             for seed in (3, 2024):
-                expected = serial_channel_power(baseline, alloc, aods, mode, n, seed)
-                got = _power(baseline, alloc, aods, mode, n, seed)
+                expected = serial_channel_power(config, alloc, aods, mode, n, seed)
+                got = _power(config, alloc, aods, mode, n, seed)
                 assert got.tobytes() == expected.tobytes(), (n, seed)
 
     @pytest.mark.parametrize("mode", MODES)
