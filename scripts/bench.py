@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Median wall times of the Monte Carlo layer and of the battery's jobs.
+"""Median wall times of the Monte Carlo layer, of fresh ``cdf`` processes
+and of the battery's jobs.
 
-    PYTHONPATH=src python scripts/bench.py
+    PYTHONPATH=src python scripts/bench.py [montecarlo] [cdf] [battery]
 
 Measures the panelalloc that is importable, so pointing PYTHONPATH at
-another checkout's src measures that one (scripts/run_experiments.py is
-run with the same environment). Prints one JSON object:
+another checkout's src measures that one (scripts/run_experiments.py and
+the ``cdf`` processes are run with the same environment). Runs the named
+sections, or all three, and prints one JSON object:
 
   montecarlo   seconds for TRIALS = 10^6 trials at AoDs and seed 1: for
                each mode, one batch (the outmin design) and cdf's four
@@ -15,6 +17,11 @@ run with the same environment). Prints one JSON object:
                are scenarios/scale_16_8.txt (16 panels, 8 paths). A
                program without ``run_batches`` simulates each batch with
                its own ``run_trials`` call.
+  cdf          for ``panelalloc cdf --seed 1`` at 10^5, 10^6 and 10^7
+               trials, each in a fresh process: its wall time in seconds
+               (interpreter start and imports included) and its peak
+               resident memory in MB (its ru_maxrss, from wait4 in a small
+               launcher process). 10^7 trials run once.
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
 
@@ -75,6 +82,43 @@ def montecarlo_layer() -> dict:
     return out
 
 
+# A child's ru_maxrss starts at the resident size of the process it was
+# forked from, which here grows past 100 MB, so each cdf process is started
+# by this small launcher instead. It prints: wall seconds, exit code,
+# ru_maxrss in KB.
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def cdf_process(trials: int, out: str) -> tuple[float, float]:
+    """(wall seconds, peak RSS in MB) of one fresh ``cdf`` process."""
+    argv = [sys.executable, "-m", "panelalloc.cli", "cdf", "--trials", str(trials),
+            "--seed", "1", "--out", out]
+    text = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *argv], check=True, capture_output=True, text=True
+    ).stdout
+    seconds, code, maxrss_kb = text.split()
+    if int(code) != 0:
+        raise subprocess.CalledProcessError(int(code), argv)
+    return float(seconds), int(maxrss_kb) / 1024.0
+
+
+def cdf_processes() -> dict:
+    out = {}
+    for trials, repeats in ((10**5, REPEATS), (10**6, REPEATS), (10**7, 1)):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = [cdf_process(trials, tmp) for _ in range(repeats)]
+        tag = f"1e{len(str(trials)) - 1}"
+        out[f"cdf_{tag}.wall_s"] = statistics.median(r[0] for r in runs)
+        out[f"cdf_{tag}.peak_rss_mb"] = statistics.median(r[1] for r in runs)
+    return out
+
+
 def battery_jobs() -> dict:
     runs: dict[str, list[float]] = {}
     for _ in range(REPEATS):
@@ -93,8 +137,15 @@ def battery_jobs() -> dict:
     return {name: statistics.median(times) for name, times in runs.items()}
 
 
+SECTIONS = {"montecarlo": montecarlo_layer, "cdf": cdf_processes, "battery": battery_jobs}
+
+
 def main() -> int:
-    result = {"montecarlo": montecarlo_layer(), "battery": battery_jobs()}
+    names = sys.argv[1:] or list(SECTIONS)
+    unknown = set(names) - set(SECTIONS)
+    if unknown:
+        sys.exit(f"unknown sections {sorted(unknown)}; choose from {list(SECTIONS)}")
+    result = {name: SECTIONS[name]() for name in names}
     print(json.dumps(result, indent=2))
     return 0
 

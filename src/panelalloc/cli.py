@@ -129,8 +129,12 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
     """Per-method SE CDF: analytic curve plus both Monte Carlo modes."""
     aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     allocs = resolve_allocations(spec)
-    # every design and both modes from one pass over common random numbers
-    batches = run_batches(spec.config, allocs.values(), aods, spec.trials, spec.seed, MODES)
+    # every design and both modes from one pass over common random numbers; the
+    # CDF columns come from counts, so the samples are kept only for the dump
+    batches = run_batches(
+        spec.config, allocs.values(), aods, spec.trials, spec.seed, MODES,
+        se_grid=spec.se_grid, keep_samples=spec.dump_samples,
+    )
     written = []
     for method, alloc in allocs.items():
         mix = rsnr_mixture(alloc, spec.config)
@@ -145,8 +149,8 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
                 {
                     "se_bits": spec.se_grid,
                     "cdf_analytic": se_cdf(mix, spec.se_grid),
-                    "cdf_mc_idealized": ideal.empirical_cdf(spec.se_grid),
-                    "cdf_mc_realistic": real.empirical_cdf(spec.se_grid),
+                    "cdf_mc_idealized": ideal.cdf_counts / spec.trials,
+                    "cdf_mc_realistic": real.cdf_counts / spec.trials,
                 },
             )
         )
@@ -381,6 +385,8 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error("target SE must be nonnegative")
     se_grid = None
     if hasattr(args, "se_min"):
+        if not np.all(np.isfinite([args.se_min, args.se_max])):
+            parser.error("SE grid bounds must be finite")
         if args.se_points < 1 or args.se_max <= args.se_min:
             parser.error("SE grid must be strictly increasing")
         if not args.se_min >= 0.0:
@@ -389,6 +395,10 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     snr_grid_db = getattr(args, "snr_db", None)
     if snr_grid_db is not None and (snr_grid_db.size == 0 or np.any(np.diff(snr_grid_db) <= 0)):
         parser.error("SNR grid must be strictly increasing")
+    if snr_grid_db is not None and not np.all(np.isfinite(snr_grid_db)):
+        parser.error("SNR values must be finite")
+    if args.command == "count" and (not args.n_p or args.l_min > args.l_max):
+        parser.error("count needs at least one panel count and --l-min <= --l-max")
     if getattr(args, "points", 1) < 1:
         parser.error("pattern needs at least one point")
     alloc_override = getattr(args, "alloc", None)

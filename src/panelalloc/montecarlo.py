@@ -19,7 +19,12 @@ which other modes or allocations share the call. Every allocation's
 blockage draws become a weight plane, 1 on a clear path and the blocked
 value on a blocked one; the gains times the weights times conj(a_eq) give
 the conjugate of h_eq's terms, and ``_row_sum`` adds them in numpy's own
-order, so |h_eq|^2 is bit for bit sum(omega h^* a_eq) of the model.
+order, so |h_eq|^2 is bit for bit sum(omega h^* a_eq) of the model. The
+worker writes that column into the kept samples, or else into its own SE
+column, turns it into the RSNR and then the SE in place and stores the
+two sums of the sub-block; given an SE grid, it sorts the sub-block's SE
+in its column and adds the counts at the grid to its own. So ``cdf``,
+which needs only the counts and the means, holds no trial-length array.
 ``run_trials`` is its one-allocation, one-mode call.
 
 Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
@@ -27,11 +32,11 @@ chunks) threads, since numpy's generators and ufuncs release the
 interpreter lock. Each worker owns scratch arrays: two float gain planes
 sized to one chunk, (CHUNK_TRIALS, L), and in realistic mode its p_hat
 column, plus a float draw (then weight) plane, bool blocked and clear
-planes and a complex gain block of (SUB_ROWS, L): about 5.0 MB at L = 4
-(0.5 MB more in realistic mode), on top of 8 n_trials bytes per result.
-Worker threads call only numpy and the private in-place helpers of
-``channel``. The samples are bit-identical to a serial pass over the
-chunks.
+planes and a complex gain block of (SUB_ROWS, L) and a float SE column:
+about 5.1 MB at L = 4 (0.5 MB more in realistic mode), on top of 8
+n_trials bytes per result whose samples are kept. Worker threads call only
+numpy and the private in-place helpers of ``channel``. The samples, counts
+and means are bit-identical to a serial pass over the chunks.
 """
 
 from __future__ import annotations
@@ -72,19 +77,16 @@ MODES = ("idealized", "realistic")
 
 @dataclass
 class TrialBatchResult:
-    """Per-trial SE samples plus summary statistics for one simulation batch."""
+    """Summary statistics of one simulation batch, with its per-trial SE
+    samples and its counts at an SE grid when the call asked for them."""
 
-    se_samples: np.ndarray
+    se_samples: np.ndarray | None
     mean_se: float
     mean_rsnr: float
     trials: int
     seed: int
     mode: str
-
-    def empirical_cdf(self, se_bits: np.ndarray) -> np.ndarray:
-        """Fraction of samples <= se_bits (right-continuous empirical CDF)."""
-        s = np.sort(self.se_samples)
-        return np.searchsorted(s, np.asarray(se_bits, dtype=float), side="right") / self.trials
+    cdf_counts: np.ndarray | None = None
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -159,16 +161,32 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
     return total
 
 
-def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int, modes):
-    """Per-frame unit-SNR channel power |h_eq|^2, ``{(mode, alloc.q): (n_trials,)}``.
+def run_batches(
+    config: SystemConfig,
+    allocs,
+    aods: np.ndarray,
+    n_trials: int,
+    seed: int,
+    modes=MODES,
+    se_grid=None,
+    keep_samples: bool = True,
+) -> dict[tuple[str, tuple[int, ...]], TrialBatchResult]:
+    """Simulate n_trials frames for every allocation in every mode.
 
-    Every frame resamples the path gains and the blockage state; the AoDs
-    (and hence the beamformer in realistic mode) stay fixed for the batch.
-    For a fixed seed all allocations see the same gains and, within a mode,
-    the same blocked patterns, and each array is bit for bit the one a call
-    with that allocation and mode alone gives, whatever the chunk
-    scheduling: min(usable CPUs, chunks) threads fill the chunks, worker w
-    taking chunks w, w + W, ..., each into its own slice of every array.
+    Returns ``{(mode, alloc.q): TrialBatchResult}``, one entry per distinct
+    allocation and mode. Every frame resamples the path gains and the
+    blockage state; the AoDs (and hence the beamformer in realistic mode)
+    stay fixed for the batch. For a fixed seed all allocations see the same
+    gains and, within a mode, the same blocked patterns, and each result is
+    bit for bit the one a call with that allocation and mode alone gives,
+    whatever the chunk scheduling: min(usable CPUs, chunks) threads fill the
+    chunks, worker w taking chunks w, w + W, ....
+
+    The SE of a frame is log2(1 + tx_snr |h_eq|^2). The means are the
+    ``np.sum`` of the per-sub-block ``np.sum``s, in trial order, over
+    n_trials. The samples are kept only if ``keep_samples``; with an
+    ``se_grid``, ``cdf_counts`` holds the number of samples <= each of its
+    points, so a call that keeps no samples holds no trial-length array.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -185,33 +203,39 @@ def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int
     if not distinct:
         raise ConfigurationError("run_batches needs at least one allocation")
 
-    power = {(mode, q): np.empty(n_trials) for mode in modes for q in distinct}
-    # per mode and distinct blocked values: (conj(a_eq), result buffer) of each allocation
+    keys = [(mode, q) for mode in modes for q in distinct]
+    samples = [np.empty(n_trials) if keep_samples else None for _ in keys]
+    # per mode and distinct blocked values: (conj(a_eq), result index) of each allocation
     targets = {mode: {} for mode in modes}
-    for mode in modes:
-        for q, alloc in distinct.items():
-            conj_a_eq, blocked_values = _responses(config, alloc, aods, mode)
-            group = targets[mode].setdefault(blocked_values.tobytes(), (blocked_values, []))
-            group[1].append((conj_a_eq, power[mode, q]))
+    for k, (mode, q) in enumerate(keys):
+        conj_a_eq, blocked_values = _responses(config, distinct[q], aods, mode)
+        group = targets[mode].setdefault(blocked_values.tobytes(), (blocked_values, []))
+        group[1].append((conj_a_eq, k))
     variances = path_variances(config.rician_k, config.num_paths)
     L = config.num_paths
     sizes = _chunk_sizes(n_trials)
     workers = min(_usable_cpus(), len(sizes))
+    sub = min(SUB_ROWS, sizes[0])
+    # the RSNR and SE sums of each result's sub-blocks, in trial order
+    partials = np.empty((len(keys), 2, -(-n_trials // sub)))
+    grid = None if se_grid is None else np.asarray(se_grid, dtype=float)
+    counts = np.zeros((workers, len(keys), 0 if grid is None else grid.size), dtype=np.int64)
     # Scratch, one set per worker: the chunk's gain planes and, in realistic
     # mode, its p_hat, sized to its first (largest) chunk, and the
-    # sub-block's draws (then weights), blocked and clear patterns and gains.
-    # It is allocated here, not in the threads, whose per-thread malloc
-    # arenas would raise the peak RSS.
-    sub = min(SUB_ROWS, sizes[0])
+    # sub-block's draws (then weights), blocked and clear patterns, gains
+    # and SE column. It is allocated here, not in the threads, whose
+    # per-thread malloc arenas would raise the peak RSS.
     scratch = [
         (np.empty((rows, L)), np.empty((rows, L)), np.empty(rows if "realistic" in modes else 0),
          np.empty((sub, L)), np.empty((sub, L), bool), np.empty((sub, L), bool),
-         np.empty((sub, L), complex))
+         np.empty((sub, L), complex), np.empty(sub))
         for rows in sizes[:workers]
     ]
 
     def fill(worker: int) -> None:
-        re_all, im_all, p_hat_all, weights_all, mask_all, keep_all, gains_all = scratch[worker]
+        re_all, im_all, p_hat_all, weights_all, mask_all, keep_all, gains_all, column_all = (
+            scratch[worker]
+        )
         for chunk_index in range(worker, len(sizes), workers):
             size = sizes[chunk_index]
             re, im = re_all[:size], im_all[:size]
@@ -230,7 +254,8 @@ def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int
                 for a in range(0, size, sub):
                     rows = min(sub, size - a)
                     weights, mask, keep = weights_all[:rows], mask_all[:rows], keep_all[:rows]
-                    gains = gains_all[:rows]
+                    gains, column = gains_all[:rows], column_all[:rows]
+                    block = (start + a) // sub
                     _block(rng, p_block[a : a + rows], weights, mask)
                     np.logical_not(mask, out=keep)
                     for blocked_values, responses in targets[mode].values():
@@ -238,55 +263,46 @@ def _channel_powers(config: SystemConfig, allocs, aods, n_trials: int, seed: int
                         # blocked one, exactly, as blocked values are >= 0
                         np.multiply(mask, blocked_values, out=weights)
                         np.maximum(weights, keep, out=weights)
-                        for conj_a_eq, out in responses:
+                        for conj_a_eq, k in responses:
                             # h_eq's conjugate, which has the same modulus
                             np.multiply(re[a : a + rows], weights, out=gains.real)
                             np.multiply(im[a : a + rows], weights, out=gains.imag)
                             gains *= conj_a_eq
-                            rows_out = out[start + a : start + a + rows]
-                            np.abs(_row_sum(gains), out=rows_out)
-                            rows_out **= 2
+                            # |h_eq|^2, then the RSNR, then the SE, in place: in the
+                            # kept samples, or else in the SE column
+                            kept = samples[k]
+                            se = column if kept is None else kept[start + a : start + a + rows]
+                            np.abs(_row_sum(gains), out=se)
+                            se **= 2
+                            se *= config.tx_snr
+                            partials[k, 0, block] = np.sum(se)
+                            se += 1.0
+                            np.log2(se, out=se)
+                            partials[k, 1, block] = np.sum(se)
+                            if grid is not None:
+                                if kept is not None:  # the samples stay in trial order
+                                    column[:] = se
+                                column.sort()
+                                counts[worker, k] += np.searchsorted(column, grid, side="right")
 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
         # reading every result re-raises a worker's exception here
         list(pool.map(fill, range(workers)))
-    return power
-
-
-def run_batches(
-    config: SystemConfig,
-    allocs,
-    aods: np.ndarray,
-    n_trials: int,
-    seed: int,
-    modes=MODES,
-) -> dict[tuple[str, tuple[int, ...]], TrialBatchResult]:
-    """Simulate n_trials frames for every allocation in every mode.
-
-    Returns ``{(mode, alloc.q): TrialBatchResult}``, one entry per distinct
-    allocation and mode, from the frames of ``_channel_powers``: common
-    random numbers, and each result bit-identical to a ``run_trials`` call
-    of its allocation and mode. The SE of a frame is
-    log2(1 + tx_snr |h_eq|^2); each power buffer becomes the RSNR and then
-    the SE in place, so a result holds no array beyond its samples.
-    """
-    results = {}
-    for (mode, q), se in _channel_powers(config, allocs, aods, n_trials, seed, modes).items():
-        se *= config.tx_snr
-        mean_rsnr = float(se.mean())
-        se += 1.0
-        np.log2(se, out=se)
-        results[mode, q] = TrialBatchResult(
-            se_samples=se,
-            mean_se=float(se.mean()),
-            mean_rsnr=mean_rsnr,
+    totals = counts.sum(axis=0)
+    return {
+        (mode, q): TrialBatchResult(
+            se_samples=samples[k],
+            mean_se=float(np.sum(partials[k, 1]) / n_trials),
+            mean_rsnr=float(np.sum(partials[k, 0]) / n_trials),
             trials=n_trials,
             seed=seed,
             mode=mode,
+            cdf_counts=None if grid is None else totals[k],
         )
-    return results
+        for k, (mode, q) in enumerate(keys)
+    }
 
 
 def run_trials(

@@ -20,6 +20,7 @@ from panelalloc import (
     path_variances,
     rsnr_cdf,
     rsnr_mixture,
+    run_batches,
     run_trials,
     sample_channel,
     score_allocations,
@@ -160,10 +161,13 @@ class TestRsnrCdf:
         ]
         se_points = np.array([0.25, 1.0, 2.0, 4.0, 8.0])
         for seed, alloc in enumerate(allocations, start=400):
-            result = run_trials(baseline, alloc, aods, "idealized", n, seed)
+            result = run_batches(
+                baseline, [alloc], aods, n, seed, ("idealized",), se_grid=se_points,
+                keep_samples=False,
+            )["idealized", alloc.q]
             mix = rsnr_mixture(alloc, baseline)
             analytic = se_cdf(mix, se_points)
-            empirical = result.empirical_cdf(se_points)
+            empirical = result.cdf_counts / n
             band = 3.0 * np.sqrt(analytic * (1 - analytic) / n) + 0.002
             assert np.all(np.abs(analytic - empirical) <= band)
 

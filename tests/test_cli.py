@@ -71,6 +71,20 @@ class TestUsageErrors:
     def test_bad_grid(self, tmp_path):
         assert run_cli(["cdf", "--se-min", "5", "--se-max", "1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cdf", "--se-max", "nan"],
+            ["cdf", "--se-max", "inf", "--se-points", "3"],
+            ["sweep-se", "--se-max", "inf"],
+        ],
+        ids=lambda v: "_".join(v),
+    )
+    def test_non_finite_grid_bound(self, tmp_path, capsys, args):
+        assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+        assert "SE grid bounds must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_scenario_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("n_a = 32\n")
@@ -84,7 +98,11 @@ class TestUsageErrors:
             (["pattern", "--alloc", "0,0,0,0"], 2),
             (["pattern", "--points", "0"], 2),
             (["sweep-snr", "--snr-db", "5,abc"], 2),
+            (["sweep-snr", "--snr-db", "1e400"], 2),
+            (["sweep-snr", "--snr-db", "0,nan"], 2),
             (["count", "--n-p", "2,y"], 2),
+            (["count", "--l-min", "5", "--l-max", "3"], 2),
+            (["count", "--n-p", ","], 2),
             (["cdf", "--target-se", "-1"], 2),
             (["allocate", "--target-se", "nan"], 2),
             (["sweep-se", "--se-min", "-1"], 2),

@@ -34,7 +34,6 @@ from panelalloc.montecarlo import (
     MODES,
     SUB_ROWS,
     TrialBatchResult,
-    _channel_powers,
     _row_sum,
 )
 from util import (
@@ -154,9 +153,12 @@ class TestEmpiricalQueries:
             assert abs(empirical_outage(result, xi) - p) < band
 
     def test_empirical_cdf_shape(self, baseline, aods):
-        result = run_trials(baseline, uniform_allocation(baseline), aods, "idealized", 10**4, 23)
+        alloc = uniform_allocation(baseline)
         grid = np.linspace(-1.0, 15.0, 300)
-        values = result.empirical_cdf(grid)
+        result = run_batches(
+            baseline, [alloc], aods, 10**4, 23, ("idealized",), se_grid=grid, keep_samples=False
+        )["idealized", alloc.q]
+        values = result.cdf_counts / result.trials
         assert np.all(np.diff(values) >= 0)
         assert values[0] == 0.0 and values[-1] == 1.0
 
@@ -166,20 +168,33 @@ class TestChannelPower:
     def test_run_trials_is_log2_of_scaled_power(self, baseline, aods, mode):
         n = CHUNK_TRIALS + 17  # cross a chunk boundary
         alloc = PanelAllocation((2, 1, 2, 3))
-        power = _power(baseline, alloc, aods, mode, n, 41)
-        expected = np.log2(1 + baseline.tx_snr * power)
+        power = serial_channel_power(baseline, alloc, aods, mode, n, 41)
+        rsnr = baseline.tx_snr * power
+        expected = np.log2(1 + rsnr)
         result = run_trials(baseline, alloc, aods, mode, n, 41)
         assert result.se_samples.tobytes() == expected.tobytes()
-        assert result.mean_se == float(expected.mean())
-        assert result.mean_rsnr == float((baseline.tx_snr * power).mean())
+        # each mean sums the sub-blocks' sums, in trial order, over n
+        assert result.mean_se == _block_mean(expected)
+        assert result.mean_rsnr == _block_mean(rsnr)
+        assert abs(result.mean_se - expected.mean()) <= 4 * math.ulp(expected.mean())
+        assert abs(result.mean_rsnr - rsnr.mean()) <= 4 * math.ulp(rsnr.mean())
         # the draws ignore tx_snr; run_trials applies it
         louder = replace(baseline, tx_snr=40.0)
-        assert _power(louder, alloc, aods, mode, n, 41).tobytes() == power.tobytes()
+        got = run_trials(louder, alloc, aods, mode, n, 41).se_samples
+        assert got.tobytes() == np.log2(1 + 40.0 * power).tobytes()
 
 
-def _power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
-    """|h_eq|^2 of one allocation in one mode, from the library kernel."""
-    return _channel_powers(config, [alloc], aods, n_trials, seed, (mode,))[mode, alloc.q]
+def _block_mean(values) -> float:
+    """np.sum of the np.sums of sub-blocks of SUB_ROWS values (fewer if n is less), over n."""
+    sub = min(SUB_ROWS, values.size)
+    sums = [np.sum(values[a : a + sub]) for a in range(0, values.size, sub)]
+    return float(np.sum(np.array(sums)) / values.size)
+
+
+def _expected_se(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
+    """log2(1 + tx_snr |h_eq|^2) of the serial oracle's channel power."""
+    power = serial_channel_power(config, alloc, aods, mode, n_trials, seed)
+    return np.log2(1 + config.tx_snr * power)
 
 
 def _worker_scratch(num_paths, mode) -> int:
@@ -187,9 +202,11 @@ def _worker_scratch(num_paths, mode) -> int:
     over L paths, and in realistic mode the float p_hat of the frame; per
     sub-block row, over L paths, the float draws (reused as the weights),
     the bool blocked mask, the bool clear ("keep") pattern and the complex
-    gains, whose first column then holds h_eq's conjugate."""
+    gains, whose first column then holds h_eq's conjugate, and the float
+    SE column, sorted in place for the grid counts."""
     chunk_row = 16 * num_paths + (8 if mode == "realistic" else 0)
-    return CHUNK_TRIALS * chunk_row + SUB_ROWS * num_paths * (8 + 1 + 1 + 16)
+    se_column = 8
+    return CHUNK_TRIALS * chunk_row + SUB_ROWS * (num_paths * (8 + 1 + 1 + 16) + se_column)
 
 
 class TestRowSum:
@@ -230,8 +247,8 @@ class TestThreadedFill:
         alloc = PanelAllocation(q)
         for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
             for seed in (3, 2024):
-                expected = serial_channel_power(config, alloc, aods, mode, n, seed)
-                got = _power(config, alloc, aods, mode, n, seed)
+                expected = _expected_se(config, alloc, aods, mode, n, seed)
+                got = run_trials(config, alloc, aods, mode, n, seed).se_samples
                 assert got.tobytes() == expected.tobytes(), (n, seed)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -266,17 +283,42 @@ class TestThreadedFill:
         assert len(results) == len(allocs) * len(modes)
         assert peak < len(results) * 8 * n + workers * scratch + 2**20
 
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 20])
+    def test_traced_peak_of_counts_is_worker_scratch(self, baseline, aods, n):
+        # cdf's call: four designs in both modes, counted at a grid, no samples kept
+        workers = min(montecarlo._usable_cpus(), n // CHUNK_TRIALS)
+        allocs = [
+            uniform_allocation(baseline), los_concentration(baseline),
+            PanelAllocation((1, 2, 2, 3)), PanelAllocation((5, 1, 1, 1)),
+        ]
+        scratch = max(_worker_scratch(baseline.num_paths, mode) for mode in MODES)
+        grid = np.linspace(0.0, 10.0, 101)
+        # lazy imports happen outside the trace
+        run_batches(baseline, allocs, aods, 10, 0, se_grid=grid, keep_samples=False)
+        tracemalloc.start()
+        try:
+            results = run_batches(baseline, allocs, aods, n, 9, se_grid=grid, keep_samples=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.se_samples is None for r in results.values())
+        assert peak < workers * scratch + 2**20
+
     def test_more_workers_than_cores_equal_serial_chunk_loop(self, baseline, aods, monkeypatch):
-        # five workers share every result array, each writing its own chunks' slices
+        # five workers share every result array, each writing its own chunks'
+        # slices and sub-block sums, and each adding to its own grid counts
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
         allocs = [PanelAllocation((8, 0, 0, 0)), PanelAllocation((1, 2, 2, 3))]
         n = 5 * CHUNK_TRIALS + 7
+        grid = np.linspace(0.0, 10.0, 101)
         outcome = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             caller = threading.Thread(
-                target=lambda: outcome.append(_channel_powers(baseline, allocs, aods, n, 6, MODES)),
+                target=lambda: outcome.append(
+                    run_batches(baseline, allocs, aods, n, 6, MODES, se_grid=grid)
+                ),
                 daemon=True,
             )
             caller.start()
@@ -284,9 +326,16 @@ class TestThreadedFill:
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive() and len(outcome) == 1
-        for (mode, q), power in outcome[0].items():
-            expected = serial_channel_power(baseline, PanelAllocation(q), aods, mode, n, 6)
-            assert power.tobytes() == expected.tobytes(), (mode, q)
+        for (mode, q), result in outcome[0].items():
+            rsnr = baseline.tx_snr * serial_channel_power(
+                baseline, PanelAllocation(q), aods, mode, n, 6
+            )
+            expected = np.log2(1 + rsnr)
+            assert result.se_samples.tobytes() == expected.tobytes(), (mode, q)
+            below = np.searchsorted(np.sort(expected), grid, side="right")
+            assert result.cdf_counts.tobytes() == below.tobytes(), (mode, q)
+            assert result.mean_se == _block_mean(expected), (mode, q)
+            assert result.mean_rsnr == _block_mean(rsnr), (mode, q)
 
     def test_worker_exception_reaches_caller(self, baseline, aods, monkeypatch):
         chunk_rng = montecarlo._chunk_rng
@@ -354,6 +403,65 @@ class TestRunBatches:
             assert (got.mean_se, got.mean_rsnr) == (alone.mean_se, alone.mean_rsnr)
             assert (got.trials, got.seed, got.mode) == (n, seed, mode)
 
+    @given(
+        case=batch_cases(),
+        modes=st.sampled_from([("idealized",), ("realistic",), MODES]),
+        n=st.sampled_from(
+            [1, SUB_ROWS - 1, SUB_ROWS, SUB_ROWS + 1, CHUNK_TRIALS - 1, CHUNK_TRIALS,
+             CHUNK_TRIALS + 1, CHUNK_TRIALS + SUB_ROWS]
+        )
+        | st.integers(1, CHUNK_TRIALS + 2 * SUB_ROWS),
+        seed=st.integers(0, 2**31),
+        all_blocked=st.booleans(),
+        where=st.sampled_from(["samples", "below", "above"]),
+        picks=st.integers(0, 50),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_counts_equal_sorted_samples_searched_at_grid(
+        self, case, modes, n, seed, all_blocked, where, picks
+    ):
+        config, aods, allocs = case
+        if all_blocked:  # p_blk = 1 and kappa = 0: idealized SE is the atom at 0 alone
+            config = replace(config, p_min=1.0, p_max=1.0, rician_k=0.0)
+        first = run_batches(config, allocs, aods, n, seed, modes)
+        values = np.concatenate([r.se_samples for r in first.values()])
+        lo, hi = values.min(), values.max()
+        if where == "below":
+            grid = np.array([lo - 2.0, lo - 1.0, np.nextafter(lo, -np.inf)])
+        elif where == "above":
+            grid = np.array([hi, hi + 1.0, 2.0 * hi + 3.0])
+        else:  # sample values themselves, the atom's 0, and points outside
+            gen = np.random.default_rng(seed)
+            grid = np.unique(np.r_[values[gen.integers(values.size, size=picks)], 0.0,
+                                   lo - 1.0, hi + 1.0, gen.uniform(0.0, hi + 1.0, 5)])
+        both = run_batches(config, allocs, aods, n, seed, modes, se_grid=grid)
+        counts = run_batches(config, allocs, aods, n, seed, modes, se_grid=grid, keep_samples=False)
+        for key, got in both.items():
+            expected = np.searchsorted(np.sort(got.se_samples), grid, side="right")
+            assert got.cdf_counts.tobytes() == expected.tobytes(), key
+            assert counts[key].cdf_counts.tobytes() == expected.tobytes(), key
+            assert counts[key].se_samples is None and first[key].cdf_counts is None
+            assert got.se_samples.tobytes() == first[key].se_samples.tobytes(), key
+            means = {(r.mean_se, r.mean_rsnr) for r in (first[key], got, counts[key])}
+            assert means == {(_block_mean(got.se_samples), got.mean_rsnr)}, key
+            if all_blocked and key[0] == "idealized":
+                assert got.cdf_counts[grid == 0.0].tolist() == [n] * int(np.sum(grid == 0.0))
+
+    def test_workers_do_not_change_samples_counts_or_means(self, baseline, aods, monkeypatch):
+        allocs = [uniform_allocation(baseline), PanelAllocation((1, 2, 2, 3))]
+        n = 5 * CHUNK_TRIALS + SUB_ROWS + 3
+        grid = np.linspace(0.0, 10.0, 101)
+        outcomes = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda w=workers: w)
+            outcomes.append(run_batches(baseline, allocs, aods, n, 13, se_grid=grid))
+        for key, result in outcomes[0].items():
+            for other in outcomes[1:]:
+                got = other[key]
+                assert got.se_samples.tobytes() == result.se_samples.tobytes(), key
+                assert got.cdf_counts.tobytes() == result.cdf_counts.tobytes(), key
+                assert (got.mean_se, got.mean_rsnr) == (result.mean_se, result.mean_rsnr), key
+
     def test_validation(self, baseline, aods):
         alloc = los_concentration(baseline)
         for modes in ((), ("exact",), ("idealized", "exact")):
@@ -393,8 +501,6 @@ class TestEmpiricalMetrics:
         points = np.r_[-1.0, 0.0, np.unique(samples), np.unique(samples) + 1e-9, 1e3]
         outages = [empirical_outage(result, x) for x in points]
         assert outages == [np.searchsorted(s, x, side="left") / n for x in points]
-        expected = np.searchsorted(s, points, side="right") / n
-        assert result.empirical_cdf(points).tobytes() == expected.tobytes()
         mix = rsnr_mixture(uniform_allocation(baseline), baseline)
         assert ks_distance(result, lambda se: se_cdf(mix, se)) == unique_ks_distance(
             samples, lambda se: se_cdf(mix, se)
