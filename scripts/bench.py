@@ -2,12 +2,12 @@
 """Median wall times of the Monte Carlo layer, of fresh ``cdf`` processes
 and of the battery's jobs.
 
-    PYTHONPATH=src python scripts/bench.py [montecarlo] [cdf] [battery]
+    PYTHONPATH=src python scripts/bench.py
 
 Measures the panelalloc that is importable, so pointing PYTHONPATH at
 another checkout's src measures that one (scripts/run_experiments.py and
-the ``cdf`` processes are run with the same environment). Runs the named
-sections, or all three, and prints one JSON object:
+the ``cdf`` processes are run with the same environment). Prints one
+JSON object:
 
   montecarlo   seconds for TRIALS = 10^6 trials at AoDs and seed 1: for
                each mode, one batch (the outmin design) and cdf's four
@@ -137,15 +137,10 @@ def battery_jobs() -> dict:
     return {name: statistics.median(times) for name, times in runs.items()}
 
 
-SECTIONS = {"montecarlo": montecarlo_layer, "cdf": cdf_processes, "battery": battery_jobs}
-
-
 def main() -> int:
-    names = sys.argv[1:] or list(SECTIONS)
-    unknown = set(names) - set(SECTIONS)
-    if unknown:
-        sys.exit(f"unknown sections {sorted(unknown)}; choose from {list(SECTIONS)}")
-    result = {name: SECTIONS[name]() for name in names}
+    result = {
+        "montecarlo": montecarlo_layer(), "cdf": cdf_processes(), "battery": battery_jobs()
+    }
     print(json.dumps(result, indent=2))
     return 0
 

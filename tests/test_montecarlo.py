@@ -180,8 +180,9 @@ class TestChannelPower:
         assert abs(result.mean_rsnr - rsnr.mean()) <= 4 * math.ulp(rsnr.mean())
         # the draws ignore tx_snr; run_trials applies it
         louder = replace(baseline, tx_snr=40.0)
-        got = run_trials(louder, alloc, aods, mode, n, 41).se_samples
-        assert got.tobytes() == np.log2(1 + 40.0 * power).tobytes()
+        got = run_trials(louder, alloc, aods, mode, n, 41)
+        assert got.se_samples.tobytes() == np.log2(1 + 40.0 * power).tobytes()
+        assert got.mean_rsnr == _block_mean(40.0 * power)
 
 
 def _block_mean(values) -> float:
@@ -189,12 +190,6 @@ def _block_mean(values) -> float:
     sub = min(SUB_ROWS, values.size)
     sums = [np.sum(values[a : a + sub]) for a in range(0, values.size, sub)]
     return float(np.sum(np.array(sums)) / values.size)
-
-
-def _expected_se(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
-    """log2(1 + tx_snr |h_eq|^2) of the serial oracle's channel power."""
-    power = serial_channel_power(config, alloc, aods, mode, n_trials, seed)
-    return np.log2(1 + config.tx_snr * power)
 
 
 def _worker_scratch(num_paths, mode) -> int:
@@ -247,9 +242,18 @@ class TestThreadedFill:
         alloc = PanelAllocation(q)
         for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
             for seed in (3, 2024):
-                expected = _expected_se(config, alloc, aods, mode, n, seed)
-                got = run_trials(config, alloc, aods, mode, n, seed).se_samples
-                assert got.tobytes() == expected.tobytes(), (n, seed)
+                power = serial_channel_power(config, alloc, aods, mode, n, seed)
+                got = run_trials(config, alloc, aods, mode, n, seed)
+                expected = np.log2(1 + config.tx_snr * power)
+                assert got.se_samples.tobytes() == expected.tobytes(), (n, seed)
+                assert got.mean_rsnr == _block_mean(config.tx_snr * power), (n, seed)
+        # log2 maps neighbouring powers to one SE; with tx_snr = 1 and one
+        # trial, mean_rsnr is the power itself, so it is checked bytewise
+        unit = replace(config, tx_snr=1.0)
+        for seed in range(8):
+            power = serial_channel_power(unit, alloc, aods, mode, 1, seed)
+            got = run_trials(unit, alloc, aods, mode, 1, seed).mean_rsnr
+            assert np.float64(got).tobytes() == power[0].tobytes(), seed
 
     @pytest.mark.parametrize("mode", MODES)
     def test_traced_peak_is_output_plus_worker_scratch(self, baseline, aods, mode):
