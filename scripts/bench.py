@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Median wall times of the Monte Carlo layer, of fresh ``cdf`` processes
-and of the battery's jobs.
+"""Median wall times of the profile search, of the Monte Carlo layer, of
+fresh ``cdf`` processes and of the battery's jobs.
 
     PYTHONPATH=src python scripts/bench.py
 
@@ -9,14 +9,18 @@ another checkout's src measures that one (scripts/run_experiments.py and
 the ``cdf`` processes are run with the same environment). Prints one
 JSON object:
 
+  search       seconds of one ``outmin_reports`` call, both optimizer
+               designs on allocate's default 32-point SE grid, at
+               (n_p, L) = (8, 4), (16, 6), (16, 8) and (32, 8) with the
+               other parameters at their defaults (key ``outmin_reports_<n_p>_<L>_s``);
+               and of ``score_allocations`` on all 120 baseline
+               compositions at target SE 1 (``score_allocations_8_4_s``).
   montecarlo   seconds for TRIALS = 10^6 trials at AoDs and seed 1: for
                each mode, one batch (the outmin design) and cdf's four
                designs; and cdf's whole pass, four designs in both modes
                (8 batches). Keys without a prefix are the baseline
                scenario (8 panels, 4 paths); keys prefixed ``scale_16_8.``
-               are scenarios/scale_16_8.txt (16 panels, 8 paths). A
-               program without ``run_batches`` simulates each batch with
-               its own ``run_trials`` call.
+               are scenarios/scale_16_8.txt (16 panels, 8 paths).
   cdf          for ``panelalloc cdf --seed 1`` at 10^5, 10^6 and 10^7
                trials, each in a fresh process: its wall time in seconds
                (interpreter start and imports included) and its peak
@@ -25,8 +29,8 @@ JSON object:
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
 
-Each number is the median of REPEATS = 5 timings; the Monte Carlo ones
-run in this process after one warm-up call.
+Each number is the median of REPEATS = 5 timings; the search and Monte
+Carlo ones run in this process after one warm-up call.
 """
 
 import json
@@ -41,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 import panelalloc as pa
-from panelalloc import cli, montecarlo
+from panelalloc import cli, montecarlo, optimizer
 
 ROOT = Path(__file__).resolve().parents[1]
 DESIGNS = ("los", "uniform", "outmin", "outmin_ase")
@@ -50,9 +54,7 @@ REPEATS = 5
 
 
 def simulate(config, allocs, aods, modes):
-    if hasattr(montecarlo, "run_batches"):
-        return montecarlo.run_batches(config, allocs, aods, TRIALS, 1, modes)
-    return [pa.run_trials(config, a, aods, m, TRIALS, 1) for m in modes for a in allocs]
+    return montecarlo.run_batches(config, allocs, aods, TRIALS, 1, modes)
 
 
 def median_seconds(fn) -> float:
@@ -63,6 +65,21 @@ def median_seconds(fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def search_layer() -> dict:
+    grid = np.linspace(0.25, 8.0, 32)
+    out = {}
+    for n_p, num_paths in ((8, 4), (16, 6), (16, 8), (32, 8)):
+        config = pa.SystemConfig(n_p=n_p, num_paths=num_paths)
+        out[f"outmin_reports_{n_p}_{num_paths}_s"] = median_seconds(
+            lambda: optimizer.outmin_reports(config, grid, [0.0, cli.DEFAULT_EPSILON])
+        )
+    q = optimizer.allocation_array(8, 4)
+    out["score_allocations_8_4_s"] = median_seconds(
+        lambda: pa.score_allocations(q, pa.SystemConfig(), 1.0)
+    )
+    return out
 
 
 def montecarlo_layer() -> dict:
@@ -139,7 +156,10 @@ def battery_jobs() -> dict:
 
 def main() -> int:
     result = {
-        "montecarlo": montecarlo_layer(), "cdf": cdf_processes(), "battery": battery_jobs()
+        "search": search_layer(),
+        "montecarlo": montecarlo_layer(),
+        "cdf": cdf_processes(),
+        "battery": battery_jobs(),
     }
     print(json.dumps(result, indent=2))
     return 0

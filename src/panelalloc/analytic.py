@@ -2,20 +2,20 @@
 
 Under the main-lobe approximation, the equivalent channel is a sum of
 Bernoulli-Gaussian terms, one per served path: with probability p_blk the
-term vanishes (path blocked), otherwise it is complex Gaussian with variance
-rho_l^2 = sigma_l^2 q_l^2. Conditioning on which served paths survive gives a
-mixture: a point mass at zero (all served paths blocked) plus one complex
-Gaussian per nonempty subset of the allocation support. Squaring turns each
-Gaussian component into an exponential, which yields the RSNR distribution
-in closed form.
+term vanishes (path blocked), otherwise it is complex Gaussian of RSNR scale
+rho_l^2 = gamma_tx (N_a^2/N_t) sigma_l^2 q_l^2. Conditioning on which paths
+of positive scale survive gives a mixture: a point mass at zero (all blocked)
+plus one exponential RSNR per nonempty subset of those paths.
 
-``score_allocations`` is the one candidate-scoring kernel: it scores a whole
-(C, L) array of allocations at once, at one target SE or a grid of them, and
-``outage_probability`` and ``average_rsnr`` are one-row calls of it.
+One mask table and one blocked CDF sum serve every caller. ``rsnr_mixture``
+is the one-row table; ``score_allocations``, the candidate-scoring kernel,
+scores a (C, L) array of allocations at one target SE or a grid of them, and
+``outage_probability`` and ``average_rsnr`` are its one-row calls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,72 +35,81 @@ class RsnrMixture:
     scales: np.ndarray
 
 
-def _survival_masks(rho2: np.ndarray, p_blk: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scales of the 2^n survival masks of each row of rho2 (R, n), and the mask weights.
+def _profile(q: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Ascending RSNR scales rho_l^2 of each allocation row of q (C, L), gain applied first."""
+    gain = config.tx_snr * config.n_a**2 / config.n_t
+    variances = path_variances(config.rician_k, config.num_paths)
+    return np.sort(gain * variances * np.asarray(q, dtype=float) ** 2, axis=1)
 
-    Mask m (the unblocked paths) has scale sum_{l in m} rho_l^2 and weight
-    p_blk^(n - |m|) (1 - p_blk)^|m|; masks are built by doubling, path by path.
+
+def _survival_masks(profiles: np.ndarray, p_blk: float):
+    """Mask tables of sorted profiles (R, L), one per count n of positive entries.
+
+    Yields the group's row indices, its atom p_blk^n, and the weights (2^n - 1,) and
+    scales (rows, 2^n - 1) of the other masks of its positive entries: mask m (the
+    surviving paths) has scale sum_{l in m} rho_l^2 and weight p_blk^(n - |m|) (1 - p_blk)^|m|.
+    Masks are built by doubling, path by path, so mask 0 is the empty one, the atom.
     """
-    scales, survivors = np.zeros((rho2.shape[0], 1)), np.zeros(1)
-    for rho2_l in rho2.T:
-        scales = np.hstack((scales, scales + rho2_l[:, None]))
-        survivors = np.concatenate((survivors, survivors + 1.0))
-    return scales, p_blk ** (rho2.shape[1] - survivors) * (1.0 - p_blk) ** survivors
+    served = np.count_nonzero(profiles > 0.0, axis=1)
+    for n in np.flatnonzero(np.bincount(served)).tolist():
+        rows = np.flatnonzero(served == n)
+        scales, survivors = np.zeros((rows.size, 1)), np.zeros(1)
+        for rho2_l in profiles[rows, profiles.shape[1] - n :].T:
+            scales = np.hstack((scales, scales + rho2_l[:, None]))
+            survivors = np.concatenate((survivors, survivors + 1.0))
+        weights = p_blk ** (n - survivors) * (1.0 - p_blk) ** survivors
+        yield rows, weights[0], weights[1:], scales[:, 1:]
 
 
 def rsnr_mixture(alloc: PanelAllocation, config: SystemConfig) -> RsnrMixture:
-    """Closed-form RSNR distribution for an allocation under a scenario.
+    """Closed-form RSNR distribution of an allocation: its one-row mask table.
 
-    Enumerates the subsets S of the allocation support. Subset S (the
-    surviving paths) has weight p_blk^(N_b - |S|) (1 - p_blk)^|S| and an
-    exponential RSNR of scale
-
-        scale(S) = gamma_tx * (N_a^2 / N_t) * sum_{l in S} sigma_l^2 q_l^2.
-
-    Zero-scale subsets (the empty one, and any more when kappa = 0 makes the
-    LoS gain degenerate) make up the point mass at zero.
+    Components come in the mask order of the ascending profile. Unserved paths, and the
+    LoS path when kappa = 0 makes its gain degenerate, only enlarge the point mass at zero.
     """
     validate_allocation(alloc, config)
-    q = alloc.as_array().astype(float)
-    support = np.flatnonzero(q)
-    rho2 = path_variances(config.rician_k, config.num_paths)[support] * q[support] ** 2
-    sums, weights = _survival_masks(rho2[None, :], config.p_blk)
-    served = sums[0] > 0.0
-    gain = config.tx_snr * config.n_a**2 / config.n_t
-    return RsnrMixture(
-        zero_mass=float(weights[~served].sum()),
-        weights=weights[served],
-        scales=gain * sums[0, served],
-    )
+    profile = _profile(alloc.as_array()[None, :], config)
+    [(_, zero_mass, weights, scales)] = _survival_masks(profile, config.p_blk)
+    return RsnrMixture(zero_mass=float(zero_mass), weights=weights, scales=scales[0])
 
 
-# Elements of one (rows, K) block of a mixture sum: 512 KB temporaries, which
-# stay in cache, whatever the number of points. At 10^6 points and K = 15,
+# Elements of one (points, rows, K) block of a mixture sum: 512 KB temporaries,
+# which stay in cache, whatever the number of points. At 10^6 points and K = 15,
 # blocks of 2^16 elements evaluate about 1.5x faster than blocks of 2^20.
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _cdf_table(zero_mass, weights, scales: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(N, R) table of zero_mass + sum_k w_k (1 - exp(-gamma_i / s_rk)), points gamma (N,).
+
+    Runs in blocks of about 2^16 elements of points x rows x K. Each entry is one numpy
+    reduction along the contiguous last axis of scales (R, K), so it does not depend on R
+    or on the blocking, bit for bit.
+    """
+    out = np.empty((gamma.size, len(scales)))
+    k = max(1, scales.shape[1])
+    rows = max(1, min(len(scales), _BLOCK_ELEMENTS // k))
+    points = max(1, _BLOCK_ELEMENTS // (rows * k))
+    # a subnormal scale (kappa near 5e-324) sends the ratio to -inf: the term is w_k
+    with np.errstate(over="ignore"):
+        for i, j in itertools.product(range(0, gamma.size, points), range(0, len(scales), rows)):
+            ratio = -gamma[i : i + points, None, None] / scales[j : j + rows]
+            np.sum(weights * -np.expm1(ratio), axis=-1, out=out[i : i + points, j : j + rows])
+    out += zero_mass
+    return out
 
 
 def rsnr_cdf(mix: RsnrMixture, gamma: np.ndarray) -> np.ndarray:
     """CDF of the RSNR: zero_mass + sum_i w_i (1 - exp(-gamma / scale_i)).
 
-    Points go through in row blocks of about 2^16 / K rows, so memory does
-    not grow with N K; each point sums as in one (N, K) broadcast, bit for
-    bit. Returns gamma's shape, or a float for a scalar gamma.
+    The one-row call of the blocked CDF sum. Returns gamma's shape, or a float for a
+    scalar gamma.
     """
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0.0):
         raise ValueError("RSNR CDF argument must be nonnegative")
-    flat = np.atleast_1d(gamma).ravel()
-    out = np.empty(flat.size)
-    rows = _BLOCK_ELEMENTS // max(1, mix.scales.size)
-    for start in range(0, flat.size, rows):
-        block = out[start : start + rows]
-        g = flat[start : start + rows, None]
-        # a subnormal scale (kappa near 5e-324) sends the ratio to inf: exp gives 0
-        with np.errstate(over="ignore"):
-            ratio = -g / mix.scales
-        np.sum(mix.weights * (1.0 - np.exp(ratio)), axis=-1, out=block)
-    return mix.zero_mass + (out.reshape(gamma.shape) if gamma.shape else float(out[0]))
+    out = _cdf_table(mix.zero_mass, mix.weights, mix.scales[None, :], gamma.ravel())[:, 0]
+    return out.reshape(gamma.shape) if gamma.shape else float(out[0])
 
 
 def se_cdf(mix: RsnrMixture, se_bits: np.ndarray) -> np.ndarray:
@@ -164,39 +173,28 @@ def score_allocations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outage probability at target_se and mean RSNR of every allocation row.
 
-    Row q (of a (C, L) array) has RSNR scales rho_l^2 = gamma_tx (N_a^2/N_t) sigma_l^2 q_l^2.
-    Over its 2^L survival masks m, outage = sum_m w_m (1 - exp(-gamma_th / scale_m)), with
-    zero-scale masks (the atom) counting fully, and mean = (1 - p_blk) sum_l rho_l^2. Both
-    depend only on the multiset of rho^2, so each distinct sorted profile is scored once:
-    rows with equal profiles (e.g. permuted NLoS entries) get bit-identical scores. Rows
-    are not validated.
+    Row q (of a (C, L) array) has outage se_cdf(rsnr_mixture(q), target_se), bit for bit,
+    and mean RSNR (1 - p_blk) sum_l rho_l^2. Both depend only on the sorted profile, so
+    each distinct one is scored once, with one blocked CDF sum per count of positive
+    scales: rows with equal profiles (e.g. permuted NLoS entries) score bit-identically.
+    Rows are not validated.
 
-    A scalar target_se gives (C,) outages; an array of G targets gives (C, G), from one
-    set of masks, scales and weights, each column bit-identical to the scalar call.
+    A scalar target_se gives (C,) outages; an array of G targets gives (C, G), each
+    column bit-identical to the scalar call.
     """
     targets = np.asarray(target_se, dtype=float)
     if not np.all(targets >= 0.0):
         raise ConfigurationError(f"target SE must be nonnegative, got {target_se}")
-    variances = path_variances(config.rician_k, config.num_paths)
-    gain = config.tx_snr * config.n_a**2 / config.n_t
-    rho2 = gain * variances * np.asarray(q, dtype=float) ** 2
-    profiles, inverse = _unique_rows(np.sort(rho2, axis=1))
-    scales, weights = _survival_masks(profiles, config.p_blk)
-    served = scales > 0.0
-    outage = np.empty((len(profiles), targets.size))
-    for j, xi in enumerate(targets.ravel().tolist()):
-        gamma_th = 2.0**xi - 1.0
-        # a subnormal scale (kappa near 5e-324) overflows the ratio to inf: outage term 1
-        with np.errstate(over="ignore"):
-            ratio = np.divide(gamma_th, scales, out=np.full_like(scales, np.inf), where=served)
-        outage[:, j] = -np.expm1(-ratio) @ weights
+    gamma = np.exp2(targets.ravel()) - 1.0
+    profiles, inverse = _unique_rows(_profile(q, config))
+    outage = np.empty((len(profiles), gamma.size))
+    for rows, zero_mass, weights, scales in _survival_masks(profiles, config.p_blk):
+        outage[rows] = _cdf_table(zero_mass, weights, scales, gamma).T
     mean = (1.0 - config.p_blk) * profiles.sum(axis=1)
     return (outage[inverse] if targets.ndim else outage[inverse, 0]), mean[inverse]
 
 
-def outage_probability(
-    alloc: PanelAllocation, config: SystemConfig, target_se: float
-) -> float:
+def outage_probability(alloc: PanelAllocation, config: SystemConfig, target_se: float) -> float:
     """Probability that the SE falls below target_se bits/s/Hz."""
     validate_allocation(alloc, config)
     return float(score_allocations(alloc.as_array()[None, :], config, target_se)[0][0])

@@ -381,8 +381,8 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     existing = next(d for d in (out, *out.parents) if d.exists())
     if not existing.is_dir():
         parser.error(f"--out {args.out}: {existing} is not a directory")
-    if not args.target_se >= 0.0:
-        parser.error("target SE must be nonnegative")
+    if not 0.0 <= args.target_se < np.inf:
+        parser.error("target SE must be finite and nonnegative")
     se_grid = None
     if hasattr(args, "se_min"):
         if not np.all(np.isfinite([args.se_min, args.se_max])):

@@ -28,9 +28,10 @@ def write_csv(
 ) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {comment}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write(f"# {comment}\n{','.join(header)}\n")
+        # one row at a time: memory stays flat in the row count
+        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     return path
 
 

@@ -97,14 +97,15 @@ class TestMixture:
         assert mix.zero_mass + mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_allocation_paths_do_not_matter(self, baseline):
-        # only the two served paths' subsets appear, written out by hand
+        # only the two served paths' subsets appear, written out by hand in the
+        # order of ascending scale: 25 sigma_2^2 < 9 sigma_1^2 at kappa = 10
         mix = rsnr_mixture(PanelAllocation((3, 5, 0, 0)), baseline)
         p = baseline.p_blk
         s1, s2 = path_variances(baseline.rician_k, baseline.num_paths)[:2]
         gain = baseline.tx_snr * baseline.n_a**2 / baseline.n_t
         assert mix.zero_mass == pytest.approx(p**2, abs=1e-15)
         np.testing.assert_allclose(mix.weights, [p * (1 - p), p * (1 - p), (1 - p) ** 2])
-        np.testing.assert_allclose(mix.scales, gain * np.array([9 * s1, 25 * s2, 9 * s1 + 25 * s2]))
+        np.testing.assert_allclose(mix.scales, gain * np.array([25 * s2, 9 * s1, 9 * s1 + 25 * s2]))
 
     def test_four_pattern_weights(self):
         # two paths, two panels each: blockage patterns weigh
@@ -207,7 +208,7 @@ class TestRowBlocks:
         mix, inputs = self._inputs(baseline)
         for gamma in inputs:
             g = np.atleast_1d(gamma)[..., None]
-            expected = mix.zero_mass + np.sum(mix.weights * (1.0 - np.exp(-g / mix.scales)), axis=-1)
+            expected = mix.zero_mass + np.sum(mix.weights * -np.expm1(-g / mix.scales), axis=-1)
             got = rsnr_cdf(mix, gamma)
             if np.ndim(gamma) == 0:
                 assert isinstance(got, float) and got == float(expected[0])
@@ -374,12 +375,23 @@ class TestScoreAllocations:
         fixed = replace(cfg, p_min=cfg.p_blk, p_max=cfg.p_blk)
         blocked = np.zeros(cfg.num_paths)
         for i in gen.choice(len(q), size=min(len(q), 12), replace=False):
-            mix = rsnr_mixture(PanelAllocation(tuple(q[i].tolist())), cfg)
-            assert outage[i] == pytest.approx(float(se_cdf(mix, xi)), rel=0.0, abs=1e-12)
+            alloc = PanelAllocation(tuple(q[i].tolist()))
+            mix = rsnr_mixture(alloc, cfg)
+            assert outage[i] == float(se_cdf(mix, xi)) == outage_probability(alloc, cfg, xi)
             assert avg[i] == pytest.approx(mixture_mean(mix), rel=1e-12, abs=1e-300)
             a_eq = cfg.n_a / np.sqrt(cfg.n_t) * q[i]
             exact = float(blockage_pattern_se_cdf(fixed, a_eq, blocked, xi))
             assert outage[i] == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 3.0])
+    def test_every_baseline_row_is_its_mixture_cdf(self, baseline, xi):
+        # one mask table and one CDF sum: the many-row table, the one-row score and
+        # se_cdf of the mixture are the same arithmetic, bit for bit
+        q = allocation_array(baseline.n_p, baseline.num_paths)
+        outage, _ = score_allocations(q, baseline, xi)
+        allocs = [PanelAllocation(tuple(r)) for r in q.tolist()]
+        assert outage.tolist() == [outage_probability(a, baseline, xi) for a in allocs]
+        assert outage.tolist() == [float(se_cdf(rsnr_mixture(a, baseline), xi)) for a in allocs]
 
     @given(
         seed=st.integers(0, 2**31),
@@ -433,18 +445,22 @@ class TestScoreAllocations:
             assert np.array_equal(outage[:, j], outage_j) and np.array_equal(avg, avg_j)
 
     def test_subnormal_kappa_scores_quietly_as_kappa_zero(self, baseline):
-        # a subnormal LoS scale overflows gamma_th / scale to inf: outage term 1, as at
-        # kappa = 0 for any positive target (at target 0 only kappa = 0 makes it an atom)
+        # a subnormal LoS scale overflows gamma_th / scale to inf: outage term w_k, as the
+        # LoS mass that kappa = 0 folds into the atom (at target 0 only kappa = 0 does)
         tiny, zero = replace(baseline, rician_k=5e-324), replace(baseline, rician_k=0.0)
         q = allocation_array(tiny.n_p, tiny.num_paths)
         targets = np.array([0.5, 1.0, 4.0])
+        allocs = [PanelAllocation(tuple(r)) for r in q.tolist()]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outage, avg = score_allocations(q, tiny, targets)
-            scalar = [outage_probability(PanelAllocation(tuple(r)), tiny, 1.0) for r in q.tolist()]
+            scalar = [outage_probability(a, tiny, 1.0) for a in allocs]
+            mixture = [float(se_cdf(rsnr_mixture(a, tiny), 1.0)) for a in allocs]
+        assert scalar == mixture == outage[:, 1].tolist()
+        # the LoS mass is a served term here and part of the atom at kappa = 0: the
+        # sums differ in rounding only
         outage_zero, avg_zero = score_allocations(q, zero, targets)
-        assert np.array_equal(outage, outage_zero)
-        assert scalar == [outage_probability(PanelAllocation(tuple(r)), zero, 1.0) for r in q.tolist()]
+        np.testing.assert_array_max_ulp(outage, outage_zero, maxulp=4)
         # the mean RSNR differs from kappa = 0 only by the subnormal LoS term
         np.testing.assert_allclose(avg, avg_zero, rtol=0.0, atol=1e-300)
 

@@ -105,6 +105,9 @@ class TestUsageErrors:
             (["count", "--n-p", ","], 2),
             (["cdf", "--target-se", "-1"], 2),
             (["allocate", "--target-se", "nan"], 2),
+            (["cdf", "--target-se", "inf"], 2),
+            (["allocate", "--target-se", "inf"], 2),
+            (["sweep-snr", "--target-se", "inf"], 2),
             (["sweep-se", "--se-min", "-1"], 2),
             (["allocate", "--trials", "0"], 2),
             (["count", "--scenario", "{tmp}/missing.txt"], 2),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from panelalloc import optimize_outmin, run_trials, sample_channel, uniform_allocation
@@ -49,3 +51,17 @@ def test_sample_and_summary_dumps(baseline, tmp_path):
     mlines = mpath.read_text().splitlines()
     assert mlines[1] == "mode,trials,seed,mean_se,mean_rsnr_db"
     assert mlines[2].startswith("idealized,50,8,")
+
+
+def test_sample_dump_memory_is_flat_in_rows(baseline, tmp_path):
+    aods = sample_channel(baseline, rng=np.random.default_rng(0)).aods
+    result = run_trials(baseline, uniform_allocation(baseline), aods, "idealized", 2 * 10**5, 3)
+    tracemalloc.start()
+    try:
+        path = write_samples_csv(tmp_path / "s.csv", "meta", result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # rows go to the file as they are formatted, not joined in memory first
+    assert peak < 2**20 < path.stat().st_size / 4
+    assert len(path.read_text().splitlines()) == 2 + 2 * 10**5
