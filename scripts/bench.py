@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Median wall times of the profile search, of the Monte Carlo layer, of
-fresh ``cdf`` processes and of the battery's jobs.
+``ks_distance``, of fresh ``cdf`` processes and of the battery's jobs.
 
     PYTHONPATH=src python scripts/bench.py
 
@@ -21,6 +21,10 @@ JSON object:
                (8 batches). Keys without a prefix are the baseline
                scenario (8 panels, 4 paths); keys prefixed ``scale_16_8.``
                are scenarios/scale_16_8.txt (16 panels, 8 paths).
+  ks           seconds of one ``ks_distance`` call, against its mixture's
+               ``se_cdf``, on the 10^6 idealized samples (AoDs and seed 1)
+               of each of cdf's four designs at target SE 1, baseline
+               scenario (key ``<design>_s``).
   cdf          for ``panelalloc cdf --seed 1`` at 10^5, 10^6 and 10^7
                trials, each in a fresh process: its wall time in seconds
                (interpreter start and imports included) and its peak
@@ -29,8 +33,8 @@ JSON object:
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
 
-Each number is the median of REPEATS = 5 timings; the search and Monte
-Carlo ones run in this process after one warm-up call.
+Each number is the median of REPEATS = 5 timings; the search, Monte
+Carlo and ks ones run in this process after one warm-up call.
 """
 
 import json
@@ -99,6 +103,20 @@ def montecarlo_layer() -> dict:
     return out
 
 
+def ks_layer() -> dict:
+    config = pa.SystemConfig()
+    spec = cli.ExperimentSpec(config, DESIGNS, 1, TRIALS, cli.DEFAULT_EPSILON, 1.0, Path("."))
+    aods = pa.sample_channel(config, rng=np.random.default_rng(1)).aods
+    out = {}
+    for design, alloc in cli.resolve_allocations(spec).items():
+        result = pa.run_trials(config, alloc, aods, "idealized", TRIALS, 1)
+        mix = pa.rsnr_mixture(alloc, config)
+        out[f"{design}_s"] = median_seconds(
+            lambda: pa.ks_distance(result, lambda se: pa.se_cdf(mix, se))
+        )
+    return out
+
+
 # A child's ru_maxrss starts at the resident size of the process it was
 # forked from, which here grows past 100 MB, so each cdf process is started
 # by this small launcher instead. It prints: wall seconds, exit code,
@@ -158,6 +176,7 @@ def main() -> int:
     result = {
         "search": search_layer(),
         "montecarlo": montecarlo_layer(),
+        "ks": ks_layer(),
         "cdf": cdf_processes(),
         "battery": battery_jobs(),
     }

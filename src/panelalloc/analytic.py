@@ -10,7 +10,7 @@ plus one exponential RSNR per nonempty subset of those paths.
 One mask table and one blocked CDF sum serve every caller. ``rsnr_mixture``
 is the one-row table; ``score_allocations``, the candidate-scoring kernel,
 scores a (C, L) array of allocations at one target SE or a grid of them, and
-``outage_probability`` and ``average_rsnr`` are its one-row calls.
+``outage_probability`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -201,15 +201,20 @@ def outage_probability(alloc: PanelAllocation, config: SystemConfig, target_se: 
 
 
 def average_rsnr(alloc: PanelAllocation, config: SystemConfig) -> float:
-    """Mean RSNR in closed form.
+    """Mean RSNR in closed form, from the allocation's profile.
 
     E[gamma] = gamma_tx N_a^2 (1 - p_blk) / (N_t (kappa+1)(L-1))
                * (kappa (L-1) q_1^2 + q_2^2 + ... + q_L^2)
     """
     validate_allocation(alloc, config)
-    return float(score_allocations(alloc.as_array()[None, :], config)[1][0])
+    return float((1.0 - config.p_blk) * _profile(alloc.as_array()[None, :], config).sum(axis=1)[0])
+
+
+def _se_bound(mean_rsnr: float) -> float:
+    """Jensen bound on the mean SE of a mean RSNR: log2(1 + E[gamma])."""
+    return float(np.log2(1.0 + mean_rsnr))
 
 
 def average_se_upper_bound(alloc: PanelAllocation, config: SystemConfig) -> float:
     """Jensen bound on the mean SE: log2(1 + E[gamma])."""
-    return float(np.log2(1.0 + average_rsnr(alloc, config)))
+    return _se_bound(average_rsnr(alloc, config))

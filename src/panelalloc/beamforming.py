@@ -84,15 +84,16 @@ def build_beamformer(
 def equivalent_array_response_exact(aods: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Exact equivalent array response a_eq[l] = a(N_t, theta_l)^H f.
 
-    a(n, theta) is the ULA response with entries exp(j pi k cos(theta)).
+    a(n, theta) is the ULA response with entries exp(j pi k cos(theta)). The
+    rows of a 2-D f are beamformers that share one steering matrix.
     """
     aods = np.atleast_1d(np.asarray(aods, dtype=float))
-    steering = np.exp(1j * np.pi * np.outer(np.cos(aods), np.arange(f.size)))
-    return steering.conj() @ f
+    steering = np.exp(1j * np.pi * np.outer(np.cos(aods), np.arange(np.shape(f)[-1]))).conj()
+    return steering @ f if np.ndim(f) == 1 else np.array([steering @ row for row in f])
 
 
 def beam_pattern(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|a(N_t, theta)^H f| over the given angle grid (radians)."""
+    """|a(N_t, theta)^H f| over the given angle grid (radians), per row of a 2-D f."""
     if np.size(grid) == 0:
         raise ValueError("angle grid must be nonempty")
     return np.abs(equivalent_array_response_exact(grid, f))

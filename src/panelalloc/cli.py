@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    _se_bound,
     average_rsnr,
-    average_se_upper_bound,
     rsnr_mixture,
     score_allocations,
     se_cdf,
@@ -195,11 +195,10 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
     for snr in spec.snr_grid_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
         for method, alloc in resolve_allocations(spec, cfg).items():
-            per_method[method].append((
-                linear_to_db(average_rsnr(alloc, cfg)),
-                average_se_upper_bound(alloc, cfg),
-                se_mean(rsnr_mixture(alloc, cfg)),
-            ))
+            mean = average_rsnr(alloc, cfg)
+            per_method[method].append(
+                (linear_to_db(mean), _se_bound(mean), se_mean(rsnr_mixture(alloc, cfg)))
+            )
 
     columns: dict[str, np.ndarray] = {"tx_snr_db": spec.snr_grid_db}
     for method, rows in per_method.items():
@@ -260,8 +259,12 @@ def cmd_pattern(spec: ExperimentSpec) -> list[Path]:
     targets = resolve_allocations(spec)
     if spec.alloc_override is not None:
         targets["custom"] = PanelAllocation(spec.alloc_override)
-    for name, alloc in targets.items():
-        gain = beam_pattern(build_beamformer(alloc, aods, spec.config), theta_rad)
+    # one steering matrix for every beamformer
+    gains = beam_pattern(
+        np.array([build_beamformer(alloc, aods, spec.config) for alloc in targets.values()]),
+        theta_rad,
+    )
+    for (name, alloc), gain in zip(targets.items(), gains):
         comment = spec.comment(
             "pattern",
             method=name,

@@ -26,21 +26,32 @@ def write_csv(
     header: Sequence[str],
     rows: Iterable[Sequence],
 ) -> Path:
+    # one row at a time: memory stays flat in the row count
+    return _write_lines(path, comment, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
+
+
+def _write_lines(path: str | Path, comment: str, header: Sequence[str], lines) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
         f.write(f"# {comment}\n{','.join(header)}\n")
-        # one row at a time: memory stays flat in the row count
-        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        f.writelines(lines)
     return path
 
 
-def write_columns_csv(path, comment, columns: dict[str, np.ndarray]) -> Path:
-    """Write named equal-length column vectors as CSV."""
-    names = list(columns)
-    data = [np.asarray(columns[n]) for n in names]
-    rows = zip(*data)
-    return write_csv(path, comment, names, rows)
+def write_columns_csv(path, comment, columns: dict[str, Sequence]) -> Path:
+    """Write named equal-length columns (arrays or ranges) as CSV.
+
+    ``tolist()`` makes 4096 rows at a time Python floats and ints, whose str
+    is ``_fmt``'s, and one ``str.format`` per row writes them.
+    """
+    data, rows = list(columns.values()), 4096
+    line = ",".join(["{}"] * len(data)) + "\n"
+    pieces = (
+        "".join(map(line.format, *(np.asarray(c[a : a + rows]).tolist() for c in data)))
+        for a in range(0, len(data[0]), rows)
+    )
+    return _write_lines(path, comment, list(columns), pieces)
 
 
 def write_candidates_csv(path, comment, report) -> Path:
@@ -57,8 +68,9 @@ def write_candidates_csv(path, comment, report) -> Path:
 
 def write_samples_csv(path, comment, result) -> Path:
     """Per-trial SE dump: trial index and SE in bits/s/Hz."""
-    rows = zip(range(result.trials), result.se_samples)
-    return write_csv(path, comment, ["trial", "se_bits"], rows)
+    return write_columns_csv(
+        path, comment, {"trial": range(result.trials), "se_bits": result.se_samples}
+    )
 
 
 def write_summary_csv(path, comment, results: Iterable) -> Path:

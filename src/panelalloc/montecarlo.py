@@ -37,10 +37,17 @@ about 5.1 MB at L = 4 (0.5 MB more in realistic mode), on top of 8
 n_trials bytes per result whose samples are kept. Worker threads call only
 numpy and the private in-place helpers of ``channel``. The samples, counts
 and means are bit-identical to a serial pass over the chunks.
+
+``ks_distance`` reads the samples a piece at a time: one pass for their
+range, one to count them into value cells whose edges bound each cell's
+deviation, and one per gather of the cells that can hold the distance
+(once on the 10^6-sample oracle designs), holding a few cell- and
+piece-length arrays, never a sorted copy.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -325,19 +332,9 @@ def empirical_outage(result: TrialBatchResult, target_se: float) -> float:
     return int(np.count_nonzero(result.se_samples < target_se)) / result.trials
 
 
-# ks_distance sorts the samples one value slab at a time, so it never holds
-# a sorted copy of them all: slabs of about max(_KS_SLAB, n / _KS_SLABS)
-# samples, plus one per heavy value, so it reads the samples a bounded
-# number of times whatever their count.
-_KS_SLAB = 1 << 17
-_KS_SLABS = 16
-# ks_distance gathers a slab from this many samples at a time
-_KS_PIECE = 1 << 16
-# ks_distance walks each sorted slab in blocks of about this many, so it
-# holds a few block-sized arrays instead of several slab-length ones.
-_KS_BLOCK = 128
-# blocks evaluated per se_cdf call
-_KS_BATCH = 8
+_KS_PIECE = 1 << 16  # samples ks_distance reads at a time
+_KS_CELLS = 1 << 15  # about this many value cells it counts them into
+_KS_GATHER = 1 << 15  # and at most this many it sorts at a time
 # rounding may make a model CDF fall by a few ulps; more than this is a fault
 _KS_SLACK = 1e-12
 
@@ -351,120 +348,133 @@ def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     elsewhere; tied zero samples are collapsed so the atom is compared
     jump-against-jump.
 
-    The samples are cut by value into slabs of about max(131,072, n/16)
-    samples, so at most 16 (``_ks_edges``); a value that fills half a slab
-    alone, like the atom, gets a slab of its own, which is only counted.
-    A first pass gathers and sorts each slab in turn and cuts it into
-    blocks of about 128, each ending at the end of its run of ties. One
-    model call on every block's first and last sample bounds the block's
-    deviation by max(b/n - F(first), F(last) - a/n) for block [a, b) in
-    sorted positions. A second pass visits the slabs in descending largest
-    bound, gathers each again and evaluates its blocks run by run in
-    descending bound, until no bound left reaches the largest deviation
-    found. So the samples are read at most twice per slab, and memory is
-    about two slabs plus a few values per block, where a sorted copy would
-    take n. The distance is bit for bit that of evaluating every run.
-    Raises ValueError if the model falls by more than 1e-12 between block
-    endpoints, or if a sample is NaN.
+    The runs at the smallest sample lo (the zero atom) and at +inf are
+    evaluated exactly; the others are counted into about 2^15 cells by the
+    exact key floor(x 2^e). A cell holds the samples of [E, E') at sorted
+    positions [a, b), so its runs deviate by at most max(b/n - F(E),
+    F(E') - a/n). Gather passes sort the cells in descending bound, up to
+    2^15 samples a pass, and evaluate their runs until no bound left reaches
+    the largest deviation; a larger cell is counted again over [E, E']. D is
+    bit for bit that of evaluating every run. Raises ValueError if the model
+    falls by more than 1e-12 between cell edges, or if a sample is NaN or -inf.
     """
     x, n = result.se_samples, result.trials
-    edges = _ks_edges(x)
-    slabs = list(zip(np.r_[-np.inf, edges].tolist(), np.r_[edges, np.inf].tolist()))
-    # first pass, in value order: each slab's blocks in its own positions
-    cuts = [_ks_cut(_ks_take(x, lo, hi)) for lo, hi in slabs]
-    sizes = np.array([ends[-1] if ends.size else 0 for _, ends, _ in cuts], dtype=np.int64)
-    if sizes.sum() != n:  # only a NaN falls in no slab
-        raise ValueError("samples must not be NaN")
-    offsets = np.cumsum(sizes) - sizes
-    starts = np.concatenate([offset + c[0] for offset, c in zip(offsets, cuts)])
-    ends = np.concatenate([offset + c[1] for offset, c in zip(offsets, cuts)])
-    slab_of = np.repeat(np.arange(len(slabs)), [c[1].size for c in cuts])
-    endpoints = np.asarray(se_cdf(np.concatenate([c[2] for c in cuts])), dtype=float)
-    if not np.all(np.diff(endpoints) >= -_KS_SLACK):
-        raise ValueError("se_cdf must be a CDF: it decreases between sorted samples")
-    first, last = endpoints.reshape(-1, 2).T
-    bound = np.maximum(ends / n - first, last - starts / n)
-    tops = np.full(len(slabs), -np.inf)
-    np.maximum.at(tops, slab_of, bound)
-    # second pass, in descending largest bound
-    best = 0.0
-    for j in np.argsort(-tops, kind="stable").tolist():
-        if tops[j] < best - _KS_SLACK:
-            break
-        mine = slab_of == j
-        # gathered in the call, so one slab is held at a time
-        best = _ks_walk(
-            _ks_take(x, *slabs[j]), int(offsets[j]), n, starts[mine], ends[mine], bound[mine],
-            se_cdf, best,
-        )
-    return float(best)
+    lo, top = np.inf, -np.inf
+    for p in _ks_pieces(x):
+        lo = np.minimum(lo, p.min())  # keeps a NaN
+        hi = p.max()
+        top = max(top, hi if hi < np.inf else p.max(initial=-np.inf, where=p < np.inf))
+    if not (lo > -np.inf and top - lo < np.inf):
+        raise ValueError("samples must not be NaN or -inf, nor span more than the float range")
+    if lo == np.inf:  # one run
+        return float(_ks_runs(lo, 0, n, n, se_cdf))
+    grid = _ks_grid(x, n, lo, max(top, lo), se_cdf)
+    below, above = grid[1][-2:]
+    best = _ks_runs(lo, 0, below, n, se_cdf)
+    if above:
+        best = max(best, _ks_runs(np.inf, n - above, n, n, se_cdf))
+    return float(_ks_search(x, n, grid, se_cdf, best))
 
 
-def _ks_edges(x: np.ndarray) -> np.ndarray:
-    """Inner slab edges of x: quantiles of a strided subsample, 64 points per slab.
-
-    A value that fills half a slab of the subsample gets [v, nextafter(v)).
-    """
-    slabs = min(_KS_SLABS, -(-x.size // _KS_SLAB))
-    if slabs == 1:
-        return np.empty(0)
-    sub = np.sort(x[:: max(1, x.size // (64 * slabs))])
-    values, hits = np.unique(sub, return_counts=True)
-    heavy = values[hits >= max(1, sub.size // (2 * slabs))]
-    pivots = sub[np.arange(1, slabs) * sub.size // slabs]
-    edges = np.unique(np.r_[pivots, heavy, np.nextafter(heavy, np.inf)])
-    return edges[edges < np.inf]  # the top slab holds +inf
+def _ks_pieces(x: np.ndarray):
+    """x in pieces of _KS_PIECE: each pass of ks_distance over the samples is one call."""
+    return (x[a : a + _KS_PIECE] for a in range(0, x.size, _KS_PIECE))
 
 
-def _ks_take(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The samples in [lo, hi), sorted; a one-value slab as a view that holds no copy."""
-    pieces = (x[a : a + _KS_PIECE] for a in range(0, x.size, _KS_PIECE))
-    if np.nextafter(lo, np.inf) == hi:
-        return np.broadcast_to(lo, (sum(np.count_nonzero(p == lo) for p in pieces),))
-    # np.compress gathers a few times faster than a boolean index
-    s = np.concatenate(
-        [np.compress((p >= lo) & (p < hi) if hi < np.inf else p >= lo, p) for p in pieces]
-    )
-    s.sort()
-    return s
+def _ks_grid(x: np.ndarray, n: int, lo: float, hi: float, se_cdf):
+    """(collect, counts, starts, edges, bound) of cells over (lo, hi]: cell k holds the
+    counts[k] samples with floor(x 2^e) - floor(lo 2^e) = k, at sorted positions from
+    starts[k], in [edges[k], edges[k + 1]], whose runs deviate by at most bound[k]. Two more
+    counts, bound -inf, are the samples at or below lo and above hi. collect(taken) sorts
+    the samples of the taken cells."""
+    e = _KS_CELLS.bit_length() - 1 - math.frexp(hi - lo)[1]
+
+    def scaled(v):  # floor(v 2^e), exact: v is floored first when scaled down
+        with np.errstate(over="ignore"):
+            return np.floor(np.ldexp(np.floor(v) if e < 0 else v, e))
+
+    origin, last = scaled(np.array([lo, hi]))
+    cells = int(last - origin) + 1
+
+    def keys(p):  # the end cells also take the samples outside (lo, hi]
+        return np.clip(scaled(p) - origin, 0, cells - 1).astype(np.intp)
+
+    def collect(taken):
+        s, i = np.empty(counts[taken].sum()), 0
+        for p in _ks_pieces(x):
+            keep = taken[keys(p)]
+            if taken[0]:
+                keep &= p > lo
+            if taken[cells - 1]:
+                keep &= p <= hi
+            np.compress(keep, p, out=s[i : i + np.count_nonzero(keep)])
+            i += np.count_nonzero(keep)
+        s.sort()
+        return s
+
+    counts = np.zeros(cells + 2, dtype=np.int64)
+    for p in _ks_pieces(x):
+        counts[:cells] += np.bincount(keys(p), minlength=cells)
+        counts[cells:] += np.count_nonzero(p <= lo), np.count_nonzero(p > hi)
+    counts[0] -= counts[cells]
+    counts[cells - 1] -= counts[cells + 1]
+    inner = counts[:cells]
+    starts = counts[cells] + np.cumsum(inner) - inner
+    with np.errstate(over="ignore"):
+        edges = np.clip(np.ldexp(origin + np.arange(cells + 1.0), -e), np.nextafter(lo, np.inf), hi)
+    model = np.asarray(se_cdf(edges), dtype=float)
+    if not np.all(np.diff(model) >= -_KS_SLACK):
+        raise ValueError("se_cdf must be a CDF: it decreases on the sample range")
+    bound = np.full(cells + 2, -np.inf)
+    bound[:cells] = np.maximum((starts + inner) / n - model[:-1], model[1:] - starts / n)
+    bound[:cells][inner == 0] = -np.inf
+    return collect, counts, starts, edges, bound
 
 
-def _ks_cut(s: np.ndarray):
-    """(starts, ends, first and last samples) of blocks of sorted s that end runs of ties."""
-    if s.size and s[0] == s[-1]:  # one run: no search, and s may be a view of one value
-        ends = np.array([s.size])
-    else:
-        ends = np.union1d(np.searchsorted(s, s[_KS_BLOCK - 1 :: _KS_BLOCK], side="right"), s.size)
-        ends = ends[ends > 0]
-    starts = np.r_[0, ends][:-1]
-    return starts, ends, np.column_stack((s[starts], s[ends - 1])).ravel()
-
-
-def _ks_walk(s: np.ndarray, offset: int, n: int, starts, ends, bound, se_cdf, best: float):
-    """best, raised by the blocks of slab s (s[0] at position offset) whose bound reaches it."""
-    order = np.argsort(-bound, kind="stable")
-    for i in range(0, order.size, _KS_BATCH):
-        group = order[i : i + _KS_BATCH]
-        group = group[bound[group] >= best - _KS_SLACK]
-        if group.size == 0:
-            break
-        best = max(best, _ks_blocks(s, offset, n, starts[group], ends[group], se_cdf))
+def _ks_search(x: np.ndarray, n: int, grid, se_cdf, best: float) -> float:
+    """best, raised by the runs of grid's cells in descending bound, while it reaches best."""
+    collect, counts, starts, edges, bound = grid
+    order = np.argsort(-bound, kind="stable")  # ends with the outer keys
+    i = 0
+    while bound[order[i]] >= best - _KS_SLACK:
+        k = order[i]
+        if counts[k] > _KS_GATHER and edges[k] == edges[k + 1]:  # one value: one run
+            best = max(best, _ks_runs(edges[k], starts[k], starts[k] + counts[k], n, se_cdf))
+        elif counts[k] > _KS_GATHER:  # counted again over its own edges
+            sub = _ks_grid(x, n, np.nextafter(edges[k], -np.inf), edges[k + 1], se_cdf)
+            best = _ks_search(x, n, sub, se_cdf, best)
+        else:  # a gather pass: the next cells, up to _KS_GATHER samples
+            take = order[i : i + np.searchsorted(np.cumsum(counts[order[i:]]), _KS_GATHER, "right")]
+            taken = np.zeros(bound.size, dtype=bool)
+            taken[take[bound[take] >= best - _KS_SLACK]] = True
+            i += np.count_nonzero(taken) - 1
+            s, cells = collect(taken), np.flatnonzero(taken)  # cells in value order, as in s
+            sizes = counts[cells]
+            shift = starts[cells] - np.cumsum(sizes) + sizes  # sorted position - index in s
+            # the cell of the largest bound, then every other one whose bound reaches best
+            best = max(best, _ks_cell_runs(s, sizes, shift, cells == k, n, se_cdf))
+            rest = (cells != k) & (bound[cells] >= best - _KS_SLACK)
+            if rest.any():
+                best = max(best, _ks_cell_runs(s, sizes, shift, rest, n, se_cdf))
+        i += 1
     return best
 
 
-def _ks_blocks(s: np.ndarray, offset: int, n: int, starts, ends, se_cdf) -> float:
-    """Largest deviation over the runs of ties in blocks [a, b) of slab s, s[0] at offset."""
-    run_starts, run_ends = [], []
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        block = s[a - offset : b - offset]
-        first = a + np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
-        run_starts.append(first)
-        run_ends.append(np.r_[first[1:], b])
-    lo, hi = np.concatenate(run_starts), np.concatenate(run_ends)
-    xs = s[lo - offset]
-    fn_hi = hi / n  # empirical CDF at xs
-    fn_lo = fn_hi - (hi - lo) / n  # empirical CDF just below xs
+def _ks_cell_runs(s, sizes, shift, chosen, n: int, se_cdf) -> float:
+    """Largest deviation over the runs of the chosen cells of s: s holds sizes[i] sorted
+    samples of cell i, at sorted positions shift[i] above their index in s."""
+    at = np.flatnonzero(np.repeat(chosen, sizes))
+    v = s[at]
+    at += np.repeat(shift[chosen], sizes[chosen])
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    return _ks_runs(v[first], at[first], at[np.r_[first[1:], v.size] - 1] + 1, n, se_cdf)
+
+
+def _ks_runs(xs, a, b, n: int, se_cdf) -> float:
+    """Largest deviation at runs of ties, value xs at sorted positions [a, b), arrays or one."""
+    fn_hi = b / n  # empirical CDF at xs
+    fn_lo = fn_hi - (b - a) / n  # empirical CDF just below xs
     model = np.asarray(se_cdf(xs), dtype=float)
     # the atom at SE = 0 jumps from 0, so the model just below it is 0
-    model_left = np.where((lo == 0) & (xs == 0.0), 0.0, model)
+    model_left = np.where((a == 0) & (xs == 0.0), 0.0, model)
     return max(np.max(fn_hi - model), np.max(model_left - fn_lo))

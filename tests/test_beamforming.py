@@ -136,6 +136,17 @@ class TestBeamPattern:
         expected = [abs(array_response(baseline.n_t, theta).conj() @ f) for theta in grid]
         np.testing.assert_allclose(beam_pattern(f, grid), expected, rtol=1e-12, atol=1e-12)
 
+    def test_stacked_beamformers_equal_each_alone(self, baseline, rng):
+        # one steering matrix serves every row, and each row's product is unchanged
+        aods = sample_channel(baseline, rng=rng).aods
+        allocs = (los_concentration(baseline), uniform_allocation(baseline))
+        fs = np.array([build_beamformer(alloc, aods, baseline) for alloc in allocs])
+        grid = np.radians(np.linspace(0.0, 180.0, 721))
+        stacked = beam_pattern(fs, grid)
+        assert stacked.shape == (2, 721)
+        for f, row in zip(fs, stacked):
+            assert row.tobytes() == beam_pattern(f, grid).tobytes()
+
     def test_empty_grid_rejected(self, baseline, rng):
         aods = sample_channel(baseline, rng=rng).aods
         f = build_beamformer(los_concentration(baseline), aods, baseline)

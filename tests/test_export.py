@@ -4,6 +4,7 @@ import numpy as np
 
 from panelalloc import optimize_outmin, run_trials, sample_channel, uniform_allocation
 from panelalloc.export import (
+    _fmt,
     write_candidates_csv,
     write_columns_csv,
     write_samples_csv,
@@ -19,6 +20,25 @@ def test_pattern_csv_layout(tmp_path):
     assert lines[1] == "theta_deg,gain_abs"
     assert lines[2].startswith("0.0,0.25")
     assert len(lines) == 4
+
+
+def test_columns_are_formatted_as_value_by_value(tmp_path):
+    # rows formatted a piece at a time from tolist() give _fmt's bytes for every dtype
+    gen = np.random.default_rng(1)
+    n = 2 * 4096 + 3
+    floats = gen.standard_normal(n) * 10.0 ** gen.integers(-30, 30, n)
+    floats[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e-5]
+    columns = {
+        "i": range(n),
+        "f64": floats,
+        "f32": floats.astype(np.float32),
+        "k": gen.integers(-5, 5, n),
+        "b": floats > 0,
+    }
+    path = write_columns_csv(tmp_path / "c.csv", "meta", columns)
+    rows = zip(*(list(c) for c in columns.values()))
+    expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    assert path.read_text() == "# meta\ni,f64,f32,k,b\n" + expected
 
 
 def test_cdf_csv_columns(tmp_path):

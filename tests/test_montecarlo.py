@@ -27,9 +27,6 @@ from panelalloc import (
 )
 from panelalloc import montecarlo
 from panelalloc.montecarlo import (
-    _KS_BATCH,
-    _KS_BLOCK,
-    _KS_SLABS,
     CHUNK_TRIALS,
     MODES,
     SUB_ROWS,
@@ -513,6 +510,18 @@ class TestEmpiricalMetrics:
         assert result.se_samples.tobytes() == samples.tobytes()
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """Patch montecarlo.<name> to record its calls; returns the list of their arguments."""
+    inner, calls = getattr(montecarlo, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(montecarlo, name, counted)
+    return calls
+
+
 class TestKsDistance:
     def test_equals_unique_based_distance(self, baseline, aods):
         # the LoS beam's zero-SE atom gives one long run of tied samples
@@ -530,7 +539,7 @@ class TestKsDistance:
 
     @given(
         seed=st.integers(0, 2**31),
-        n=st.sampled_from([1, 2, _KS_BLOCK, _KS_BLOCK + 1]) | st.integers(1, 40 * _KS_BLOCK + 77),
+        n=st.sampled_from([1, 2, 128, 129]) | st.integers(1, 5197),
         distinct=st.sampled_from([1, 2, 3, 40]) | st.integers(1, 2000),
         zero_share=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.0),
         shift=st.sampled_from([0.0, 1.5]),
@@ -538,7 +547,7 @@ class TestKsDistance:
     @settings(max_examples=80, deadline=None)
     def test_equals_unpruned_oracle_bitwise(self, baseline, seed, n, distinct, zero_share, shift):
         gen = np.random.default_rng(seed)
-        # few distinct values make runs of ties that cross block boundaries
+        # few distinct values make runs of ties that fill whole cells
         pool = np.sort(gen.exponential(2.0, distinct)) + 1e-3
         samples = np.where(gen.random(n) < zero_share, 0.0, gen.choice(pool, n))
         q = allocation_array(baseline.n_p, baseline.num_paths)
@@ -555,71 +564,99 @@ class TestKsDistance:
         distinct=st.sampled_from([1, 2, 40]) | st.integers(1, 3000),
         zero_share=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.0),
         heavy_share=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
-        slab=st.sampled_from([1, 2, 7, 64, 300]) | st.integers(1, 4000),
-        slabs=st.sampled_from([2, 16, 300]),
+        cells=st.sampled_from([16, 64, 1000]) | st.integers(16, 4096),
+        gather=st.sampled_from([1, 2, 7, 64, 300]) | st.integers(1, 4000),
         infinite=st.booleans(),
+        shift=st.sampled_from([0.0, 1.5]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_value_slabs_equal_unpruned_oracle_bitwise(
-        self, baseline, seed, n, distinct, zero_share, heavy_share, slab, slabs, infinite
+    def test_value_cells_equal_unpruned_oracle_bitwise(
+        self, baseline, seed, n, distinct, zero_share, heavy_share, cells, gather, infinite, shift
     ):
-        # small slabs: many of them, some empty, heavy values alone in theirs
+        # few cells and a small gather limit: heavy cells are counted again,
+        # and the candidates take several gather passes
         gen = np.random.default_rng(seed)
         samples = _tied_samples(gen, n, distinct, zero_share)
         samples[gen.random(n) < heavy_share] = samples[gen.integers(n)]
-        if infinite:  # the top slab is open above
+        if infinite:  # the run above the cells
             samples[gen.integers(n)] = np.inf
         mix = rsnr_mixture(los_concentration(baseline), baseline)
 
         def model(se):
-            return se_cdf(mix, se)
+            return se_cdf(mix, np.maximum(np.asarray(se) - shift, 0.0))
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_KS_SLAB", slab)
-            patch.setattr(montecarlo, "_KS_SLABS", slabs)
+            patch.setattr(montecarlo, "_KS_CELLS", cells)
+            patch.setattr(montecarlo, "_KS_GATHER", gather)
+            patch.setattr(montecarlo, "_KS_PIECE", 100)
             got = ks_distance(_batch(samples), model)
         assert got == unique_ks_distance(samples, model)
 
+    def test_heavy_cells_are_counted_again_and_gathered_in_passes(self, monkeypatch):
+        # a value within a few ulps of a heavy one, and a continuous part
+        gen = np.random.default_rng(4)
+        samples = gen.exponential(1.0, 4000)
+        samples[:1500] = 1.25
+        samples[1500:1700] = np.nextafter(1.25, 2.0)
+
+        def model(se):
+            return 1.0 - np.exp(-np.asarray(se, dtype=float))
+
+        monkeypatch.setattr(montecarlo, "_KS_CELLS", 64)
+        monkeypatch.setattr(montecarlo, "_KS_GATHER", 100)
+        grids, reads = _counted(monkeypatch, "_ks_grid"), _counted(monkeypatch, "_ks_pieces")
+        assert ks_distance(_batch(samples), model) == unique_ks_distance(samples, model)
+        assert len(grids) >= 3  # the heavy cell is counted again until its two values part
+        assert len(reads) - 1 - len(grids) >= 2  # gather passes: all but the range and counts
+
     @pytest.mark.parametrize("split", [False, True])
-    def test_block_bound_just_above_best_is_evaluated(self, split):
-        # _KS_BATCH blocks bound near u but deviate u/2; the next block's
-        # bound is u/2 + 5e-5 and it deviates u/2 + 3e-5, so pruning with any
-        # slack above 3e-5, per block or per slab, misses the distance
-        n = (_KS_BATCH + 1) * _KS_BLOCK
-        u = _KS_BLOCK / n
-        values = []
-        for k in range(_KS_BATCH):
-            values += [k * u + (k + 1) * 1e-6] + [k * u + u / 2] * (_KS_BLOCK - 1)
-        f = _KS_BATCH * u + u / 2 - 5e-5
-        values += [f] + [f + 2e-5] * (_KS_BLOCK - 1)
-        samples = np.random.default_rng(0).permutation(values)
+    def test_block_bound_just_above_best_is_evaluated(self, split, monkeypatch):
+        # Runs at k/64 (k = 1..63) in cells of width 2^-15 under F(x) = x: G(k/64) =
+        # k/64 + 0.01, but the run A at 20/64 + 2e-5 deviates by 0.02 and has the
+        # largest bound, 0.02 + 2e-5, and the run B at 40/64 deviates by 0.02001,
+        # its bound. Once A is evaluated, B's bound is 1e-5 above the best, so
+        # pruning with any slack above 1e-5, per cell or per gather pass, misses
+        # the distance. Split: A and B are gathered in passes of their own.
+        n = 100_000
+        values = np.r_[0.0, np.arange(1, 64) / 64]
+        values[20] += 2e-5
+        ends = np.round((values + 0.01) * n).astype(int)
+        ends[0], ends[20], ends[40], ends[63] = 1, round((values[20] + 0.02) * n), 64_501, n
+        samples = np.random.default_rng(0).permutation(np.repeat(values, np.diff(ends, prepend=0)))
 
         def uniform_cdf(se):
             return np.clip(np.asarray(se, dtype=float), 0.0, 1.0)
 
-        expected = unique_ks_distance(samples, uniform_cdf)
-        assert expected > u / 2 + 2e-5
-        with pytest.MonkeyPatch.context() as patch:
-            if split:  # the last block in a slab of its own
-                edge = np.array([(values[-_KS_BLOCK - 1] + f) / 2])
-                patch.setattr(montecarlo, "_ks_edges", lambda x: edge)
-            assert ks_distance(_batch(samples), uniform_cdf) == expected
+        _, counts, _, edges, bound = montecarlo._ks_grid(samples, n, 0.0, 63 / 64, uniform_cdf)
+        cell_a, cell_b = np.argsort(-bound)[:2]
+        dev_a, dev_b = ends[20] / n - values[20], ends[40] / n - values[40]
+        assert edges[cell_a] == 20 / 64 and edges[cell_b] == values[40]
+        assert bound[cell_a] > bound[cell_b] == dev_b > dev_a + 0.99e-5
+        if split:
+            monkeypatch.setattr(montecarlo, "_KS_GATHER", int(counts[cell_a]))
+        reads = _counted(monkeypatch, "_ks_pieces")
+        assert ks_distance(_batch(samples), uniform_cdf) == unique_ks_distance(
+            samples, uniform_cdf
+        ) == dev_b
+        assert len(reads) == 2 + (2 if split else 1)  # the range, the count, the gathers
 
     def test_samples_are_read_a_bounded_number_of_times(self, baseline, aods, monkeypatch):
-        # uncapped, slabs of 1024 would cut 2e5 samples into 196 slabs
-        result = run_trials(baseline, uniform_allocation(baseline), aods, "realistic", 2 * 10**5, 3)
-        mix = rsnr_mixture(uniform_allocation(baseline), baseline)
-        take, gathers = montecarlo._ks_take, []
-
-        def counted(*args):
-            gathers.append(args)
-            return take(*args)
-
-        monkeypatch.setattr(montecarlo, "_KS_SLAB", 1024)
-        monkeypatch.setattr(montecarlo, "_ks_take", counted)
-        ks_distance(result, lambda se: se_cdf(mix, se))
-        # each gather reads the samples once: every slab once, and again at most once
-        assert len(gathers) <= 2 * _KS_SLABS
+        reads, passes = _counted(monkeypatch, "_ks_pieces"), {}
+        for mode in MODES:
+            for alloc in (los_concentration(baseline), uniform_allocation(baseline)):
+                result = run_trials(baseline, alloc, aods, mode, 2 * 10**5, 3)
+                mix = rsnr_mixture(alloc, baseline)
+                before = len(reads)
+                ks_distance(result, lambda se: se_cdf(mix, se))
+                passes[mode, alloc.q] = len(reads) - before
+        # the range, the count and one gather pass; in realistic mode the LoS
+        # beam's zero atom alone is the distance, and no cell's bound reaches it
+        assert passes == {
+            ("idealized", (8, 0, 0, 0)): 3,
+            ("idealized", (2, 2, 2, 2)): 3,
+            ("realistic", (8, 0, 0, 0)): 2,
+            ("realistic", (2, 2, 2, 2)): 3,
+        }
 
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_designs_at_scale_equal_unpruned_oracle(self, baseline, aods, mode):
@@ -630,8 +667,8 @@ class TestKsDistance:
             assert ks_distance(result, lambda se: se_cdf(mix, se)) == expected
 
     def test_model_falling_between_blocks_is_rejected(self):
-        samples = np.arange(3 * _KS_BLOCK) / (3 * _KS_BLOCK)
-        edge = samples[_KS_BLOCK]  # first sample of the second block
+        samples = np.arange(384) / 384
+        edge = samples[128]
 
         def falling(drop):
             return lambda se: np.asarray(se) - drop * (np.asarray(se) >= edge)
@@ -643,15 +680,20 @@ class TestKsDistance:
             samples, falling(1e-13)
         )
 
-    @pytest.mark.parametrize("slab", [1 << 20, 100])
-    def test_nan_sample_is_rejected(self, baseline, slab):
+    @pytest.mark.parametrize("piece", [1 << 20, 100])
+    def test_nan_sample_is_rejected(self, baseline, piece):
         samples = np.linspace(0.0, 8.0, 1000)
         samples[[0, 500]] = np.nan
         mix = rsnr_mixture(uniform_allocation(baseline), baseline)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_KS_SLAB", slab)
+            patch.setattr(montecarlo, "_KS_PIECE", piece)
             with pytest.raises(ValueError, match="NaN"):
                 ks_distance(_batch(samples), lambda se: se_cdf(mix, se))
+
+    def test_negative_infinity_is_rejected(self):
+        # no cell of finite width starts at -inf
+        with pytest.raises(ValueError, match="-inf"):
+            ks_distance(_batch([1.0, -np.inf, 2.0]), lambda se: np.clip(se, 0.0, 1.0))
 
     @pytest.mark.parametrize("design", [los_concentration, uniform_allocation])
     def test_traced_peak_is_block_sized(self, baseline, aods, design):
