@@ -47,7 +47,6 @@ piece-length arrays, never a sorted copy.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -387,7 +386,7 @@ def _ks_grid(x: np.ndarray, n: int, lo: float, hi: float, se_cdf):
     starts[k], in [edges[k], edges[k + 1]], whose runs deviate by at most bound[k]. Two more
     counts, bound -inf, are the samples at or below lo and above hi. collect(taken) sorts
     the samples of the taken cells."""
-    e = _KS_CELLS.bit_length() - 1 - math.frexp(hi - lo)[1]
+    e = _KS_CELLS.bit_length() - 1 - int(np.frexp(hi - lo)[1])
 
     def scaled(v):  # floor(v 2^e), exact: v is floored first when scaled down
         with np.errstate(over="ignore"):
@@ -467,7 +466,12 @@ def _ks_cell_runs(s, sizes, shift, chosen, n: int, se_cdf) -> float:
     v = s[at]
     at += np.repeat(shift[chosen], sizes[chosen])
     first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    return _ks_runs(v[first], at[first], at[np.r_[first[1:], v.size] - 1] + 1, n, se_cdf)
+    xs, a, b = v[first], at[first], at[np.r_[first[1:], v.size] - 1] + 1
+    # in pieces, so the model's temporaries stay small
+    return max(
+        _ks_runs(xs[i : i + 2048], a[i : i + 2048], b[i : i + 2048], n, se_cdf)
+        for i in range(0, xs.size, 2048)
+    )
 
 
 def _ks_runs(xs, a, b, n: int, se_cdf) -> float:

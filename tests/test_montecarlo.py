@@ -609,6 +609,20 @@ class TestKsDistance:
         assert len(grids) >= 3  # the heavy cell is counted again until its two values part
         assert len(reads) - 1 - len(grids) >= 2  # gather passes: all but the range and counts
 
+    def test_every_candidate_run_is_evaluated(self, monkeypatch):
+        # 16 cells of ~2,500 distinct samples each: after the first cell, every
+        # other cell's bound reaches the best, so tens of thousands of runs are
+        # evaluated, in pieces
+        def uniform_cdf(se):
+            return np.clip(np.asarray(se, dtype=float), 0.0, 1.0)
+
+        monkeypatch.setattr(montecarlo, "_KS_CELLS", 16)
+        for seed in (0, 1):
+            samples = np.random.default_rng(seed).random(40_000)
+            assert ks_distance(_batch(samples), uniform_cdf) == unique_ks_distance(
+                samples, uniform_cdf
+            )
+
     @pytest.mark.parametrize("split", [False, True])
     def test_block_bound_just_above_best_is_evaluated(self, split, monkeypatch):
         # Runs at k/64 (k = 1..63) in cells of width 2^-15 under F(x) = x: G(k/64) =
