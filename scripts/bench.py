@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Median wall times of the profile search, of the Monte Carlo layer, of
-``ks_distance``, of fresh ``cdf`` processes and of the battery's jobs.
+``ks_distance``, of fresh ``cdf`` processes, of the battery's jobs and of
+the sweep commands and a battery pass.
 
     PYTHONPATH=src python scripts/bench.py
 
@@ -32,9 +33,16 @@ JSON object:
                launcher process). 10^7 trials run once.
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
+  commands     seconds of one in-process ``cmd_sweep_target_se`` and one
+               ``cmd_sweep_tx_snr`` call with the subcommands' defaults
+               (keys ``<function>_s``); and of one pass of the battery's seven
+               jobs through ``cli.main`` at seed 1 in a fresh process, run as
+               perfbench/workloads.py runs them, so the parser built on the
+               first call and the first simulation's imports count
+               (``battery_pass_s``).
 
 Each number is the median of REPEATS = 5 timings; the search, Monte
-Carlo and ks ones run in this process after one warm-up call.
+Carlo, ks and sweep ones run in this process after one warm-up call.
 """
 
 import json
@@ -172,6 +180,44 @@ def battery_jobs() -> dict:
     return {name: statistics.median(times) for name, times in runs.items()}
 
 
+# One battery pass as perfbench times it: panelalloc.cli and perfbench's
+# workloads are imported first, then each job's cli.main call is timed.
+BATTERY_PASS = """
+import sys
+from pathlib import Path
+import panelalloc.cli
+sys.path.append(sys.argv[1])
+import workloads
+out = Path(sys.argv[2])
+common = ["--scenario", str(workloads.BASELINE), "--trials", str(workloads.BATTERY_TRIALS),
+          "--seed", "1"]
+ops = [workloads._run_cli(" ".join(job[:-2]), job + common) for job in workloads.battery_jobs(out)]
+failures = [failure for op in ops for failure in op.failures]
+if failures:
+    sys.exit("\\n".join(failures))
+print(sum(op.seconds for op in ops))
+"""
+
+
+def commands() -> dict:
+    parser = cli.build_parser()
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command in (("sweep-se", cli.cmd_sweep_target_se),
+                              ("sweep-snr", cli.cmd_sweep_tx_snr)):
+            spec = cli._spec_from_args(parser, parser.parse_args([name, "--out", tmp]))
+            out[f"{command.__name__}_s"] = median_seconds(lambda: command(spec))
+        passes = [
+            float(subprocess.run(
+                [sys.executable, "-c", BATTERY_PASS, str(ROOT / "perfbench"), tmp],
+                check=True, capture_output=True, text=True,
+            ).stdout)
+            for _ in range(REPEATS)
+        ]
+    out["battery_pass_s"] = statistics.median(passes)
+    return out
+
+
 def main() -> int:
     result = {
         "search": search_layer(),
@@ -179,6 +225,7 @@ def main() -> int:
         "ks": ks_layer(),
         "cdf": cdf_processes(),
         "battery": battery_jobs(),
+        "commands": commands(),
     }
     print(json.dumps(result, indent=2))
     return 0

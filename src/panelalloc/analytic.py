@@ -114,7 +114,9 @@ def rsnr_cdf(mix: RsnrMixture, gamma: np.ndarray) -> np.ndarray:
 
 def se_cdf(mix: RsnrMixture, se_bits: np.ndarray) -> np.ndarray:
     """CDF of the spectral efficiency log2(1 + gamma) at the given SE values."""
-    gamma = np.exp2(np.asarray(se_bits, dtype=float))
+    # SE >= 1024 overflows to gamma = inf, where the CDF is 1
+    with np.errstate(over="ignore"):
+        gamma = np.exp2(np.asarray(se_bits, dtype=float))
     gamma -= 1.0
     return rsnr_cdf(mix, gamma)
 
@@ -145,8 +147,8 @@ def _exp_e1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def se_mean(mix: RsnrMixture) -> float:
-    """Exact mean SE E[log2(1 + gamma)] of an RSNR mixture.
+def _se_means(mixtures) -> list[float]:
+    """Exact mean SE E[log2(1 + gamma)] of each RSNR mixture, one ``_exp_e1`` call for all.
 
     An exponential RSNR of scale s has E[ln(1 + gamma)] = e^{1/s} E1(1/s)
     (Abramowitz & Stegun 5.1), so the mean is sum_k w_k e^{1/s_k} E1(1/s_k) / ln 2;
@@ -154,8 +156,15 @@ def se_mean(mix: RsnrMixture) -> float:
     """
     # a subnormal scale (kappa near 5e-324) sends 1/s to inf, whose term is 0
     with np.errstate(over="ignore"):
-        inverse = 1.0 / mix.scales
-    return float(mix.weights @ _exp_e1(inverse) / np.log(2.0))
+        inverse = 1.0 / np.concatenate([mix.scales for mix in mixtures])
+    ends = np.cumsum([mix.scales.size for mix in mixtures])
+    terms = np.split(_exp_e1(inverse), ends[:-1])
+    return [float(mix.weights @ term / np.log(2.0)) for mix, term in zip(mixtures, terms)]
+
+
+def se_mean(mix: RsnrMixture) -> float:
+    """Exact mean SE E[log2(1 + gamma)] of an RSNR mixture: its one-mixture ``_se_means``."""
+    return _se_means([mix])[0]
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +194,8 @@ def score_allocations(
     targets = np.asarray(target_se, dtype=float)
     if not np.all(targets >= 0.0):
         raise ConfigurationError(f"target SE must be nonnegative, got {target_se}")
-    gamma = np.exp2(targets.ravel()) - 1.0
+    with np.errstate(over="ignore"):  # gamma = inf at SE >= 1024, as in se_cdf
+        gamma = np.exp2(targets.ravel()) - 1.0
     profiles, inverse = _unique_rows(_profile(q, config))
     outage = np.empty((len(profiles), gamma.size))
     for rows, zero_mass, weights, scales in _survival_masks(profiles, config.p_blk):

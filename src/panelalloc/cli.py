@@ -13,6 +13,7 @@ allocation patterns, or no admissible AoD draw within the retry budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,11 +22,11 @@ import numpy as np
 
 from .analytic import (
     _se_bound,
+    _se_means,
     average_rsnr,
     rsnr_mixture,
     score_allocations,
     se_cdf,
-    se_mean,
 )
 from .beamforming import (
     PanelAllocation,
@@ -172,17 +173,21 @@ def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
     grid = spec.se_grid
     designs = [m for m in spec.methods if m in DESIGNS]
     searched = _optimize(spec, designs, grid, spec.config) if designs else {}
+    fixed = {m: resolve_allocation(spec, m) for m in spec.methods if m not in searched}
+    chosen = {m: [r.chosen for r in reports] for m, reports in searched.items()}
+    chosen |= {m: [alloc] * grid.size for m, alloc in fixed.items()}
+    # one mixture per distinct allocation, and all of their means from one evaluation
+    distinct = {a.q: a for allocs in chosen.values() for a in allocs}
+    mixtures = {q: rsnr_mixture(a, spec.config) for q, a in distinct.items()}
+    means = dict(zip(mixtures, _se_means(list(mixtures.values()))))
     columns: dict[str, np.ndarray] = {"xi_th": grid}
     for method in spec.methods:
         if method in searched:
-            reports = searched[method]
-            outage = np.array([r.outage for r in reports])
-            mean = np.array([se_mean(rsnr_mixture(r.chosen, spec.config)) for r in reports])
+            outage = np.array([r.outage for r in searched[method]])
         else:
-            mix = rsnr_mixture(resolve_allocation(spec, method), spec.config)
-            outage, mean = se_cdf(mix, grid), np.full(grid.size, se_mean(mix))
+            outage = se_cdf(mixtures[fixed[method].q], grid)
         columns[f"outage_{method}"] = outage
-        columns[f"mean_se_{method}"] = mean
+        columns[f"mean_se_{method}"] = np.array([means[a.q] for a in chosen[method]])
     path = write_columns_csv(
         spec.output_dir / "sweep_se.csv", spec.comment("sweep-se", sampled=False), columns
     )
@@ -191,21 +196,23 @@ def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
 
 def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
     """Mean RSNR, Jensen SE bound and exact mean SE vs transmit SNR."""
-    per_method: dict[str, list[tuple[float, float, float]]] = {m: [] for m in spec.methods}
+    per_method: dict[str, list[tuple[float, float]]] = {m: [] for m in spec.methods}
+    mixtures = []
     for snr in spec.snr_grid_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
         for method, alloc in resolve_allocations(spec, cfg).items():
             mean = average_rsnr(alloc, cfg)
-            per_method[method].append(
-                (linear_to_db(mean), _se_bound(mean), se_mean(rsnr_mixture(alloc, cfg)))
-            )
+            per_method[method].append((linear_to_db(mean), _se_bound(mean)))
+            mixtures.append(rsnr_mixture(alloc, cfg))
+    # every cell's exact mean SE from one evaluation, one row per SNR
+    mean_se = np.reshape(_se_means(mixtures), (spec.snr_grid_db.size, len(per_method)))
 
     columns: dict[str, np.ndarray] = {"tx_snr_db": spec.snr_grid_db}
-    for method, rows in per_method.items():
-        avg_db, bound, mean_se = np.array(rows).T
+    for j, (method, rows) in enumerate(per_method.items()):
+        avg_db, bound = np.array(rows).T
         columns[f"avg_rsnr_db_{method}"] = avg_db
         columns[f"se_bound_{method}"] = bound
-        columns[f"mean_se_{method}"] = mean_se
+        columns[f"mean_se_{method}"] = mean_se[:, j]
     path = write_columns_csv(
         spec.output_dir / "sweep_snr.csv",
         spec.comment("sweep-snr", sampled=False, target_se=spec.target_se),
@@ -302,6 +309,7 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+@functools.cache  # built once per process, where main may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panelalloc",

@@ -48,6 +48,7 @@ piece-length arrays, never a sorted copy.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,11 +292,22 @@ def run_batches(
                                 column.sort()
                                 counts[worker, k] += np.searchsorted(column, grid, side="right")
 
-    from concurrent.futures import ThreadPoolExecutor
+    failures: list[BaseException] = []
 
-    with ThreadPoolExecutor(workers) as pool:
-        # reading every result re-raises a worker's exception here
-        list(pool.map(fill, range(workers)))
+    def run(worker: int) -> None:
+        try:
+            fill(worker)
+        except BaseException as exc:  # re-raised on the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)  # worker 0 on the calling thread
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     totals = counts.sum(axis=0)
     return {
         (mode, q): TrialBatchResult(

@@ -28,7 +28,7 @@ from panelalloc import (
     se_mean,
     uniform_allocation,
 )
-from panelalloc.analytic import _BLOCK_ELEMENTS, _exp_e1
+from panelalloc.analytic import _BLOCK_ELEMENTS, _exp_e1, _se_means
 from util import blockage_pattern_se_cdf
 
 
@@ -342,6 +342,33 @@ class TestSeMean:
         zero_mix = rsnr_mixture(alloc, zero)
         assert cdf.tobytes() == se_cdf(zero_mix, se_bits).tobytes()
         assert mean == se_mean(zero_mix) == 0.0
+
+    def test_one_evaluation_equals_each_mixture_alone_bytewise(self, baseline):
+        # all 120 baseline compositions (1 to 15 components), p_blk = 1 (zero weights),
+        # and LoS-only at kappa = 0 (no component) and at a subnormal kappa (1/s = inf)
+        mixtures = [
+            rsnr_mixture(PanelAllocation(tuple(row.tolist())), baseline)
+            for row in allocation_array(baseline.n_p, baseline.num_paths)
+        ]
+        blocked = SystemConfig(p_min=1.0, p_max=1.0)
+        mixtures.append(rsnr_mixture(uniform_allocation(blocked), blocked))
+        for kappa in (0.0, 5e-324):
+            cfg = replace(baseline, rician_k=kappa)
+            mixtures.append(rsnr_mixture(los_concentration(cfg), cfg))
+        assert {mix.scales.size for mix in mixtures} >= {0, 1, 15}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = _se_means(mixtures)
+            alone = [se_mean(mix) for mix in mixtures]
+            with np.errstate(over="ignore"):
+                # the one-mixture formula, written out
+                direct = [
+                    float(mix.weights @ _exp_e1(1.0 / mix.scales) / np.log(2.0))
+                    for mix in mixtures
+                ]
+        assert np.array(means).tobytes() == np.array(alone).tobytes()
+        assert np.array(means).tobytes() == np.array(direct).tobytes()
+        assert means[-3:] == [0.0, 0.0, 0.0]
 
 
 class TestScoreAllocations:

@@ -1,3 +1,5 @@
+import argparse
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +18,8 @@ from panelalloc import (
     se_mean,
     uniform_allocation,
 )
-from panelalloc import cli, montecarlo, optimizer
-from util import exhaustive_outmin, reference_cdf
+from panelalloc import analytic, cli, montecarlo, optimizer
+from util import exhaustive_outmin, fresh_python, reference_cdf
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -311,6 +313,18 @@ class TestSweepExactMean:
             assert column(sweep_snr, f"mean_se_{method}").tolist() == expected
 
     @pytest.mark.parametrize("args", SWEEPS, ids=lambda a: a[0])
+    def test_one_exact_mean_evaluation_per_command(self, tmp_path, monkeypatch, args):
+        exp_e1, calls = analytic._exp_e1, []
+
+        def counted(x):
+            calls.append(x.size)
+            return exp_e1(x)
+
+        monkeypatch.setattr(analytic, "_exp_e1", counted)
+        assert run_cli(args + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("args", SWEEPS, ids=lambda a: a[0])
     def test_sweeps_draw_and_simulate_nothing(self, tmp_path, monkeypatch, args):
         def forbidden(*args, **kwargs):
             raise AssertionError("a sweep drew AoDs or simulated channel frames")
@@ -320,6 +334,44 @@ class TestSweepExactMean:
         for module in (montecarlo, cli):
             monkeypatch.setattr(module, "run_batches", forbidden)
         assert run_cli(args + ["--out", str(tmp_path)]) == 0
+
+
+class TestHugeTargetSe:
+    """Targets of 1024 bits/s/Hz and more overflow gamma to inf, where the CDF is exactly 1."""
+
+    def test_allocate_and_cdf_are_quiet_and_write_one(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["allocate", "--se-max", "1e308", "--out", str(tmp_path)]) == 0
+            argv = ["cdf", "--target-se", "1024", "--se-max", "1024", "--se-points", "3"]
+            assert run_cli(argv + ["--trials", "100", "--out", str(tmp_path)]) == 0
+        for tag in cli.DESIGNS:
+            assert column(tmp_path / "allocate.csv", f"outage_{tag}")[-1] == 1.0
+        for method in cli.METHODS:
+            path = tmp_path / f"cdf_{method}.csv"
+            assert column(path, "se_bits")[-1] == 1024.0
+            assert column(path, "cdf_analytic")[-1] == 1.0
+
+
+class TestOneParserPerProcess:
+    def test_second_call_reuses_the_parser(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        snr = ["sweep-snr", "--snr-db", "0,10"]
+        assert run_cli(["count", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(snr + ["--out", str(tmp_path / "a")]) == 0
+        # a usage error after a successful call still exits 2
+        assert run_cli(["sweep-snr", "--snr-db", "5,abc", "--out", str(tmp_path / "a")]) == 2
+        assert built.count("panelalloc") == 1
+        fresh_python("-m", "panelalloc.cli", *snr, "--out", str(tmp_path / "b"))
+        name = "sweep_snr.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestOneTablePerConfiguration:

@@ -35,6 +35,7 @@ from panelalloc.montecarlo import (
 )
 from util import (
     blockage_pattern_se_cdf,
+    fresh_python,
     realistic_se_cdf,
     serial_channel_power,
     unique_ks_distance,
@@ -366,6 +367,17 @@ class TestThreadedFill:
         assert not caller.is_alive()
         assert len(outcome) == 1
         assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "chunk 1 failed"
+
+    def test_simulation_imports_no_thread_pool(self):
+        code = (
+            "import sys, numpy as np, panelalloc as pa\n"
+            "c = pa.SystemConfig()\n"
+            "aods = pa.sample_channel(c, rng=np.random.default_rng(1)).aods\n"
+            # three chunks, so the other workers run on threads of their own
+            f"pa.run_trials(c, pa.uniform_allocation(c), aods, 'idealized', {3 * CHUNK_TRIALS}, 1)\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        assert fresh_python("-c", code).split() == ["[]"]
 
 
 @st.composite

@@ -1,6 +1,10 @@
 """Independent oracles shared by the test modules."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +25,17 @@ from panelalloc import cli
 from panelalloc.channel import blockage_attenuation
 from panelalloc.export import write_columns_csv, write_samples_csv, write_summary_csv
 from panelalloc.montecarlo import CHUNK_TRIALS
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_python(*args: str) -> str:
+    """Standard output of ``python *args`` in a fresh interpreter importing this panelalloc."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
 
 
 def array_response(n: int, theta: float) -> np.ndarray:
