@@ -33,7 +33,10 @@ JSON object:
                launcher process). 10^7 trials run once.
   battery      seconds of each job of ``run_experiments.py --seed 5``, as
                the script prints them, one fresh process per repeat.
-  commands     seconds of one in-process ``cmd_sweep_target_se`` and one
+  commands     wall seconds of fresh ``allocate``, ``pattern`` and ``count``
+               processes at their defaults and seed 1, started as the ``cdf``
+               ones are (keys ``<command>_process_s``); seconds of one
+               in-process ``cmd_sweep_target_se`` and one
                ``cmd_sweep_tx_snr`` call with the subcommands' defaults
                (keys ``<function>_s``); and of one pass of the battery's seven
                jobs through ``cli.main`` at seed 1 in a fresh process, run as
@@ -138,10 +141,9 @@ print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_m
 """
 
 
-def cdf_process(trials: int, out: str) -> tuple[float, float]:
-    """(wall seconds, peak RSS in MB) of one fresh ``cdf`` process."""
-    argv = [sys.executable, "-m", "panelalloc.cli", "cdf", "--trials", str(trials),
-            "--seed", "1", "--out", out]
+def cli_process(args: list[str]) -> tuple[float, float]:
+    """(wall seconds, peak RSS in MB) of one fresh ``panelalloc <args>`` process."""
+    argv = [sys.executable, "-m", "panelalloc.cli", *args]
     text = subprocess.run(
         [sys.executable, "-c", LAUNCHER, *argv], check=True, capture_output=True, text=True
     ).stdout
@@ -154,8 +156,9 @@ def cdf_process(trials: int, out: str) -> tuple[float, float]:
 def cdf_processes() -> dict:
     out = {}
     for trials, repeats in ((10**5, REPEATS), (10**6, REPEATS), (10**7, 1)):
+        args = ["cdf", "--trials", str(trials), "--seed", "1", "--out"]
         with tempfile.TemporaryDirectory() as tmp:
-            runs = [cdf_process(trials, tmp) for _ in range(repeats)]
+            runs = [cli_process(args + [tmp]) for _ in range(repeats)]
         tag = f"1e{len(str(trials)) - 1}"
         out[f"cdf_{tag}.wall_s"] = statistics.median(r[0] for r in runs)
         out[f"cdf_{tag}.peak_rss_mb"] = statistics.median(r[1] for r in runs)
@@ -199,13 +202,23 @@ print(sum(op.seconds for op in ops))
 """
 
 
+def command_processes(repeats: int = REPEATS) -> dict:
+    """Median wall seconds of fresh ``allocate``, ``pattern`` and ``count`` processes."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("allocate", "pattern", "count"):
+            runs = [cli_process([name, "--seed", "1", "--out", tmp]) for _ in range(repeats)]
+            out[f"{name}_process_s"] = statistics.median(r[0] for r in runs)
+    return out
+
+
 def commands() -> dict:
     parser = cli.build_parser()
-    out = {}
+    out = command_processes()
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in (("sweep-se", cli.cmd_sweep_target_se),
                               ("sweep-snr", cli.cmd_sweep_tx_snr)):
-            spec = cli._spec_from_args(parser, parser.parse_args([name, "--out", tmp]))
+            spec = cli._spec_from_args(parser.parse_args([name, "--out", tmp]))
             out[f"{command.__name__}_s"] = median_seconds(lambda: command(spec))
         passes = [
             float(subprocess.run(

@@ -58,10 +58,13 @@ class SystemConfig:
             raise ConfigurationError(
                 f"num_paths must be >= 2 (one LoS plus at least one NLoS), got {self.num_paths}"
             )
-        if not self.rician_k >= 0.0:
-            raise ConfigurationError(f"rician_k must be nonnegative, got {self.rician_k}")
-        if not self.tx_snr > 0.0:
-            raise ConfigurationError(f"tx_snr must be positive, got {self.tx_snr}")
+        if not 0.0 <= self.rician_k < math.inf:
+            raise ConfigurationError(f"rician_k must be finite and >= 0, got {self.rician_k}")
+        # tx_snr * n_a^2 * n_p bounds every RSNR scale and every step of computing one
+        if not 0.0 < float(self.tx_snr) * self.n_a**2 * self.n_p < math.inf:
+            raise ConfigurationError(
+                f"tx_snr must be positive, with tx_snr * n_a^2 * n_p finite, got {self.tx_snr}"
+            )
         if not (0.0 <= self.p_min <= self.p_max <= 1.0):
             raise ConfigurationError(
                 f"need 0 <= p_min <= p_max <= 1, got p_min={self.p_min}, p_max={self.p_max}"
@@ -123,6 +126,8 @@ def load_scenario(path: str | Path) -> tuple[SystemConfig, int]:
             p_max=float(raw["p_max"]),
         )
         seed = int(raw["seed"])
+    except OverflowError as exc:
+        raise ConfigurationError(f"{path}: a dB value overflows its linear value") from exc
     except ValueError as exc:
         if isinstance(exc, ConfigurationError):
             raise

@@ -1,4 +1,5 @@
 import argparse
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +56,15 @@ p_min = 0.1
 p_max = 0.5
 seed = 31
 """
+
+# scenario values whose linear value, or whose RSNR scales, overflow a float
+OVERFLOWING = {
+    "snr_3100": "tx_snr_db = 3100",
+    "k_4000": "rician_k_db = 4000",
+    "snr_inf": "tx_snr_db = inf",
+    "k_inf": "rician_k_db = inf",
+    "snr_3080": "tx_snr_db = 3080",  # gamma_tx is finite, gamma_tx * N_a^2 * N_p is not
+}
 
 
 class TestUsageErrors:
@@ -114,6 +124,14 @@ class TestUsageErrors:
             (["allocate", "--trials", "0"], 2),
             (["count", "--scenario", "{tmp}/missing.txt"], 2),
             (["count", "--out", "{tmp}/crowded.txt/sub"], 2),
+            (["sweep-snr", "--snr-db", "3100"], 2),
+            (["sweep-snr", "--snr-db", "0,3080"], 2),
+            (["count", "--scenario", "{tmp}/snr_3100.txt"], 2),
+            (["allocate", "--scenario", "{tmp}/k_4000.txt"], 2),
+            (["allocate", "--scenario", "{tmp}/snr_inf.txt"], 2),
+            (["allocate", "--scenario", "{tmp}/k_inf.txt"], 2),
+            (["allocate", "--scenario", "{tmp}/snr_3080.txt"], 2),
+            (["sweep-snr", "--scenario", "{tmp}/snr_3080.txt"], 2),
             # 10 AoDs 17.7 deg apart on [0, 180): an admissible draw has
             # probability ~3e-10, so rejection sampling exhausts its budget
             (["pattern", "--methods", "los", "--scenario", "{tmp}/crowded.txt"], 3),
@@ -126,10 +144,16 @@ class TestUsageErrors:
             .replace("n_p = 4", "n_p = 1")
             .replace("num_paths = 3", "num_paths = 10")
         )
+        for name, line in OVERFLOWING.items():
+            key = line.split()[0]
+            text = re.sub(rf"^{key} = .*$", line, SCENARIO, flags=re.M)
+            (tmp_path / f"{name}.txt").write_text(text)
         # the default --out goes first, so a row's own --out overrides it
         command, *rest = args
         argv = [command, "--out", str(tmp_path / "out")] + [a.format(tmp=tmp_path) for a in rest]
-        assert run_cli(argv) == code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(argv) == code
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -41,6 +41,12 @@ def test_average_blockage_probability_exact(p_min, p_max):
         dict(p_min=0.7, p_max=0.3),
         dict(p_min=-0.1),
         dict(p_max=1.5),
+        dict(rician_k=math.inf),
+        dict(rician_k=math.nan),
+        dict(tx_snr=math.inf),
+        # finite, but tx_snr * n_a^2 * n_p, a bound of the RSNR scales, is not
+        dict(tx_snr=1e308),
+        dict(tx_snr=1e304, n_a=1024, n_p=16),
     ],
 )
 def test_invalid_configuration_rejected(kwargs):
@@ -88,6 +94,8 @@ def test_load_scenario_roundtrip(tmp_path):
         lambda t: t.replace("n_a = 32", "n_a = thirty-two"),  # malformed value
         lambda t: t.replace("seed = 99", "seed = -1"),  # negative seed
         lambda t: t.replace("n_a = 32", "n_a"),  # no value
+        lambda t: t.replace("tx_snr_db = 10 ", "tx_snr_db = 3100 "),  # 10^310 overflows
+        lambda t: t.replace("rician_k_db = 10", "rician_k_db = 4000"),
     ],
 )
 def test_load_scenario_rejects_bad_files(tmp_path, mutation):

@@ -23,7 +23,7 @@ from panelalloc import (
 )
 from panelalloc import cli
 from panelalloc.channel import blockage_attenuation
-from panelalloc.export import write_columns_csv, write_samples_csv, write_summary_csv
+from panelalloc.export import write_csv
 from panelalloc.montecarlo import CHUNK_TRIALS
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -226,10 +226,9 @@ def reference_cdf(argv) -> None:
 
     The per-method loop the one-pass kernel replaced: the same spec and
     allocations, each method simulated on its own in each mode, written by
-    the library's writers.
+    ``export.write_csv`` with the CLI's summary columns.
     """
-    parser = cli.build_parser()
-    spec = cli._spec_from_args(parser, parser.parse_args(["cdf", *argv]))
+    spec = cli._spec_from_args(cli.build_parser().parse_args(["cdf", *argv]))
     aods = sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
     for method, alloc in cli.resolve_allocations(spec).items():
         ideal = run_trials(spec.config, alloc, aods, "idealized", spec.trials, spec.seed)
@@ -242,10 +241,10 @@ def reference_cdf(argv) -> None:
         for result in (ideal, real):
             below = np.searchsorted(np.sort(result.se_samples), grid, side="right")
             columns[f"cdf_mc_{result.mode}"] = below / spec.trials
-        write_columns_csv(spec.output_dir / f"cdf_{method}.csv", comment, columns)
-        write_summary_csv(spec.output_dir / f"summary_{method}.csv", comment, [ideal, real])
+        write_csv(spec.output_dir / f"cdf_{method}.csv", comment, columns)
+        summary = cli._summary_columns([ideal, real])
+        write_csv(spec.output_dir / f"summary_{method}.csv", comment, summary)
         if spec.dump_samples:
             for result in (ideal, real):
-                write_samples_csv(
-                    spec.output_dir / f"samples_{method}_{result.mode}.csv", comment, result
-                )
+                samples = {"trial": range(result.trials), "se_bits": result.se_samples}
+                write_csv(spec.output_dir / f"samples_{method}_{result.mode}.csv", comment, samples)
