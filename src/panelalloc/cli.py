@@ -39,6 +39,8 @@ DESIGNS = ("outmin", "outmin_ase")
 DEFAULT_SEED = 2025
 DEFAULT_TRIALS = 100_000
 DEFAULT_EPSILON = 0.05
+# what a command reads of seed, trials and epsilon; the sweeps and allocate read epsilon only
+_READS = {"cdf": ("seed", "trials", "epsilon"), "pattern": ("seed", "epsilon"), "count": ()}
 
 
 @dataclass
@@ -61,14 +63,12 @@ class ExperimentSpec:
     dump_samples: bool = False
     dump_candidates: bool = False
 
-    def comment(self, command: str, sampled: bool = True, **extra) -> str:
-        """The '#' line: command, configuration, and seed and trials if the file is sampled."""
+    def comment(self, command: str, **extra) -> str:
+        """The '#' line: command, configuration, the seed, trials and epsilon it reads, extra."""
+        values = {"seed": self.seed, "trials": self.trials, "epsilon": f"{self.epsilon:.6g}"}
+        reads = {k: values[k] for k in _READS.get(command, ("epsilon",))}
         parts = [f"command={command}", self.config.summary()]
-        if sampled:
-            parts += [f"seed={self.seed}", f"trials={self.trials}"]
-        parts += [f"epsilon={self.epsilon:.6g}"]
-        parts += [f"{k}={v}" for k, v in extra.items()]
-        return " ".join(parts)
+        return " ".join(parts + [f"{k}={v}" for k, v in (reads | extra).items()])
 
 
 def _optimize(spec: ExperimentSpec, designs, target_ses, config: SystemConfig):
@@ -157,7 +157,7 @@ def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
             outage = se_cdf(mixtures[fixed[method].q], grid)
         columns[f"outage_{method}"] = outage
         columns[f"mean_se_{method}"] = np.array([means[a.q] for a in chosen[method]])
-    comment = spec.comment("sweep-se", sampled=False)
+    comment = spec.comment("sweep-se")
     return [write_csv(spec.output_dir / "sweep_se.csv", comment, columns)]
 
 
@@ -179,7 +179,7 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
         columns[f"avg_rsnr_db_{method}"] = avg_db
         columns[f"se_bound_{method}"] = bound
         columns[f"mean_se_{method}"] = mean_se[:, j]
-    comment = spec.comment("sweep-snr", sampled=False, target_se=spec.target_se)
+    comment = spec.comment("sweep-snr", target_se=spec.target_se)
     return [write_csv(spec.output_dir / "sweep_snr.csv", comment, columns)]
 
 
@@ -288,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=seed, default=None, help="RNG seed (overrides scenario)")
     trials = _positive("trials must be >= 1")
     common.add_argument("--trials", type=trials, default=DEFAULT_TRIALS, help="Monte Carlo trials")
+    epsilon = _checked(float, lambda v: 0 <= v <= 1, "epsilon must be in [0, 1]")
     common.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON, help="outage slack for outmin_ase"
+        "--epsilon", type=epsilon, default=DEFAULT_EPSILON, help="outage slack for outmin_ase"
     )
     common.add_argument("--out", dest="output_dir", metavar="OUT", type=Path,
                         default=Path("results"), help="output directory")

@@ -18,14 +18,16 @@ which other modes or allocations share the call. Every allocation's
 |h_eq|^2 is then formed in row sub-blocks of ``SUB_ROWS``: the spent
 blockage draws become a weight plane, 1 on a clear path and the blocked
 value on a blocked one; the gains times the weights times conj(a_eq) give
-the conjugate of h_eq's terms, and ``_row_sum`` adds them in numpy's own
-order, so |h_eq|^2 is bit for bit sum(omega h^* a_eq) of the model. The
-worker writes that column into the kept samples, or else into its own SE
-column, turns it into the RSNR and then the SE in place and stores the
-two sums of the sub-block; given an SE grid, it sorts the sub-block's SE
-in its column and adds the counts at the grid to its own. So ``cdf``,
-which needs only the counts and the means, holds no trial-length array.
-``run_trials`` is its one-allocation, one-mode call.
+the conjugate of h_eq's terms, and ``_row_sum`` adds them in path order,
+l = 1, ..., L, one column add per path. That order is the fill's contract:
+an oracle can replay it, where numpy's pairwise row sum changes its order
+with L and could change it in a numpy release. The worker writes the sum
+column into the kept samples, or else into its own SE column, turns it
+into the RSNR and then the SE in place and stores the two sums of the
+sub-block; given an SE grid, it sorts the sub-block's SE in its column
+and adds the counts at the grid to its own. So ``cdf``, which needs only
+the counts and the means, holds no trial-length array. ``run_trials`` is
+its one-allocation, one-mode call.
 
 Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
 chunks) threads, since numpy's generators and ufuncs release the
@@ -130,40 +132,9 @@ def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, m
 
 
 def _row_sum(g: np.ndarray) -> np.ndarray:
-    """Sums of the rows of complex g (rows, L), in place: returns the column g[:, 0].
-
-    Bit for bit ``np.sum(g, axis=1)`` (but for the sign of a zero sum),
-    with a few column adds instead of one call per row. It replays numpy's
-    pairwise sum of a complex row, unrolled by 8 floats (4 complex
-    accumulators) in blocks of 128 floats: with L < 4 the columns are added
-    in turn; with 4 <= L <= 64 columns 0-3 accumulate columns i..i+3 for
-    i = 4, 8, ... below L - L % 4, then give (c0 + c1) + (c2 + c3), and the
-    last L % 4 columns are added in turn; a wider g is split after
-    (L - L % 8) / 2 columns and the halves' sums are added. Should a numpy
-    release sum differently, ``tests/test_montecarlo.py::TestRowSum`` fails
-    first, then the bytewise fill tests against ``np.sum`` in
-    ``tests/util.serial_channel_power``.
-    """
-    L = g.shape[1]
-    if L > 64:
-        half = (L - L % 8) // 2
-        total = _row_sum(g[:, :half])
-        total += _row_sum(g[:, half:])
-        return total
+    """Sums of the rows of complex g (rows, L) in path order, in place: the column g[:, 0]."""
     total = g[:, 0]
-    if L < 4:
-        for j in range(1, L):
-            total += g[:, j]
-        return total
-    c = [g[:, j] for j in range(4)]
-    end = L - L % 4
-    for i in range(4, end, 4):
-        for j in range(4):
-            c[j] += g[:, i + j]
-    total += c[1]
-    c[2] += c[3]
-    total += c[2]
-    for j in range(end, L):
+    for j in range(1, g.shape[1]):
         total += g[:, j]
     return total
 
@@ -189,11 +160,12 @@ def run_batches(
     whatever the chunk scheduling: min(usable CPUs, chunks) threads fill the
     chunks, worker w taking chunks w, w + W, ....
 
-    The SE of a frame is log2(1 + tx_snr |h_eq|^2). The means are the
-    ``np.sum`` of the per-sub-block ``np.sum``s, in trial order, over
-    n_trials. The samples are kept only if ``keep_samples``; with an
-    ``se_grid``, ``cdf_counts`` holds the number of samples <= each of its
-    points, so a call that keeps no samples holds no trial-length array.
+    The SE of a frame is log2(1 + tx_snr |h_eq|^2), h_eq's terms added in
+    path order. The means are the ``np.sum`` of the per-sub-block
+    ``np.sum``s, in trial order, over n_trials. The samples are kept only
+    if ``keep_samples``; with an ``se_grid``, ``cdf_counts`` holds the
+    number of samples <= each of its points, so a call that keeps no
+    samples holds no trial-length array.
     """
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")

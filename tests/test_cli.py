@@ -122,6 +122,10 @@ class TestUsageErrors:
             (["sweep-snr", "--target-se", "inf"], 2),
             (["sweep-se", "--se-min", "-1"], 2),
             (["allocate", "--trials", "0"], 2),
+            (["count", "--epsilon", "nan"], 2),
+            (["cdf", "--methods", "los", "--epsilon", "-3", "--trials", "100"], 2),
+            (["sweep-se", "--epsilon", "1.5"], 2),
+            (["allocate", "--epsilon", "2"], 2),
             (["count", "--scenario", "{tmp}/missing.txt"], 2),
             (["count", "--out", "{tmp}/crowded.txt/sub"], 2),
             (["sweep-snr", "--snr-db", "3100"], 2),
@@ -358,6 +362,49 @@ class TestSweepExactMean:
         for module in (montecarlo, cli):
             monkeypatch.setattr(module, "run_batches", forbidden)
         assert run_cli(args + ["--out", str(tmp_path)]) == 0
+
+
+class TestCommentLine:
+    """A comment line records seed, trials and epsilon only where its command reads them."""
+
+    VALUES = {"seed": ["1", "2"], "trials": ["100", "1000"], "epsilon": ["0", "0.5"]}
+
+    @pytest.mark.parametrize(
+        "args, unread",
+        [
+            (["count"], ["seed", "trials", "epsilon"]),
+            (["allocate", "--se-points", "4", "--dump-candidates"], ["seed", "trials"]),
+            (["pattern", "--points", "5"], ["trials"]),
+        ],
+        ids=["count", "allocate", "pattern"],
+    )
+    def test_independent_of_what_the_command_does_not_read(self, tmp_path, args, unread):
+        runs = [[f"--{name}", value] for name in unread for value in self.VALUES[name]]
+        outputs = set()
+        for i, extra in enumerate(runs):
+            out = tmp_path / str(i)
+            assert run_cli(args + extra + ["--out", str(out)]) == 0
+            outputs.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "command, reads",
+        [
+            ("cdf", ["seed", "trials", "epsilon"]),
+            ("pattern", ["seed", "epsilon"]),
+            ("sweep-se", ["epsilon"]),
+            ("sweep-snr", ["epsilon"]),
+            ("allocate", ["epsilon"]),
+            ("count", []),
+        ],
+    )
+    def test_records_what_the_command_reads(self, tmp_path, command, reads):
+        argv = [command, "--trials", "100", "--se-points", "3"] if command == "cdf" else [command]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        for path in tmp_path.iterdir():
+            words = path.read_text().splitlines()[0].split()
+            recorded = [w.partition("=")[0] for w in words if w.partition("=")[0] in self.VALUES]
+            assert recorded == reads, path.name
 
 
 class TestHugeTargetSe:

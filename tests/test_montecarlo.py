@@ -209,8 +209,9 @@ class TestRowSum:
         gen = np.random.default_rng(L * rows)
         spread = lambda: gen.standard_normal((rows, L)) * 10.0 ** gen.uniform(-8, 8, (rows, L))
         g = spread() + 1j * spread()
-        g[::5] = 0.0  # all-zero rows
-        expected = np.sum(g, axis=1)
+        g[1::5] = 0.0  # all-zero rows, none in a one-row g
+        # numpy's running sum along the row: the paths added in path order
+        expected = np.cumsum(g, axis=1)[:, -1]
         total = _row_sum(g)
         assert np.shares_memory(total, g)  # accumulated inside g
         assert np.ascontiguousarray(total).tobytes() == expected.tobytes()
@@ -229,7 +230,7 @@ class TestThreadedFill:
             (8, 0, 0, 0),
             (4, 0, 2, 2),
             (1, 2, 2, 3),
-            # L = 9: one round of column adds, one tail column; L = 13: two rounds, one tail
+            # L = 9 and 13: more column adds than at the baseline's 4 paths
             (2, 1, 0, 1, 1, 0, 2, 1, 0),
             (3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3),
         ],

@@ -1,5 +1,6 @@
 """Independent oracles shared by the test modules."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -185,7 +186,9 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
     The single-threaded chunk loop the threaded fill replaced, with the gain
     law (scale * (z1 + 1j z2)) and the shared-p_hat blockage law
     (np.where over the blocked pattern) written out instead of called, so
-    the reference shares no sampling code with the library.
+    the reference shares no sampling code with the library. Each frame's
+    terms omega_l conj(h_l) a_eq[l] are added in path order, l = 1, ..., L,
+    by its own adds.
     """
     aods = np.asarray(aods, dtype=float)
     validate_allocation(alloc, config)
@@ -216,7 +219,7 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
             p_hat = rng.uniform(config.p_min, config.p_max, size=size)
             blocked = rng.random((size, L)) < p_hat[:, None]
             omega = np.where(blocked, blocked_values[None, :], 1.0)
-        h_eq = np.sum(omega * gains.conj() * a_eq[None, :], axis=1)
+        h_eq = functools.reduce(np.add, (omega * gains.conj() * a_eq[None, :]).T)
         power_chunks.append(np.abs(h_eq) ** 2)
     return np.concatenate(power_chunks)
 
