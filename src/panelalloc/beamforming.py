@@ -93,10 +93,16 @@ def equivalent_array_response_exact(aods: np.ndarray, f: np.ndarray) -> np.ndarr
 
 
 def beam_pattern(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|a(N_t, theta)^H f| over the given angle grid (radians), per row of a 2-D f."""
-    if np.size(grid) == 0:
+    """|a(N_t, theta)^H f| over the given angle grid (radians), per row of a 2-D f.
+
+    The grid is evaluated in near-equal pieces of at most 1,024 angles, so memory
+    stays flat in the grid size; a one-angle last piece would round differently.
+    """
+    grid = np.atleast_1d(grid)
+    if grid.size == 0:
         raise ValueError("angle grid must be nonempty")
-    return np.abs(equivalent_array_response_exact(grid, f))
+    pieces = np.array_split(grid, -(-grid.size // 1024))
+    return np.concatenate([np.abs(equivalent_array_response_exact(g, f)) for g in pieces], axis=-1)
 
 
 def equivalent_array_response_approx(

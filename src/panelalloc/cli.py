@@ -323,14 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-candidates", action="store_true", help="write full candidate tables")
     p = subcommand("pattern", "beam pattern per method")
     p.add_argument("--points", dest="pattern_points", metavar="POINTS",
-                   type=_positive("pattern needs at least one point"), default=721)
+                   type=_positive("pattern needs at least one point"),
+                   default=ExperimentSpec.pattern_points)
     p.add_argument("--alloc", dest="alloc_override", metavar="ALLOC", type=int_list,
                    default=None, help="explicit allocation, e.g. 2,2,2,2")
     p = subcommand("count", "candidate-set sizes")
-    p.add_argument("--n-p", dest="np_values", metavar="N_P", type=int_list, default="2,4,8,16",
-                   help="panel counts, comma-separated")
-    p.add_argument("--l-min", type=int, default=2)
-    p.add_argument("--l-max", type=int, default=8)
+    p.add_argument("--n-p", dest="np_values", metavar="N_P", type=int_list,
+                   default=ExperimentSpec.np_values, help="panel counts, comma-separated")
+    p.add_argument("--l-min", type=int, default=ExperimentSpec.paths_range[0])
+    p.add_argument("--l-max", type=int, default=ExperimentSpec.paths_range[1])
     return parser
 
 

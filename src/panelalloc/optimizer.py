@@ -1,7 +1,7 @@
 """Exact panel-allocation search for the three beam-design objectives.
 
-The candidates are every integer allocation q >= 0 with sum(q) = N_p and (by
-default) at least one panel on the LoS path. Outage and mean RSNR depend only
+The candidates are every integer allocation q >= 0 with sum(q) = N_p and at
+least one panel on the LoS path. Outage and mean RSNR depend only
 on q_1 and the multiset of the NLoS counts, so the search runs over profiles:
 q_1 plus a nondecreasing NLoS tail, i.e. a partition of N_p - q_1 into at most
 L - 1 parts (Knuth, TAOCP 4A, 7.2.1.4). ``profile_array`` lists them as one
@@ -54,24 +54,19 @@ class AllocationReport:
         return [(PanelAllocation(tuple(q)), outage, avg) for q, outage, avg in rows]
 
 
-def pattern_count(n_p: int, num_paths: int, require_los: bool = True) -> int:
+def pattern_count(n_p: int, num_paths: int) -> int:
     """Number of candidate allocations, in closed form.
 
-    With the LoS constraint q_1 >= 1 this is
-    sum_{q_1=1}^{N_p} C(N_p + L - q_1 - 2, L - 2); without it, the full
-    composition count C(N_p + L - 1, L - 1).
+    The candidates are the compositions with q_1 >= 1: by the hockey-stick
+    identity, sum_{q_1=1}^{N_p} C(N_p + L - q_1 - 2, L - 2) = C(N_p + L - 2, L - 1).
     """
     if n_p < 1 or num_paths < 2:
         raise ConfigurationError(f"need n_p >= 1 and num_paths >= 2, got {n_p}, {num_paths}")
-    if require_los:
-        return sum(
-            math.comb(n_p + num_paths - q1 - 2, num_paths - 2) for q1 in range(1, n_p + 1)
-        )
-    return math.comb(n_p + num_paths - 1, num_paths - 1)
+    return math.comb(n_p + num_paths - 2, num_paths - 1)
 
 
-def _check_capacity(n_p: int, num_paths: int, require_los: bool) -> int:
-    count = pattern_count(n_p, num_paths, require_los)
+def _check_capacity(n_p: int, num_paths: int) -> int:
+    count = pattern_count(n_p, num_paths)
     if count > MAX_PATTERNS:
         raise CapacityError(
             f"{count} allocation patterns for n_p={n_p}, num_paths={num_paths} "
@@ -80,28 +75,30 @@ def _check_capacity(n_p: int, num_paths: int, require_los: bool) -> int:
     return count
 
 
-def allocation_array(n_p: int, num_paths: int, require_los: bool = True) -> np.ndarray:
+def _extend(q, left, low, high) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of q repeated once per value low..high of its next entry, and the panels left."""
+    choices = high - low + 1
+    entry = np.arange(choices.sum()) - np.repeat(np.cumsum(choices) - choices - low, choices)
+    return np.column_stack((np.repeat(q, choices, axis=0), entry)), np.repeat(left, choices) - entry
+
+
+def allocation_array(n_p: int, num_paths: int) -> np.ndarray:
     """All candidate allocations as a (C, L) integer array in lexicographic order.
 
     Raises CapacityError before generating anything if the closed-form count
     exceeds MAX_PATTERNS. Each prefix is repeated once per value its next
     entry can take (0 up to the panels left); the last entry takes the rest.
     """
-    count = _check_capacity(n_p, num_paths, require_los)
-    q = np.arange(1 if require_los else 0, n_p + 1)[:, None]
+    count = _check_capacity(n_p, num_paths)
+    q = np.arange(1, n_p + 1)[:, None]
     left = n_p - q[:, 0]
     for _ in range(num_paths - 2):
-        choices = left + 1
-        first = np.repeat(np.cumsum(choices) - choices, choices)
-        entry = np.arange(first.size) - first
-        q = np.column_stack((np.repeat(q, choices, axis=0), entry))
-        left = np.repeat(left, choices) - entry
-    q = np.column_stack((q, left))
+        q, left = _extend(q, left, 0, left)
     assert q.shape[0] == count
-    return q
+    return np.column_stack((q, left))
 
 
-def profile_array(n_p: int, num_paths: int, require_los: bool = True) -> np.ndarray:
+def profile_array(n_p: int, num_paths: int) -> np.ndarray:
     """One allocation per profile, as a (P, L) integer array in lexicographic order.
 
     A profile is q_1 plus the multiset of the NLoS counts; its row is the
@@ -111,17 +108,12 @@ def profile_array(n_p: int, num_paths: int, require_los: bool = True) -> np.ndar
     fill; the last entry takes the rest. The MAX_PATTERNS guard on the
     composition count applies here too.
     """
-    _check_capacity(n_p, num_paths, require_los)
-    q = np.arange(1 if require_los else 0, n_p + 1)[:, None]
-    left = n_p - q[:, 0]
-    previous = np.zeros_like(left)
+    _check_capacity(n_p, num_paths)
+    q = np.arange(1, n_p + 1)[:, None]
+    left, low = n_p - q[:, 0], 0
     for slots in range(num_paths - 1, 1, -1):
-        choices = left // slots - previous + 1
-        first = np.repeat(np.cumsum(choices) - choices, choices)
-        entry = np.repeat(previous, choices) + np.arange(first.size) - first
-        q = np.column_stack((np.repeat(q, choices, axis=0), entry))
-        left = np.repeat(left, choices) - entry
-        previous = entry
+        q, left = _extend(q, left, low, left // slots)
+        low = q[:, -1]
     return np.column_stack((q, left))
 
 
@@ -147,21 +139,19 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
 
     When kappa (L-1) > 1 the LoS term dominates the objective and the
     maximizer is concentration of all panels on the LoS path; this is
-    cross-checked against a brute-force scan. Outside that regime a warning
-    is emitted and the scan argmax is returned instead.
+    cross-checked against a brute-force scan, the ``outmin_reports`` table at
+    epsilon = 1, where every row is feasible and the mean-RSNR argmax wins.
+    Outside that regime a warning is emitted and the scan argmax is returned.
     """
-    q = profile_array(config.n_p, config.num_paths)
-    _, avgs = score_allocations(q, config)
-    best_index = _first(-avgs)
-    best = PanelAllocation(tuple(q[best_index].tolist()))
+    scan = outmin_reports(config, [0.0], [1.0])[0][0]
     dominance = config.rician_k * (config.num_paths - 1)
     if dominance > 1.0:
         # compare objective values, not allocations: at p_blk = 1 every mean
         # is 0, an exact tie. LoS concentration is the last lexicographic row.
         los = los_concentration(config)
-        if avgs[best_index] > avgs[-1]:
+        if scan.avg_rsnr > scan.avg_rsnrs[-1]:
             raise AssertionError(
-                f"brute-force argmax {best.q} contradicts the closed-form maximizer {los.q}"
+                f"brute-force argmax {scan.chosen.q} contradicts the closed-form maximizer {los.q}"
             )
         return los
     warnings.warn(
@@ -169,14 +159,11 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
         "to maximize the mean RSNR; returning the brute-force argmax",
         stacklevel=2,
     )
-    return best
+    return scan.chosen
 
 
 def outmin_reports(
-    config: SystemConfig,
-    target_ses: np.ndarray,
-    epsilons: list[float],
-    require_los: bool = True,
+    config: SystemConfig, target_ses: np.ndarray, epsilons: list[float]
 ) -> list[list[AllocationReport]]:
     """Reports of ``optimize_outmin_ase`` for every epsilon and target SE, from one table.
 
@@ -187,7 +174,7 @@ def outmin_reports(
     for epsilon in epsilons:
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-    q = profile_array(config.n_p, config.num_paths, require_los)
+    q = profile_array(config.n_p, config.num_paths)
     outages, avgs = score_allocations(q, config, np.asarray(target_ses, dtype=float))
     outages = outages.T.copy()  # one contiguous row per target SE
     minima, neg_avgs = outages.min(axis=1), -avgs
@@ -203,23 +190,16 @@ def outmin_reports(
     ]
 
 
-def optimize_outmin(
-    config: SystemConfig, target_se: float, require_los: bool = True
-) -> AllocationReport:
+def optimize_outmin(config: SystemConfig, target_se: float) -> AllocationReport:
     """Minimize the outage probability at the target SE by exhaustive search.
 
     Ties are broken by higher mean RSNR, then by lexicographically smallest
     allocation, so the result is deterministic.
     """
-    return outmin_reports(config, [target_se], [0.0], require_los)[0][0]
+    return outmin_reports(config, [target_se], [0.0])[0][0]
 
 
-def optimize_outmin_ase(
-    config: SystemConfig,
-    target_se: float,
-    epsilon: float,
-    require_los: bool = True,
-) -> AllocationReport:
+def optimize_outmin_ase(config: SystemConfig, target_se: float, epsilon: float) -> AllocationReport:
     """Maximize the mean RSNR among near-optimal-outage allocations.
 
     Feasible candidates are those within epsilon of the minimum outage
@@ -227,4 +207,4 @@ def optimize_outmin_ase(
     lexicographically). The chosen outage therefore exceeds the minimum by
     at most epsilon.
     """
-    return outmin_reports(config, [target_se], [epsilon], require_los)[0][0]
+    return outmin_reports(config, [target_se], [epsilon])[0][0]

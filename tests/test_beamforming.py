@@ -147,6 +147,18 @@ class TestBeamPattern:
         for f, row in zip(fs, stacked):
             assert row.tobytes() == beam_pattern(f, grid).tobytes()
 
+    @pytest.mark.parametrize("points", [1025, 20000])
+    def test_pieces_equal_one_steering_matrix(self, baseline, rng, points):
+        # near-equal pieces: a lone last angle (1,024-angle pieces at 1,025
+        # points) would round differently from the whole product
+        aods = sample_channel(baseline, rng=rng).aods
+        allocs = (los_concentration(baseline), uniform_allocation(baseline))
+        fs = np.array([build_beamformer(alloc, aods, baseline) for alloc in allocs])
+        grid = np.radians(np.linspace(0.0, 180.0, points))
+        whole = np.abs(equivalent_array_response_exact(grid, fs))
+        assert beam_pattern(fs, grid).tobytes() == whole.tobytes()
+        assert beam_pattern(fs[0], grid).tobytes() == whole[0].tobytes()
+
     def test_empty_grid_rejected(self, baseline, rng):
         aods = sample_channel(baseline, rng=rng).aods
         f = build_beamformer(los_concentration(baseline), aods, baseline)

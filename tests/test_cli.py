@@ -1,5 +1,6 @@
 import argparse
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -545,6 +546,16 @@ class TestPatternAndCount:
         # full-array main lobe is ~0.4 deg wide; the 0.025 deg grid catches it
         assert gains.max() == pytest.approx(16.0, rel=0.01)
         assert (tmp_path / "pattern_custom.csv").exists()
+
+    def test_pattern_memory_is_flat_in_points(self, tmp_path):
+        # one (points, N_t) steering matrix for 20,000 points peaked at 157 MiB
+        tracemalloc.start()
+        try:
+            assert run_cli(["pattern", "--points", "20000", "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_count_values(self, tmp_path):
         rc = run_cli(["count", "--out", str(tmp_path)])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -49,7 +47,6 @@ class TestEnumeration:
         for n_p in range(1, 17):
             for L in range(2, 9):
                 assert pattern_count(n_p, L) == composition_count(n_p, L, 1)
-                assert pattern_count(n_p, L, require_los=False) == composition_count(n_p, L, 0)
 
     def test_lexicographic_order_and_constraints(self):
         qs = [tuple(row) for row in allocation_array(6, 3).tolist()]
@@ -57,20 +54,15 @@ class TestEnumeration:
         assert len(set(qs)) == len(qs)
         assert all(sum(q) == 6 and q[0] >= 1 for q in qs)
 
-    def test_relaxed_los_constraint(self):
-        q = allocation_array(4, 3, require_los=False)
-        assert len(q) == math.comb(6, 2)
-        assert np.any(q[:, 0] == 0)
-
-    @given(n_p=st.integers(1, 14), num_paths=st.integers(2, 7), require_los=st.booleans())
+    @given(n_p=st.integers(1, 14), num_paths=st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
-    def test_array_matches_recursion_and_is_sorted(self, n_p, num_paths, require_los):
-        q = allocation_array(n_p, num_paths, require_los)
-        assert q.shape == (composition_count(n_p, num_paths, int(require_los)), num_paths)
+    def test_array_matches_recursion_and_is_sorted(self, n_p, num_paths):
+        q = allocation_array(n_p, num_paths)
+        assert q.shape == (composition_count(n_p, num_paths, 1), num_paths)
         rows = [tuple(row) for row in q.tolist()]
         assert rows == sorted(set(rows))  # lexicographic and free of duplicates
         assert np.all(q >= 0) and np.all(q.sum(axis=1) == n_p)
-        assert np.all(q[:, 0] >= int(require_los))
+        assert np.all(q[:, 0] >= 1)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -89,18 +81,18 @@ class TestProfiles:
             assert profile_array(n_p, L).shape == (count, L)
             assert profile_count(n_p, L) == count
 
-    @given(n_p=st.integers(1, 14), num_paths=st.integers(2, 7), require_los=st.booleans())
+    @given(n_p=st.integers(1, 14), num_paths=st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
-    def test_one_ascending_row_per_profile(self, n_p, num_paths, require_los):
-        q = profile_array(n_p, num_paths, require_los)
+    def test_one_ascending_row_per_profile(self, n_p, num_paths):
+        q = profile_array(n_p, num_paths)
         rows = [tuple(row) for row in q.tolist()]
         assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly lexicographic
         assert np.all(np.diff(q[:, 1:], axis=1) >= 0)
         assert np.all(q >= 0) and np.all(q.sum(axis=1) == n_p)
-        assert np.all(q[:, 0] >= int(require_los))
-        compositions = allocation_array(n_p, num_paths, require_los).tolist()
+        assert np.all(q[:, 0] >= 1)
+        compositions = allocation_array(n_p, num_paths).tolist()
         assert set(rows) == {(c[0], *sorted(c[1:])) for c in compositions}
-        assert len(rows) == profile_count(n_p, num_paths, require_los)
+        assert len(rows) == profile_count(n_p, num_paths)
 
     def test_capacity_guard_covers_profiles(self):
         with pytest.raises(CapacityError):
@@ -244,14 +236,13 @@ class TestExhaustiveOracle:
         | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
         xi=st.sampled_from([0.0]) | st.floats(0.0, 9.0),
         epsilon=st.sampled_from([0.0, 0.05, 1.0]),
-        require_los=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    @example(seed=1, kappa=0.0, p_range=(0.0, 0.0), xi=0.0, epsilon=0.0, require_los=True)
-    @example(seed=2, kappa=0.0, p_range=(1.0, 1.0), xi=1.5, epsilon=0.05, require_los=False)
-    @example(seed=3, kappa=10.0, p_range=(1.0, 1.0), xi=0.0, epsilon=1.0, require_los=True)
-    @example(seed=4, kappa=10.0, p_range=(0.0, 0.0), xi=4.0, epsilon=0.05, require_los=False)
-    def test_bit_equal_choice(self, seed, kappa, p_range, xi, epsilon, require_los):
+    @example(seed=1, kappa=0.0, p_range=(0.0, 0.0), xi=0.0, epsilon=0.0)
+    @example(seed=2, kappa=0.0, p_range=(1.0, 1.0), xi=1.5, epsilon=0.05)
+    @example(seed=3, kappa=10.0, p_range=(1.0, 1.0), xi=0.0, epsilon=1.0)
+    @example(seed=4, kappa=10.0, p_range=(0.0, 0.0), xi=4.0, epsilon=0.05)
+    def test_bit_equal_choice(self, seed, kappa, p_range, xi, epsilon):
         gen = np.random.default_rng(seed)
         cfg = SystemConfig(
             n_a=int(gen.integers(2, 64)),
@@ -262,13 +253,11 @@ class TestExhaustiveOracle:
             p_min=float(p_range[0]),
             p_max=float(p_range[1]),
         )
-        report = optimize_outmin_ase(cfg, xi, epsilon, require_los)
-        expected = exhaustive_outmin(cfg, xi, epsilon, require_los)
+        report = optimize_outmin_ase(cfg, xi, epsilon)
+        expected = exhaustive_outmin(cfg, xi, epsilon)
         assert (report.chosen, report.outage, report.avg_rsnr) == expected
-        report = optimize_outmin(cfg, xi, require_los)
-        assert (report.chosen, report.outage, report.avg_rsnr) == exhaustive_outmin(
-            cfg, xi, 0.0, require_los
-        )
+        report = optimize_outmin(cfg, xi)
+        assert (report.chosen, report.outage, report.avg_rsnr) == exhaustive_outmin(cfg, xi, 0.0)
 
     def test_grid_reports_equal_single_queries(self, baseline):
         grid = np.linspace(0.0, 8.0, 9)

@@ -70,21 +70,19 @@ def partition_count(total: int, parts: int) -> int:
     return partition_count(total, parts - 1) + partition_count(total - parts, parts)
 
 
-def profile_count(n_p: int, num_paths: int, require_los: bool = True) -> int:
-    """Allocation profiles: q_1 plus a partition of n_p - q_1 into at most L - 1 parts."""
-    return sum(
-        partition_count(n_p - q1, num_paths - 1) for q1 in range(int(require_los), n_p + 1)
-    )
+def profile_count(n_p: int, num_paths: int) -> int:
+    """Allocation profiles: q_1 >= 1 plus a partition of n_p - q_1 into at most L - 1 parts."""
+    return sum(partition_count(n_p - q1, num_paths - 1) for q1 in range(1, n_p + 1))
 
 
-def exhaustive_outmin(config, target_se, epsilon, require_los=True):
+def exhaustive_outmin(config, target_se, epsilon):
     """The outage designs by exhaustive search over every composition.
 
     Scores the whole ``allocation_array`` table with ``score_allocations`` and
     picks the row with the lexsort on (infeasible, -mean, allocation order).
     Returns (chosen q, outage, mean RSNR).
     """
-    q = allocation_array(config.n_p, config.num_paths, require_los)
+    q = allocation_array(config.n_p, config.num_paths)
     outages, avgs = score_allocations(q, config, target_se)
     best = int(np.lexsort((-avgs, outages > outages.min() + epsilon))[0])
     return PanelAllocation(tuple(q[best].tolist())), float(outages[best]), float(avgs[best])
