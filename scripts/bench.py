@@ -19,9 +19,14 @@ JSON object:
   montecarlo   seconds for TRIALS = 10^6 trials at AoDs and seed 1: for
                each mode, one batch (the outmin design) and cdf's four
                designs; and cdf's whole pass, four designs in both modes
-               (8 batches). Keys without a prefix are the baseline
-               scenario (8 panels, 4 paths); keys prefixed ``scale_16_8.``
-               are scenarios/scale_16_8.txt (16 panels, 8 paths).
+               (8 batches). The draw floor under them, per chunk of
+               CHUNK_TRIALS = 2^16 trials on one thread: the gain fill
+               (``chunk.fill_gains_s``) and each mode's blockage draws,
+               p_hat included in realistic mode
+               (``chunk.<mode>_blockage_s``), median of CHUNK_REPEATS.
+               Keys without a prefix are the baseline scenario (8 panels,
+               4 paths); keys prefixed ``scale_16_8.`` are
+               scenarios/scale_16_8.txt (16 panels, 8 paths).
   ks           seconds of one ``ks_distance`` call, against its mixture's
                ``se_cdf``, on the 10^6 idealized samples (AoDs and seed 1)
                of each of cdf's four designs at target SE 1, baseline
@@ -44,8 +49,9 @@ JSON object:
                first call and the first simulation's imports count
                (``battery_pass_s``).
 
-Each number is the median of REPEATS = 5 timings; the search, Monte
-Carlo, ks and sweep ones run in this process after one warm-up call.
+Each number is the median of REPEATS = 5 timings (the per-chunk draws:
+CHUNK_REPEATS); the search, Monte Carlo, ks and sweep ones run in this
+process after one warm-up call.
 """
 
 import json
@@ -60,22 +66,23 @@ from pathlib import Path
 import numpy as np
 
 import panelalloc as pa
-from panelalloc import cli, montecarlo, optimizer
+from panelalloc import channel, cli, montecarlo, optimizer
 
 ROOT = Path(__file__).resolve().parents[1]
 DESIGNS = ("los", "uniform", "outmin", "outmin_ase")
 TRIALS = 10**6
 REPEATS = 5
+CHUNK_REPEATS = 51
 
 
 def simulate(config, allocs, aods, modes):
     return montecarlo.run_batches(config, allocs, aods, TRIALS, 1, modes)
 
 
-def median_seconds(fn) -> float:
+def median_seconds(fn, repeats: int = REPEATS) -> float:
     fn()  # warm-up
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -97,6 +104,32 @@ def search_layer() -> dict:
     return out
 
 
+def chunk_draws(config) -> dict:
+    """Seconds of one chunk's gain fill and of each mode's blockage draws, as run_batches
+    draws them: the gains into two (CHUNK_TRIALS, L) planes, the blocked patterns in
+    sub-blocks of SUB_ROWS rows."""
+    rows, sub, L = montecarlo.CHUNK_TRIALS, montecarlo.SUB_ROWS, config.num_paths
+    variances = channel.path_variances(config.rician_k, L)
+    re, im, p_hat = np.empty((rows, L)), np.empty((rows, L)), np.empty(rows)
+    draws, mask = np.empty((sub, L)), np.empty((sub, L), bool)
+    rng = montecarlo._chunk_rng(1, 0)
+
+    def blockage(mode):
+        if mode == "realistic":
+            p_block = channel._shared_blockage_probability(config, rng, p_hat)
+        else:
+            p_block = np.broadcast_to(config.p_blk, (rows, 1))
+        for a in range(0, rows, sub):
+            channel._block(rng, p_block[a : a + sub], draws, mask)
+
+    out = {"chunk.fill_gains_s": median_seconds(
+        lambda: channel._fill_gains(variances, rng, re, im), CHUNK_REPEATS
+    )}
+    for mode in montecarlo.MODES:
+        out[f"chunk.{mode}_blockage_s"] = median_seconds(lambda: blockage(mode), CHUNK_REPEATS)
+    return out
+
+
 def montecarlo_layer() -> dict:
     out = {}
     scale, _ = pa.load_scenario(ROOT / "scenarios" / "scale_16_8.txt")
@@ -111,6 +144,7 @@ def montecarlo_layer() -> dict:
         out[f"{prefix}cdf_pass_8_batches_s"] = median_seconds(
             lambda: simulate(config, designs, aods, montecarlo.MODES)
         )
+        out.update({f"{prefix}{key}": s for key, s in chunk_draws(config).items()})
     return out
 
 

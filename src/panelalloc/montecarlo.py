@@ -11,15 +11,18 @@ blocked served paths by 1/eta instead of nulling them; unserved paths have
 no beam and are nulled when blocked.
 
 ``run_batches`` simulates several allocations in both modes from common
-random numbers: one seed gives every design the same frames. Each chunk
-draws its path gains once; each mode's blockage is drawn once, from the
-generator state right after the gains, so a mode's frames do not depend on
-which other modes or allocations share the call. Every allocation's
-|h_eq|^2 is then formed in row sub-blocks of ``SUB_ROWS``: the spent
-blockage draws become a weight plane, 1 on a clear path and the blocked
-value on a blocked one; the gains times the weights times conj(a_eq) give
-the conjugate of h_eq's terms, and ``_row_sum`` adds them in path order,
-l = 1, ..., L, one column add per path. That order is the fill's contract:
+random numbers: one seed gives every design the same frames. Trials come
+in chunks of ``CHUNK_TRIALS``, each drawn from its own SFC64 generator
+keyed by ``SeedSequence(entropy=(seed, chunk_index))``; a stream is only
+keyed, never jumped or advanced, so the fastest of numpy's bit generators
+serves. Each chunk draws its path gains once; each mode's blockage is
+drawn once, from the generator state right after the gains, so a mode's
+frames do not depend on which other modes or allocations share the call.
+Every allocation's |h_eq|^2 is then formed in row sub-blocks of
+``SUB_ROWS``: the spent blockage draws become a weight plane, 1 on a clear
+path and the blocked value on a blocked one; the gains times the weights
+times conj(a_eq) give the conjugate of h_eq's terms, and ``_row_sum``
+adds them in path order, l = 1, ..., L, one column add per path. That order is the fill's contract:
 an oracle can replay it, where numpy's pairwise row sum changes its order
 with L and could change it in a numpy release. The worker writes the sum
 column into the kept samples, or else into its own SE column, turns it
@@ -49,6 +52,7 @@ piece-length arrays, never a sorted copy.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -100,7 +104,7 @@ class TrialBatchResult:
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(seed, chunk_index)))
+        np.random.SFC64(np.random.SeedSequence(entropy=(seed, chunk_index)))
     )
 
 
@@ -167,8 +171,10 @@ def run_batches(
     number of samples <= each of its points, so a call that keeps no
     samples holds no trial-length array.
     """
-    if n_trials < 1:
-        raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
+    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
+        raise ConfigurationError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
     modes = tuple(dict.fromkeys(modes))
     if not modes or not set(modes) <= set(MODES):
         raise ConfigurationError(f"modes must be a nonempty subset of {MODES}, got {modes!r}")
@@ -311,8 +317,17 @@ def run_trials(
 
 
 def empirical_outage(result: TrialBatchResult, target_se: float) -> float:
-    """Fraction of trials with SE strictly below the target."""
-    return int(np.count_nonzero(result.se_samples < target_se)) / result.trials
+    """Fraction of trials with SE strictly below the target.
+
+    Raises ValueError if the result kept no samples.
+    """
+    return int(np.count_nonzero(_samples(result) < target_se)) / result.trials
+
+
+def _samples(result: TrialBatchResult) -> np.ndarray:
+    if result.se_samples is None:
+        raise ValueError("the result holds no samples: simulate it with keep_samples=True")
+    return result.se_samples
 
 
 _KS_PIECE = 1 << 16  # samples ks_distance reads at a time
@@ -339,9 +354,10 @@ def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     2^15 samples a pass, and evaluate their runs until no bound left reaches
     the largest deviation; a larger cell is counted again over [E, E']. D is
     bit for bit that of evaluating every run. Raises ValueError if the model
-    falls by more than 1e-12 between cell edges, or if a sample is NaN or -inf.
+    falls by more than 1e-12 between cell edges, if a sample is NaN or -inf, or
+    if the result kept no samples.
     """
-    x, n = result.se_samples, result.trials
+    x, n = _samples(result), result.trials
     lo, top = np.inf, -np.inf
     for p in _ks_pieces(x):
         lo = np.minimum(lo, p.min())  # keeps a NaN

@@ -207,7 +207,7 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
     power_chunks = []
     for chunk_index, size in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=(seed, chunk_index)))
+            np.random.SFC64(np.random.SeedSequence(entropy=(seed, chunk_index)))
         )
         scale = np.sqrt(variances / 2.0)
         gains = scale * (rng.standard_normal((size, L)) + 1j * rng.standard_normal((size, L)))
