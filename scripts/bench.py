@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Median wall times of the profile search, of the Monte Carlo layer, of
-``ks_distance``, of fresh ``cdf`` processes, of the battery's jobs and of
-the sweep commands and a battery pass.
+``ks_distance``, of fresh ``cdf`` processes, of the battery's jobs, of
+the sweep commands and a battery pass, and of the Tier-1 suite.
 
     PYTHONPATH=src python scripts/bench.py
 
@@ -26,7 +26,11 @@ JSON object:
                (``chunk.<mode>_blockage_s``), median of CHUNK_REPEATS.
                Keys without a prefix are the baseline scenario (8 panels,
                4 paths); keys prefixed ``scale_16_8.`` are
-               scenarios/scale_16_8.txt (16 panels, 8 paths).
+               scenarios/scale_16_8.txt (16 panels, 8 paths). At wide L,
+               for L in WIDE_PATHS = 8, 16, 32 and 64 paths with one panel
+               per path: seconds per batch of one WIDE_TRIALS = 2^18-trial
+               call of the uniform and LoS designs in both modes (its time
+               over 4 batches; key ``wide_<L>.per_batch_s``).
   ks           seconds of one ``ks_distance`` call, against its mixture's
                ``se_cdf``, on the 10^6 idealized samples (AoDs and seed 1)
                of each of cdf's four designs at target SE 1, baseline
@@ -48,13 +52,20 @@ JSON object:
                perfbench/workloads.py runs them, so the parser built on the
                first call and the first simulation's imports count
                (``battery_pass_s``).
+  tier1        wall seconds of this checkout's Tier-1 suite (``python -m
+               pytest -q --continue-on-collection-errors`` in its root, with
+               its src first on PYTHONPATH), median of TIER1_REPEATS = 3
+               fresh runs, and the passed and failed counts of the last
+               (keys ``wall_s``, ``passed``, ``failed``). It tests this
+               checkout's src whatever PYTHONPATH says.
 
 Each number is the median of REPEATS = 5 timings (the per-chunk draws:
-CHUNK_REPEATS); the search, Monte Carlo, ks and sweep ones run in this
-process after one warm-up call.
+CHUNK_REPEATS; Tier-1: TIER1_REPEATS); the search, Monte Carlo, ks and
+sweep ones run in this process after one warm-up call.
 """
 
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -71,8 +82,11 @@ from panelalloc import channel, cli, montecarlo, optimizer
 ROOT = Path(__file__).resolve().parents[1]
 DESIGNS = ("los", "uniform", "outmin", "outmin_ase")
 TRIALS = 10**6
+WIDE_PATHS = (8, 16, 32, 64)
+WIDE_TRIALS = 1 << 18
 REPEATS = 5
 CHUNK_REPEATS = 51
+TIER1_REPEATS = 3
 
 
 def simulate(config, allocs, aods, modes):
@@ -107,11 +121,11 @@ def search_layer() -> dict:
 def chunk_draws(config) -> dict:
     """Seconds of one chunk's gain fill and of each mode's blockage draws, as run_batches
     draws them: the gains into two (CHUNK_TRIALS, L) planes, the blocked patterns in
-    sub-blocks of SUB_ROWS rows."""
+    sub-blocks of SUB_ROWS rows, path-major."""
     rows, sub, L = montecarlo.CHUNK_TRIALS, montecarlo.SUB_ROWS, config.num_paths
     variances = channel.path_variances(config.rician_k, L)
     re, im, p_hat = np.empty((rows, L)), np.empty((rows, L)), np.empty(rows)
-    draws, mask = np.empty((sub, L)), np.empty((sub, L), bool)
+    draws, mask = np.empty((sub, L)), np.empty((L, sub), bool).T
     rng = montecarlo._chunk_rng(1, 0)
 
     def blockage(mode):
@@ -145,6 +159,12 @@ def montecarlo_layer() -> dict:
             lambda: simulate(config, designs, aods, montecarlo.MODES)
         )
         out.update({f"{prefix}{key}": s for key, s in chunk_draws(config).items()})
+    for num_paths in WIDE_PATHS:
+        config = pa.SystemConfig(n_p=num_paths, num_paths=num_paths)
+        allocs = [pa.uniform_allocation(config), pa.los_concentration(config)]
+        aods = pa.sample_channel(config, rng=np.random.default_rng(1)).aods
+        run = lambda: montecarlo.run_batches(config, allocs, aods, WIDE_TRIALS, 1)  # noqa: E731
+        out[f"wide_{num_paths}.per_batch_s"] = median_seconds(run) / (2 * len(montecarlo.MODES))
     return out
 
 
@@ -265,6 +285,23 @@ def commands() -> dict:
     return out
 
 
+def tier1() -> dict:
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    times = []
+    for _ in range(TIER1_REPEATS):
+        start = time.perf_counter()
+        text = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        ).stdout
+        times.append(time.perf_counter() - start)
+    out = {"wall_s": statistics.median(times)}
+    for kind in ("passed", "failed"):
+        found = re.search(rf"(\d+) {kind}", text.splitlines()[-1])
+        out[kind] = int(found.group(1)) if found else 0
+    return out
+
+
 def main() -> int:
     result = {
         "search": search_layer(),
@@ -273,6 +310,7 @@ def main() -> int:
         "cdf": cdf_processes(),
         "battery": battery_jobs(),
         "commands": commands(),
+        "tier1": tier1(),
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -17,6 +17,7 @@ HPBW_COEFF_DEG = 102.0
 ETA_BASE = 9.8
 
 _AOD_MAX_ATTEMPTS = 10_000
+_SCALE_ELEMENTS = 1 << 12  # of the per-path gain scale repeated over frames
 
 
 @dataclass
@@ -50,18 +51,25 @@ def default_min_separation(config: SystemConfig) -> float:
 
 
 def _fill_gains(variances: np.ndarray, rng: np.random.Generator, re, im) -> None:
-    """Fill the float planes ``re`` and ``im`` (..., L) with path gains, in place.
+    """Fill the C-contiguous float planes ``re`` and ``im`` (..., L) with path gains, in place.
 
     Each gain is zero-mean circularly-symmetric complex Gaussian,
     sqrt(sigma_l^2 / 2) (z1 + 1j z2): z1 is drawn into ``re``, then z2 into
     ``im``, and both are scaled, so re + 1j im has the values of
-    scale * (z1 + 1j * z2).
+    scale * (z1 + 1j * z2). The scale is applied as a per-path row repeated
+    over many frames, so numpy multiplies in long inner loops, not in one
+    loop of L elements per frame; the products are the same.
     """
     scale = np.sqrt(variances / 2.0)
-    rng.standard_normal(out=re)
-    re *= scale
-    rng.standard_normal(out=im)
-    im *= scale
+    frames = max(1, _SCALE_ELEMENTS // scale.size)
+    tiled = np.tile(scale, frames)
+    for plane in (re, im):
+        rng.standard_normal(out=plane)
+        rows = np.reshape(plane, (-1, scale.size), copy=False)
+        whole = rows.shape[0] - rows.shape[0] % frames
+        tiles = np.reshape(rows[:whole], (-1, tiled.size), copy=False)
+        np.multiply(tiles, tiled, out=tiles)
+        rows[whole:] *= scale
 
 
 def sample_aods(
@@ -139,7 +147,9 @@ def _block(rng: np.random.Generator, p_block, buf, mask) -> None:
     """Draw the blocked pattern ``mask`` (n, L): each path blocked with probability p_block.
 
     p_block broadcasts against (n, L), e.g. a ``_shared_blockage_probability``
-    column. The uniform draws go through the float scratch ``buf``.
+    column. The uniform draws go through the float scratch ``buf`` (n, L),
+    frame by frame; they are compared path by path, so a ``mask`` that is
+    the transpose of a path-major (L, n) plane is written along its rows.
     """
     rng.random(out=buf)
-    np.less(buf, p_block, out=mask)
+    np.less(buf.T, np.transpose(p_block), out=mask.T)

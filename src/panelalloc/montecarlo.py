@@ -19,29 +19,33 @@ serves. Each chunk draws its path gains once; each mode's blockage is
 drawn once, from the generator state right after the gains, so a mode's
 frames do not depend on which other modes or allocations share the call.
 Every allocation's |h_eq|^2 is then formed in row sub-blocks of
-``SUB_ROWS``: the spent blockage draws become a weight plane, 1 on a clear
-path and the blocked value on a blocked one; the gains times the weights
-times conj(a_eq) give the conjugate of h_eq's terms, and ``_row_sum``
-adds them in path order, l = 1, ..., L, one column add per path. That order is the fill's contract:
-an oracle can replay it, where numpy's pairwise row sum changes its order
-with L and could change it in a numpy release. The worker writes the sum
-column into the kept samples, or else into its own SE column, turns it
-into the RSNR and then the SE in place and stores the two sums of the
-sub-block; given an SE grid, it sorts the sub-block's SE in its column
-and adds the counts at the grid to its own. So ``cdf``, which needs only
-the counts and the means, holds no trial-length array. ``run_trials`` is
-its one-allocation, one-mode call.
+``SUB_ROWS``, held path-major, (L, rows), so each per-path operand
+broadcasts as an (L, 1) column along a contiguous row: the blockage is
+drawn frame by frame, as the gains, and the spent draws' bytes then hold
+the weights, 1 on a clear path and the blocked value on a blocked one;
+the transposed gains (read in pieces of ``PIECE_ELEMENTS`` at wide L)
+times the weights times conj(a_eq) give the conjugate of h_eq's terms,
+and ``_row_sum`` adds them in path order, l = 1, ..., L, one row add per
+path. That order is the fill's contract: an oracle can replay it, where
+numpy's pairwise row sum changes its order with L and could change it in
+a numpy release. The worker writes the sum row into the kept samples,
+or else into its own SE column, turns it into the RSNR and then the SE in
+place and stores the two sums of the sub-block; given an SE grid, it sorts
+the sub-block's SE in its column and adds the counts at the grid to its
+own. So ``cdf``, which needs only the counts and the means, holds no
+trial-length array. ``run_trials`` is its one-allocation, one-mode call.
 
 Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
 chunks) threads, since numpy's generators and ufuncs release the
 interpreter lock. Each worker owns scratch arrays: two float gain planes
 sized to one chunk, (CHUNK_TRIALS, L), and in realistic mode its p_hat
 column, plus a float draw (then weight) plane, bool blocked and clear
-planes and a complex gain block of (SUB_ROWS, L) and a float SE column:
-about 5.1 MB at L = 4 (0.5 MB more in realistic mode), on top of 8
-n_trials bytes per result whose samples are kept. Worker threads call only
-numpy and the private in-place helpers of ``channel``. The samples, counts
-and means are bit-identical to a serial pass over the chunks.
+planes and a complex gain plane of SUB_ROWS x L (as many bytes in either
+layout) and a float SE column: about 5.1 MB at L = 4 (0.5 MB more in
+realistic mode), on top of 8 n_trials bytes per result whose samples are
+kept. Worker threads call only numpy and the private in-place helpers of
+``channel``. The samples, counts and means are bit-identical to a serial
+pass over the chunks.
 
 ``ks_distance`` reads the samples a piece at a time: one pass for their
 range, one to count them into value cells whose edges bound each cell's
@@ -84,6 +88,9 @@ CHUNK_TRIALS = 1 << 16
 # Rows of a chunk turned into |h_eq|^2 at a time, so the per-allocation
 # working set stays small while the chunk's gain planes are reused.
 SUB_ROWS = 1 << 13
+# Elements of the frame-major gain planes and draws read transposed at a
+# time, so at wide L the rows they stride across stay in cache (L <= 16: one piece).
+PIECE_ELEMENTS = 1 << 17
 
 MODES = ("idealized", "realistic")
 
@@ -136,10 +143,10 @@ def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, m
 
 
 def _row_sum(g: np.ndarray) -> np.ndarray:
-    """Sums of the rows of complex g (rows, L) in path order, in place: the column g[:, 0]."""
-    total = g[:, 0]
-    for j in range(1, g.shape[1]):
-        total += g[:, j]
+    """Per-frame sums of complex g (L, rows) in path order, in place: the row g[0]."""
+    total = g[0]
+    for path in g[1:]:
+        total += path
     return total
 
 
@@ -181,6 +188,9 @@ def run_batches(
     aods = np.asarray(aods, dtype=float)
     if aods.shape != (config.num_paths,):
         raise ValueError(f"expected {config.num_paths} AoDs, got shape {aods.shape}")
+    grid = None if se_grid is None else np.asarray(se_grid, dtype=float)
+    if grid is not None and (grid.ndim != 1 or np.isnan(grid).any()):
+        raise ConfigurationError(f"se_grid must be 1-D with no NaN point, got shape {grid.shape}")
     distinct: dict[tuple[int, ...], PanelAllocation] = {}
     for alloc in allocs:
         validate_allocation(alloc, config)
@@ -190,20 +200,21 @@ def run_batches(
 
     keys = [(mode, q) for mode in modes for q in distinct]
     samples = [np.empty(n_trials) if keep_samples else None for _ in keys]
-    # per mode and distinct blocked values: (conj(a_eq), result index) of each allocation
+    # per mode and distinct blocked values: (conj(a_eq), result index) of each
+    # allocation, both per-path operands as (L, 1) columns
     targets = {mode: {} for mode in modes}
     for k, (mode, q) in enumerate(keys):
         conj_a_eq, blocked_values = _responses(config, distinct[q], aods, mode)
-        group = targets[mode].setdefault(blocked_values.tobytes(), (blocked_values, []))
-        group[1].append((conj_a_eq, k))
+        group = targets[mode].setdefault(blocked_values.tobytes(), (blocked_values[:, None], []))
+        group[1].append((conj_a_eq[:, None], k))
     variances = path_variances(config.rician_k, config.num_paths)
     L = config.num_paths
     sizes = _chunk_sizes(n_trials)
     workers = min(_usable_cpus(), len(sizes))
     sub = min(SUB_ROWS, sizes[0])
+    piece = max(1, min(sub, PIECE_ELEMENTS // L))
     # the RSNR and SE sums of each result's sub-blocks, in trial order
     partials = np.empty((len(keys), 2, -(-n_trials // sub)))
-    grid = None if se_grid is None else np.asarray(se_grid, dtype=float)
     counts = np.zeros((workers, len(keys), 0 if grid is None else grid.size), dtype=np.int64)
     # Scratch, one set per worker: the chunk's gain planes and, in realistic
     # mode, its p_hat, sized to its first (largest) chunk, and the
@@ -212,15 +223,16 @@ def run_batches(
     # per-thread malloc arenas would raise the peak RSS.
     scratch = [
         (np.empty((rows, L)), np.empty((rows, L)), np.empty(rows if "realistic" in modes else 0),
-         np.empty((sub, L)), np.empty((sub, L), bool), np.empty((sub, L), bool),
-         np.empty((sub, L), complex), np.empty(sub))
+         np.empty((sub, L)), np.empty(L * sub, bool), np.empty(L * sub, bool),
+         np.empty(L * sub, complex), np.empty(sub))
         for rows in sizes[:workers]
     ]
 
     def fill(worker: int) -> None:
-        re_all, im_all, p_hat_all, weights_all, mask_all, keep_all, gains_all, column_all = (
+        re_all, im_all, p_hat_all, draws_all, mask_all, keep_all, gains_all, column_all = (
             scratch[worker]
         )
+        planes = (mask_all, keep_all, gains_all)
         for chunk_index in range(worker, len(sizes), workers):
             size = sizes[chunk_index]
             re, im = re_all[:size], im_all[:size]
@@ -238,20 +250,30 @@ def run_batches(
                     p_block = np.broadcast_to(config.p_blk, (size, 1))
                 for a in range(0, size, sub):
                     rows = min(sub, size - a)
-                    weights, mask, keep = weights_all[:rows], mask_all[:rows], keep_all[:rows]
-                    gains, column = gains_all[:rows], column_all[:rows]
+                    frames = slice(a, a + rows)
+                    draws, column = draws_all[:rows], column_all[:rows]
+                    # contiguous planes, also for a shorter last sub-block: strided
+                    # ones would make numpy buffer its operands on the worker thread
+                    mask, keep, gains = (plane[: L * rows].reshape(L, rows) for plane in planes)
+                    re_sub, im_sub, p_sub = re[frames], im[frames], p_block[frames]
+                    pieces = [slice(b, b + piece) for b in range(0, rows, piece)]
                     block = (start + a) // sub
-                    _block(rng, p_block[a : a + rows], weights, mask)
+                    # drawn frame by frame, as the gains; the patterns are path-major
+                    for p in pieces:
+                        _block(rng, p_sub[p], draws[p], mask[:, p].T)
                     np.logical_not(mask, out=keep)
+                    # the draws are spent: their bytes hold the path-major weights
+                    weights = draws.reshape(L, rows)
                     for blocked_values, responses in targets[mode].values():
-                        # the draws are spent: 1 on a clear path, the blocked value on a
-                        # blocked one, exactly, as blocked values are >= 0
+                        # 1 on a clear path, the blocked value on a blocked one,
+                        # exactly, as blocked values are >= 0
                         np.multiply(mask, blocked_values, out=weights)
                         np.maximum(weights, keep, out=weights)
                         for conj_a_eq, k in responses:
                             # h_eq's conjugate, which has the same modulus
-                            np.multiply(re[a : a + rows], weights, out=gains.real)
-                            np.multiply(im[a : a + rows], weights, out=gains.imag)
+                            for p in pieces:
+                                np.multiply(re_sub[p].T, weights[:, p], out=gains.real[:, p])
+                                np.multiply(im_sub[p].T, weights[:, p], out=gains.imag[:, p])
                             gains *= conj_a_eq
                             # |h_eq|^2, then the RSNR, then the SE, in place: in the
                             # kept samples, or else in the SE column
@@ -331,7 +353,8 @@ def _samples(result: TrialBatchResult) -> np.ndarray:
 
 
 _KS_PIECE = 1 << 16  # samples ks_distance reads at a time
-_KS_CELLS = 1 << 15  # about this many value cells it counts them into
+_KS_CELLS = 1 << 15  # about this many value cells it counts up to 2^20 samples into,
+_KS_CELL_SAMPLES = 32  # and more into about one cell per this many samples
 _KS_GATHER = 1 << 15  # and at most this many it sorts at a time
 # rounding may make a model CDF fall by a few ulps; more than this is a fault
 _KS_SLACK = 1e-12
@@ -347,13 +370,14 @@ def ks_distance(result: TrialBatchResult, se_cdf) -> float:
     jump-against-jump.
 
     The runs at the smallest sample lo (the zero atom) and at +inf are
-    evaluated exactly; the others are counted into about 2^15 cells by the
-    exact key floor(x 2^e). A cell holds the samples of [E, E') at sorted
-    positions [a, b), so its runs deviate by at most max(b/n - F(E),
-    F(E') - a/n). Gather passes sort the cells in descending bound, up to
-    2^15 samples a pass, and evaluate their runs until no bound left reaches
-    the largest deviation; a larger cell is counted again over [E, E']. D is
-    bit for bit that of evaluating every run. Raises ValueError if the model
+    evaluated exactly; the others are counted into about 2^15 cells (n/32
+    above 2^20 samples, as D shrinks as 1/sqrt(n)) by the exact key
+    floor(x 2^e). A cell holds the samples of [E, E') at sorted positions
+    [a, b), so its runs deviate by at most max(b/n - F(E), F(E') - a/n).
+    Gather passes sort the cells in descending bound, up to 2^15 samples a
+    pass, and evaluate their runs until no bound left reaches the largest
+    deviation; a larger cell is counted again over [E, E']. D is bit for bit
+    that of evaluating every run. Raises ValueError if the model
     falls by more than 1e-12 between cell edges, if a sample is NaN or -inf, or
     if the result kept no samples.
     """
@@ -386,7 +410,8 @@ def _ks_grid(x: np.ndarray, n: int, lo: float, hi: float, se_cdf):
     starts[k], in [edges[k], edges[k + 1]], whose runs deviate by at most bound[k]. Two more
     counts, bound -inf, are the samples at or below lo and above hi. collect(taken) sorts
     the samples of the taken cells."""
-    e = _KS_CELLS.bit_length() - 1 - int(np.frexp(hi - lo)[1])
+    target = _KS_CELLS if n <= 1 << 20 else n // _KS_CELL_SAMPLES
+    e = target.bit_length() - 1 - int(np.frexp(hi - lo)[1])
 
     def scaled(v):  # floor(v 2^e), exact: v is floored first when scaled down
         with np.errstate(over="ignore"):

@@ -131,6 +131,18 @@ class TestGainStatistics:
         assert gains.shape == shape
         assert gains.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("num_paths", [2, 3, 33, 64])
+    @pytest.mark.parametrize("size", [None, 1, 127, 2049, 3000])
+    def test_scale_repeated_over_frames_equals_formula_bitwise(self, num_paths, size):
+        # the scale multiplies whole runs of frames, then the frames left over
+        variances = path_variances(4.0, num_paths)
+        shape = (num_paths,) if size is None else (size, num_paths)
+        draws = np.random.default_rng(5)
+        expected = np.sqrt(variances / 2.0) * (
+            draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
+        )
+        assert gain_draws(variances, np.random.default_rng(5), size).tobytes() == expected.tobytes()
+
 
 class TestBlockage:
     @given(

@@ -193,10 +193,12 @@ def _block_mean(values) -> float:
 def _worker_scratch(num_paths, mode) -> int:
     """Bytes of one worker's scratch: per chunk row the two float gain planes
     over L paths, and in realistic mode the float p_hat of the frame; per
-    sub-block row, over L paths, the float draws (reused as the weights),
-    the bool blocked mask, the bool clear ("keep") pattern and the complex
-    gains, whose first column then holds h_eq's conjugate, and the float
-    SE column, sorted in place for the grid counts."""
+    sub-block row, over L paths, the float draws (whose bytes then hold the
+    path-major weights), the bool blocked mask, the bool clear ("keep")
+    pattern and the complex gains, path-major (L, rows), whose first row
+    then holds h_eq's conjugate, and the float SE column, sorted in place
+    for the grid counts. The path-major layout takes as many bytes as the
+    frame-major one."""
     chunk_row = 16 * num_paths + (8 if mode == "realistic" else 0)
     se_column = 8
     return CHUNK_TRIALS * chunk_row + SUB_ROWS * (num_paths * (8 + 1 + 1 + 16) + se_column)
@@ -212,6 +214,7 @@ class TestRowSum:
         g[1::5] = 0.0  # all-zero rows, none in a one-row g
         # numpy's running sum along the row: the paths added in path order
         expected = np.cumsum(g, axis=1)[:, -1]
+        g = np.ascontiguousarray(g.T)  # path-major (L, rows), as the fill holds it
         total = _row_sum(g)
         assert np.shares_memory(total, g)  # accumulated inside g
         assert np.ascontiguousarray(total).tobytes() == expected.tobytes()
@@ -219,7 +222,7 @@ class TestRowSum:
     def test_negative_zero_sum_equals_numpy_in_value(self):
         # np.sum adds the row to +0, so it gives +0 where the columns give -0
         g = np.full((3, 5), complex(-0.0, -0.0))
-        assert np.array_equal(_row_sum(g.copy()), np.sum(g, axis=1))
+        assert np.array_equal(_row_sum(g.T.copy()), np.sum(g, axis=1))
 
 
 class TestThreadedFill:
@@ -233,13 +236,19 @@ class TestThreadedFill:
             # L = 9 and 13: more column adds than at the baseline's 4 paths
             (2, 1, 0, 1, 1, 0, 2, 1, 0),
             (3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3),
+            # L = 33 and 64: a sub-block's frame-major reads go in several pieces
+            (2,) + (1, 0, 2, 1) * 8,
+            (1, 0, 3) * 21 + (2,),
         ],
     )
     def test_equals_serial_chunk_loop_bytewise(self, baseline, mode, q):
         config = replace(baseline, n_p=sum(q), num_paths=len(q))
         aods = sample_channel(config, rng=np.random.default_rng(7)).aods
         alloc = PanelAllocation(q)
-        for n in (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
+        # at wide L the serial replay is slow: one full chunk, then a 5-row one on
+        # the second worker, cover the pieces, a ragged sub-block and both workers
+        sizes = (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5) if len(q) < 32 else (1, CHUNK_TRIALS + 5)
+        for n in sizes:
             for seed in (3, 2024):
                 power = serial_channel_power(config, alloc, aods, mode, n, seed)
                 got = run_trials(config, alloc, aods, mode, n, seed)
@@ -676,13 +685,26 @@ class TestKsDistance:
                 before = len(reads)
                 ks_distance(result, lambda se: se_cdf(mix, se))
                 passes[mode, alloc.q] = len(reads) - before
-        # the range, the count and one gather pass; in realistic mode the LoS
-        # beam's zero atom alone is the distance, and no cell's bound reaches it
+        # 4 * 10^6 SEs of one Rayleigh path at SNR 10, log2(1 + 10 E) with E ~ Exp(1),
+        # against their exact CDF: cheap to draw, and past 2^20 samples, where the
+        # cells grow with n (a fixed 2^15 cells read them five times)
+        samples = np.log2(1.0 + 10.0 * np.random.default_rng(21).exponential(1.0, 4 * 10**6))
+
+        def rayleigh(se):
+            return -np.expm1(-np.expm1(np.asarray(se) * math.log(2.0)) / 10.0)
+
+        before = len(reads)
+        assert ks_distance(_batch(samples), rayleigh) == unique_ks_distance(samples, rayleigh)
+        passes["synthetic", 4 * 10**6] = len(reads) - before
+        # the range, the count and one gather pass (two in the synthetic row); in
+        # realistic mode the LoS beam's zero atom alone is the distance, and no
+        # cell's bound reaches it
         assert passes == {
             ("idealized", (8, 0, 0, 0)): 3,
             ("idealized", (2, 2, 2, 2)): 3,
             ("realistic", (8, 0, 0, 0)): 2,
             ("realistic", (2, 2, 2, 2)): 3,
+            ("synthetic", 4 * 10**6): 4,
         }
 
     @pytest.mark.parametrize("mode", MODES)

@@ -70,6 +70,30 @@ class TestInputs:
         with pytest.raises(ConfigurationError):
             run_batches(baseline, [alloc], aods, n_trials, seed)
 
+    @pytest.mark.parametrize(
+        "se_grid",
+        [[np.nan, 1.0], [1.0, np.nan, 2.0], [[0.0, 1.0], [2.0, 3.0]], np.zeros((1, 5)), 1.0],
+        ids=["NaN point", "inner NaN point", "2-D grid", "one-row 2-D grid", "scalar grid"],
+    )
+    def test_bad_se_grid_rejected_before_any_draw(self, baseline, aods, monkeypatch, se_grid):
+        def no_draws(*args):
+            raise AssertionError("a chunk generator was built")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        alloc = los_concentration(baseline)
+        # three chunks, so a check inside the workers would run on threads
+        with pytest.raises(ConfigurationError, match="se_grid"):
+            run_batches(baseline, [alloc], aods, 3 * montecarlo.CHUNK_TRIALS, 0, se_grid=se_grid)
+
+    def test_infinite_se_grid_points_are_valid(self, baseline, aods):
+        alloc = los_concentration(baseline)
+        grid = [-np.inf, 0.0, 1.0, np.inf]
+        got = run_batches(baseline, [alloc], aods, 1000, 0, ("idealized",), se_grid=grid)
+        result = got["idealized", alloc.q]
+        below = np.searchsorted(np.sort(result.se_samples), grid, side="right")
+        assert result.cdf_counts.tolist() == below.tolist()
+        assert below[0] == 0 and below[-1] == 1000
+
     def test_numpy_integers_are_accepted(self, baseline, aods):
         alloc = los_concentration(baseline)
         got = run_trials(baseline, alloc, aods, "idealized", np.int64(100), np.uint32(3))
