@@ -20,7 +20,8 @@ JSON object:
                each mode, one batch (the outmin design) and cdf's four
                designs; and cdf's whole pass, four designs in both modes
                (8 batches). The draw floor under them, per chunk of
-               CHUNK_TRIALS = 2^16 trials on one thread: the gain fill
+               CHUNK_TRIALS = 2^16 trials on one thread, drawn in
+               sub-blocks as run_batches draws them: the gain fill
                (``chunk.fill_gains_s``) and each mode's blockage draws,
                p_hat included in realistic mode
                (``chunk.<mode>_blockage_s``), median of CHUNK_REPEATS.
@@ -120,27 +121,30 @@ def search_layer() -> dict:
 
 def chunk_draws(config) -> dict:
     """Seconds of one chunk's gain fill and of each mode's blockage draws, as run_batches
-    draws them: the gains into two (CHUNK_TRIALS, L) planes, the blocked patterns in
-    sub-blocks of SUB_ROWS rows, path-major."""
+    draws them: sub-block by sub-block of SUB_ROWS rows into path-major (L, rows) planes,
+    the gains and each mode's blockage from streams of their own."""
     rows, sub, L = montecarlo.CHUNK_TRIALS, montecarlo.SUB_ROWS, config.num_paths
     variances = channel.path_variances(config.rician_k, L)
-    re, im, p_hat = np.empty((rows, L)), np.empty((rows, L)), np.empty(rows)
-    draws, mask = np.empty((sub, L)), np.empty((L, sub), bool).T
-    rng = montecarlo._chunk_rng(1, 0)
+    re, im, draws = np.empty((L, sub)), np.empty((L, sub)), np.empty((L, sub))
+    mask, p_hat = np.empty((L, sub), bool), np.empty(sub)
+    gain_rng = montecarlo._chunk_rng(1, 0)
 
-    def blockage(mode):
-        if mode == "realistic":
-            p_block = channel._shared_blockage_probability(config, rng, p_hat)
-        else:
-            p_block = np.broadcast_to(config.p_blk, (rows, 1))
-        for a in range(0, rows, sub):
-            channel._block(rng, p_block[a : a + sub], draws, mask)
+    def gains():
+        for _ in range(0, rows, sub):
+            channel._fill_gains(variances, gain_rng, re, im)
 
-    out = {"chunk.fill_gains_s": median_seconds(
-        lambda: channel._fill_gains(variances, rng, re, im), CHUNK_REPEATS
-    )}
-    for mode in montecarlo.MODES:
-        out[f"chunk.{mode}_blockage_s"] = median_seconds(lambda: blockage(mode), CHUNK_REPEATS)
+    def blockage(mode, rng):
+        for _ in range(0, rows, sub):
+            if mode == "realistic":
+                p_block = channel._shared_blockage_probability(config, rng, p_hat)
+            else:
+                p_block = config.p_blk
+            channel._block(rng, p_block, draws, mask)
+
+    out = {"chunk.fill_gains_s": median_seconds(gains, CHUNK_REPEATS)}
+    for stream, mode in enumerate(montecarlo.MODES, 1):
+        rng = montecarlo._chunk_rng(1, 0, stream)
+        out[f"chunk.{mode}_blockage_s"] = median_seconds(lambda: blockage(mode, rng), CHUNK_REPEATS)
     return out
 
 

@@ -17,7 +17,6 @@ HPBW_COEFF_DEG = 102.0
 ETA_BASE = 9.8
 
 _AOD_MAX_ATTEMPTS = 10_000
-_SCALE_ELEMENTS = 1 << 12  # of the per-path gain scale repeated over frames
 
 
 @dataclass
@@ -51,25 +50,17 @@ def default_min_separation(config: SystemConfig) -> float:
 
 
 def _fill_gains(variances: np.ndarray, rng: np.random.Generator, re, im) -> None:
-    """Fill the C-contiguous float planes ``re`` and ``im`` (..., L) with path gains, in place.
+    """Fill the C-contiguous float planes ``re`` and ``im`` (L, n), path-major, with path gains.
 
     Each gain is zero-mean circularly-symmetric complex Gaussian,
     sqrt(sigma_l^2 / 2) (z1 + 1j z2): z1 is drawn into ``re``, then z2 into
-    ``im``, and both are scaled, so re + 1j im has the values of
-    scale * (z1 + 1j * z2). The scale is applied as a per-path row repeated
-    over many frames, so numpy multiplies in long inner loops, not in one
-    loop of L elements per frame; the products are the same.
+    ``im``, each scaled in place by the (L, 1) column sqrt(sigma^2 / 2), so
+    re + 1j im has the values of scale * (z1 + 1j * z2).
     """
-    scale = np.sqrt(variances / 2.0)
-    frames = max(1, _SCALE_ELEMENTS // scale.size)
-    tiled = np.tile(scale, frames)
+    scale = np.sqrt(variances / 2.0)[:, None]
     for plane in (re, im):
         rng.standard_normal(out=plane)
-        rows = np.reshape(plane, (-1, scale.size), copy=False)
-        whole = rows.shape[0] - rows.shape[0] % frames
-        tiles = np.reshape(rows[:whole], (-1, tiled.size), copy=False)
-        np.multiply(tiles, tiled, out=tiles)
-        rows[whole:] *= scale
+        plane *= scale
 
 
 def sample_aods(
@@ -128,7 +119,7 @@ def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
 
 
 def _shared_blockage_probability(config: SystemConfig, rng, out) -> np.ndarray:
-    """Probability (n_frames, 1) that each path of a frame is blocked, under shared blockage.
+    """Probability (1, n_frames) that each path of a frame is blocked, under shared blockage.
 
     One p_hat ~ U(p_min, p_max) per frame, drawn into the float buffer
     ``out`` (n_frames,) and shared by all the frame's paths; marginally each
@@ -136,20 +127,21 @@ def _shared_blockage_probability(config: SystemConfig, rng, out) -> np.ndarray:
     within a frame are positively correlated. (Independent blockage draws
     nothing: every frame has the marginal p_blk.) The draws are bit for bit
     ``rng.uniform(p_min, p_max, n_frames)``, which is p_min + (p_max - p_min) u.
+    The row broadcasts along the paths of a path-major (L, n_frames) plane.
     """
     rng.random(out=out)
     out *= config.p_max - config.p_min
     out += config.p_min
-    return out[:, None]
+    return out[None, :]
 
 
-def _block(rng: np.random.Generator, p_block, buf, mask) -> None:
-    """Draw the blocked pattern ``mask`` (n, L): each path blocked with probability p_block.
+def _block(rng: np.random.Generator, p_block, draws, mask) -> None:
+    """Draw the blocked pattern ``mask`` (L, n), path-major: each path blocked with
+    probability p_block.
 
-    p_block broadcasts against (n, L), e.g. a ``_shared_blockage_probability``
-    column. The uniform draws go through the float scratch ``buf`` (n, L),
-    frame by frame; they are compared path by path, so a ``mask`` that is
-    the transpose of a path-major (L, n) plane is written along its rows.
+    p_block is a scalar or a (1, n) ``_shared_blockage_probability`` row. The
+    uniforms, one per path and frame in path-major order, are drawn into the
+    float scratch ``draws`` (L, n) and compared from there.
     """
-    rng.random(out=buf)
-    np.less(buf.T, np.transpose(p_block), out=mask.T)
+    rng.random(out=draws)
+    np.less(draws, p_block, out=mask)

@@ -12,40 +12,40 @@ no beam and are nulled when blocked.
 
 ``run_batches`` simulates several allocations in both modes from common
 random numbers: one seed gives every design the same frames. Trials come
-in chunks of ``CHUNK_TRIALS``, each drawn from its own SFC64 generator
-keyed by ``SeedSequence(entropy=(seed, chunk_index))``; a stream is only
-keyed, never jumped or advanced, so the fastest of numpy's bit generators
-serves. Each chunk draws its path gains once; each mode's blockage is
-drawn once, from the generator state right after the gains, so a mode's
-frames do not depend on which other modes or allocations share the call.
-Every allocation's |h_eq|^2 is then formed in row sub-blocks of
-``SUB_ROWS``, held path-major, (L, rows), so each per-path operand
-broadcasts as an (L, 1) column along a contiguous row: the blockage is
-drawn frame by frame, as the gains, and the spent draws' bytes then hold
-the weights, 1 on a clear path and the blocked value on a blocked one;
-the transposed gains (read in pieces of ``PIECE_ELEMENTS`` at wide L)
-times the weights times conj(a_eq) give the conjugate of h_eq's terms,
-and ``_row_sum`` adds them in path order, l = 1, ..., L, one row add per
-path. That order is the fill's contract: an oracle can replay it, where
-numpy's pairwise row sum changes its order with L and could change it in
-a numpy release. The worker writes the sum row into the kept samples,
-or else into its own SE column, turns it into the RSNR and then the SE in
-place and stores the two sums of the sub-block; given an SE grid, it sorts
-the sub-block's SE in its column and adds the counts at the grid to its
-own. So ``cdf``, which needs only the counts and the means, holds no
-trial-length array. ``run_trials`` is its one-allocation, one-mode call.
+in chunks of ``CHUNK_TRIALS``, and a chunk in sub-blocks of ``SUB_ROWS``
+rows (the last of each shorter); both sizes are part of the stream
+contract. Chunk c draws from SFC64 generators keyed by
+``SeedSequence(entropy=(seed, c, s))``: stream s = 0, keyed (seed, c), the
+path gains, and stream 1 + ``MODES.index(mode)`` each mode's blockage. A
+stream is only keyed, never jumped or advanced, so the fastest of numpy's
+bit generators serves, and a mode's frames do not depend on which other
+modes or allocations share the call. Each sub-block draws, path-major,
+(L, rows): the gains' z1 then z2 planes from stream 0, and from a mode's
+stream the per-frame p_hat (realistic mode) and then the blockage
+uniforms. So each per-path operand broadcasts as an (L, 1) column along
+a contiguous row: the spent draws' bytes hold the weights, 1 on a clear
+path and the blocked value on a blocked one; the gains times the weights
+times conj(a_eq) give the conjugate of h_eq's terms, and ``_row_sum``
+adds them in path order, l = 1, ..., L, one row add per path. That order
+is the fill's contract: an oracle can replay it, where numpy's pairwise
+row sum changes its order with L and could change it in a numpy release.
+The worker writes the sum row into the kept samples, or else into its own
+SE column, turns it into the RSNR and then the SE in place and stores the
+two sums of the sub-block; given an SE grid, it sorts the sub-block's SE
+in its column and adds the counts at the grid to its own. So ``cdf``,
+which needs only the counts and the means, holds no trial-length array.
+``run_trials`` is its one-allocation, one-mode call.
 
 Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
 chunks) threads, since numpy's generators and ufuncs release the
-interpreter lock. Each worker owns scratch arrays: two float gain planes
-sized to one chunk, (CHUNK_TRIALS, L), and in realistic mode its p_hat
-column, plus a float draw (then weight) plane, bool blocked and clear
-planes and a complex gain plane of SUB_ROWS x L (as many bytes in either
-layout) and a float SE column: about 5.1 MB at L = 4 (0.5 MB more in
-realistic mode), on top of 8 n_trials bytes per result whose samples are
-kept. Worker threads call only numpy and the private in-place helpers of
-``channel``. The samples, counts and means are bit-identical to a serial
-pass over the chunks.
+interpreter lock. Each worker owns scratch sized to one sub-block: two
+float gain planes and a float draw (then weight) plane, bool blocked and
+clear planes and a complex gain plane, all SUB_ROWS x L, a float SE
+column and in realistic mode a p_hat column: about 1.5 MB at L = 4, on
+top of 8 n_trials bytes per result whose samples are kept. Worker threads
+call only numpy and the private in-place helpers of ``channel``. The
+samples, counts and means are bit-identical to a serial pass over the
+chunks.
 
 ``ks_distance`` reads the samples a piece at a time: one pass for their
 range, one to count them into value cells whose edges bound each cell's
@@ -81,16 +81,13 @@ from .channel import (
 from .config import SystemConfig
 from .errors import ConfigurationError
 
-# Trials are generated in fixed-size chunks, each with its own generator
-# keyed by (seed, chunk index) and its own slice of the result, so the
+# Trials are generated in fixed-size chunks, each with its own generators
+# keyed by (seed, chunk index, stream) and its own slice of the result, so the
 # sample sequence is reproducible no matter how chunks are scheduled.
 CHUNK_TRIALS = 1 << 16
-# Rows of a chunk turned into |h_eq|^2 at a time, so the per-allocation
-# working set stays small while the chunk's gain planes are reused.
+# Rows of a chunk drawn and turned into |h_eq|^2 at a time, so each
+# worker's scratch is a few sub-block planes, whatever the chunk size.
 SUB_ROWS = 1 << 13
-# Elements of the frame-major gain planes and draws read transposed at a
-# time, so at wide L the rows they stride across stay in cache (L <= 16: one piece).
-PIECE_ELEMENTS = 1 << 17
 
 MODES = ("idealized", "realistic")
 
@@ -109,15 +106,11 @@ class TrialBatchResult:
     cdf_counts: np.ndarray | None = None
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, chunk_index: int, *stream: int) -> np.random.Generator:
+    # SeedSequence pads its entropy with zeros, so (seed, chunk_index) is stream 0
     return np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence(entropy=(seed, chunk_index)))
+        np.random.SFC64(np.random.SeedSequence(entropy=(seed, chunk_index, *stream)))
     )
-
-
-def _chunk_sizes(n_trials: int) -> list[int]:
-    full, rem = divmod(n_trials, CHUNK_TRIALS)
-    return [CHUNK_TRIALS] * full + ([rem] if rem else [])
 
 
 def _usable_cpus() -> int:
@@ -209,83 +202,64 @@ def run_batches(
         group[1].append((conj_a_eq[:, None], k))
     variances = path_variances(config.rician_k, config.num_paths)
     L = config.num_paths
-    sizes = _chunk_sizes(n_trials)
-    workers = min(_usable_cpus(), len(sizes))
-    sub = min(SUB_ROWS, sizes[0])
-    piece = max(1, min(sub, PIECE_ELEMENTS // L))
+    chunks = -(-n_trials // CHUNK_TRIALS)
+    workers = min(_usable_cpus(), chunks)
+    sub = min(SUB_ROWS, n_trials)
     # the RSNR and SE sums of each result's sub-blocks, in trial order
     partials = np.empty((len(keys), 2, -(-n_trials // sub)))
     counts = np.zeros((workers, len(keys), 0 if grid is None else grid.size), dtype=np.int64)
-    # Scratch, one set per worker: the chunk's gain planes and, in realistic
-    # mode, its p_hat, sized to its first (largest) chunk, and the
-    # sub-block's draws (then weights), blocked and clear patterns, gains
-    # and SE column. It is allocated here, not in the threads, whose
-    # per-thread malloc arenas would raise the peak RSS.
+    # Scratch, one set per worker, sized to one sub-block: the gain planes,
+    # the draws (then weights), blocked and clear patterns and gains, all
+    # flat so a shorter last sub-block is contiguous too (strided views would
+    # make numpy buffer its operands on the worker thread), the realistic
+    # p_hat and the SE column. It is allocated here, not in the threads,
+    # whose per-thread malloc arenas would raise the peak RSS.
     scratch = [
-        (np.empty((rows, L)), np.empty((rows, L)), np.empty(rows if "realistic" in modes else 0),
-         np.empty((sub, L)), np.empty(L * sub, bool), np.empty(L * sub, bool),
-         np.empty(L * sub, complex), np.empty(sub))
-        for rows in sizes[:workers]
+        (np.empty(L * sub), np.empty(L * sub), np.empty(L * sub), np.empty(L * sub, bool),
+         np.empty(L * sub, bool), np.empty(L * sub, complex),
+         np.empty(sub if "realistic" in modes else 0), np.empty(sub))
+        for _ in range(workers)
     ]
 
     def fill(worker: int) -> None:
-        re_all, im_all, p_hat_all, draws_all, mask_all, keep_all, gains_all, column_all = (
-            scratch[worker]
-        )
-        planes = (mask_all, keep_all, gains_all)
-        for chunk_index in range(worker, len(sizes), workers):
-            size = sizes[chunk_index]
-            re, im = re_all[:size], im_all[:size]
-            rng = _chunk_rng(seed, chunk_index)
-            _fill_gains(variances, rng, re, im)
-            # every mode draws its blockage from the state right after the gains
-            after_gains = rng.bit_generator.state
+        *planes, p_hat_all, column_all = scratch[worker]
+        for chunk_index in range(worker, chunks, workers):
+            gain_rng = _chunk_rng(seed, chunk_index)
+            rngs = [(mode, _chunk_rng(seed, chunk_index, 1 + MODES.index(mode))) for mode in modes]
             start = chunk_index * CHUNK_TRIALS
-            for m, mode in enumerate(modes):
-                if m:
-                    rng.bit_generator.state = after_gains
-                if mode == "realistic":
-                    p_block = _shared_blockage_probability(config, rng, p_hat_all[:size])
-                else:  # independent blockage: every frame has the marginal p_blk
-                    p_block = np.broadcast_to(config.p_blk, (size, 1))
-                for a in range(0, size, sub):
-                    rows = min(sub, size - a)
-                    frames = slice(a, a + rows)
-                    draws, column = draws_all[:rows], column_all[:rows]
-                    # contiguous planes, also for a shorter last sub-block: strided
-                    # ones would make numpy buffer its operands on the worker thread
-                    mask, keep, gains = (plane[: L * rows].reshape(L, rows) for plane in planes)
-                    re_sub, im_sub, p_sub = re[frames], im[frames], p_block[frames]
-                    pieces = [slice(b, b + piece) for b in range(0, rows, piece)]
-                    block = (start + a) // sub
-                    # drawn frame by frame, as the gains; the patterns are path-major
-                    for p in pieces:
-                        _block(rng, p_sub[p], draws[p], mask[:, p].T)
+            for a in range(start, min(start + CHUNK_TRIALS, n_trials), sub):
+                rows = min(sub, n_trials - a)
+                re, im, weights, mask, keep, gains = (p[: L * rows].reshape(L, rows) for p in planes)
+                column = column_all[:rows]
+                _fill_gains(variances, gain_rng, re, im)
+                for mode, rng in rngs:
+                    if mode == "realistic":
+                        p_block = _shared_blockage_probability(config, rng, p_hat_all[:rows])
+                    else:  # independent blockage: every frame has the marginal p_blk
+                        p_block = config.p_blk
+                    _block(rng, p_block, weights, mask)
                     np.logical_not(mask, out=keep)
-                    # the draws are spent: their bytes hold the path-major weights
-                    weights = draws.reshape(L, rows)
                     for blocked_values, responses in targets[mode].values():
-                        # 1 on a clear path, the blocked value on a blocked one,
-                        # exactly, as blocked values are >= 0
+                        # the draws are spent: 1 on a clear path, the blocked value
+                        # on a blocked one, exactly, as blocked values are >= 0
                         np.multiply(mask, blocked_values, out=weights)
                         np.maximum(weights, keep, out=weights)
                         for conj_a_eq, k in responses:
                             # h_eq's conjugate, which has the same modulus
-                            for p in pieces:
-                                np.multiply(re_sub[p].T, weights[:, p], out=gains.real[:, p])
-                                np.multiply(im_sub[p].T, weights[:, p], out=gains.imag[:, p])
+                            np.multiply(re, weights, out=gains.real)
+                            np.multiply(im, weights, out=gains.imag)
                             gains *= conj_a_eq
                             # |h_eq|^2, then the RSNR, then the SE, in place: in the
                             # kept samples, or else in the SE column
                             kept = samples[k]
-                            se = column if kept is None else kept[start + a : start + a + rows]
+                            se = column if kept is None else kept[a : a + rows]
                             np.abs(_row_sum(gains), out=se)
                             se **= 2
                             se *= config.tx_snr
-                            partials[k, 0, block] = np.sum(se)
+                            partials[k, 0, a // sub] = np.sum(se)
                             se += 1.0
                             np.log2(se, out=se)
-                            partials[k, 1, block] = np.sum(se)
+                            partials[k, 1, a // sub] = np.sum(se)
                             if grid is not None:
                                 if kept is not None:  # the samples stay in trial order
                                     column[:] = se
@@ -410,7 +384,7 @@ def _ks_grid(x: np.ndarray, n: int, lo: float, hi: float, se_cdf):
     starts[k], in [edges[k], edges[k + 1]], whose runs deviate by at most bound[k]. Two more
     counts, bound -inf, are the samples at or below lo and above hi. collect(taken) sorts
     the samples of the taken cells."""
-    target = _KS_CELLS if n <= 1 << 20 else n // _KS_CELL_SAMPLES
+    target = max(_KS_CELLS, n // _KS_CELL_SAMPLES)
     e = target.bit_length() - 1 - int(np.frexp(hi - lo)[1])
 
     def scaled(v):  # floor(v 2^e), exact: v is floored first when scaled down

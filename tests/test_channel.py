@@ -25,27 +25,27 @@ from panelalloc.channel import (
 
 
 def gain_draws(variances, rng, size=None):
-    """Gains from the library's in-place law, one row per frame when size is set."""
-    shape = (variances.size,) if size is None else (size, variances.size)
+    """Gains from the library's in-place law, path-major (L, size) when size is set."""
+    shape = (variances.size, 1 if size is None else size)
     re, im = np.empty(shape), np.empty(shape)
     _fill_gains(variances, rng, re, im)
     gains = np.empty(shape, dtype=complex)
     gains.real, gains.imag = re, im
-    return gains
+    return gains[:, 0] if size is None else gains
 
 
 def blockage_frames(config, blocked_values, rng, n_frames):
-    """Per-frame factors (n_frames, L) of the shared-p_hat law, applied to ones."""
-    shape = (n_frames, config.num_paths)
+    """Per-frame factors (L, n_frames) of the shared-p_hat law, applied to ones."""
+    shape = (config.num_paths, n_frames)
     mask = np.empty(shape, bool)
     p_block = _shared_blockage_probability(config, rng, np.empty(n_frames))
     _block(rng, p_block, np.empty(shape), mask)
-    return np.where(mask, blocked_values, 1.0)
+    return np.where(mask, np.asarray(blocked_values)[:, None], 1.0)
 
 
 def independent_frames(config, p_block, rng, n_frames):
-    """Per-frame factors (n_frames, L) of idealized blockage: independent, nulled."""
-    shape = (n_frames, config.num_paths)
+    """Per-frame factors (L, n_frames) of idealized blockage: independent, nulled."""
+    shape = (config.num_paths, n_frames)
     mask = np.empty(shape, bool)
     _block(rng, p_block, np.empty(shape), mask)
     return np.where(mask, 0.0, 1.0)
@@ -109,22 +109,23 @@ class TestGainStatistics:
         g = gain_draws(variances, rng, size=n)
         # |g_1|^2 is exponential with mean sigma_1^2 and std sigma_1^2
         band = 3.0 * variances[0] / math.sqrt(n)
-        assert abs(np.mean(np.abs(g[:, 0]) ** 2) - baseline.rician_k / (baseline.rician_k + 1)) < band
+        assert abs(np.mean(np.abs(g[0]) ** 2) - baseline.rician_k / (baseline.rician_k + 1)) < band
 
     def test_total_power_is_unit(self, baseline, rng):
         variances = path_variances(baseline.rician_k, baseline.num_paths)
         n = 10**6
         g = gain_draws(variances, rng, size=n)
-        total = np.sum(np.abs(g) ** 2, axis=1)
+        total = np.sum(np.abs(g) ** 2, axis=0)
         band = 3.0 * math.sqrt(np.sum(variances**2)) / math.sqrt(n)
         assert abs(total.mean() - 1.0) < band
 
     @pytest.mark.parametrize("size", [None, 1000])
     def test_equals_complex_gaussian_formula_bitwise(self, baseline, size):
         variances = path_variances(baseline.rician_k, baseline.num_paths)
-        shape = (baseline.num_paths,) if size is None else (size, baseline.num_paths)
+        shape = (baseline.num_paths,) if size is None else (baseline.num_paths, size)
+        scale = np.sqrt(variances / 2.0) if size is None else np.sqrt(variances / 2.0)[:, None]
         draws = np.random.default_rng(21)
-        expected = np.sqrt(variances / 2.0) * (
+        expected = scale * (
             draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
         )
         gains = gain_draws(variances, np.random.default_rng(21), size)
@@ -134,11 +135,12 @@ class TestGainStatistics:
     @pytest.mark.parametrize("num_paths", [2, 3, 33, 64])
     @pytest.mark.parametrize("size", [None, 1, 127, 2049, 3000])
     def test_scale_repeated_over_frames_equals_formula_bitwise(self, num_paths, size):
-        # the scale multiplies whole runs of frames, then the frames left over
+        # the (L, 1) scale column multiplies each path's row of frames
         variances = path_variances(4.0, num_paths)
-        shape = (num_paths,) if size is None else (size, num_paths)
+        shape = (num_paths,) if size is None else (num_paths, size)
+        scale = np.sqrt(variances / 2.0) if size is None else np.sqrt(variances / 2.0)[:, None]
         draws = np.random.default_rng(5)
-        expected = np.sqrt(variances / 2.0) * (
+        expected = scale * (
             draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
         )
         assert gain_draws(variances, np.random.default_rng(5), size).tobytes() == expected.tobytes()
@@ -157,7 +159,7 @@ class TestBlockage:
         expected = draws.uniform(cfg.p_min, cfg.p_max, size=n)
         rng = np.random.default_rng(seed)
         p_block = _shared_blockage_probability(cfg, rng, np.empty(n))
-        assert p_block.shape == (n, 1)
+        assert p_block.shape == (1, n)
         assert p_block.tobytes() == expected.tobytes()
         assert rng.random() == draws.random()  # the same number of draws
 
@@ -166,7 +168,7 @@ class TestBlockage:
         blocked_values = np.array([0.05, 0.0, 0.07, 0.02])
         draws = np.random.default_rng(8)
         p_hat = draws.uniform(baseline.p_min, baseline.p_max, size=n)
-        expected = np.where(draws.random((n, L)) < p_hat[:, None], blocked_values[None, :], 1.0)
+        expected = np.where(draws.random((L, n)) < p_hat[None, :], blocked_values[:, None], 1.0)
         factors = blockage_frames(baseline, blocked_values, np.random.default_rng(8), n)
         assert factors.tobytes() == expected.tobytes()
 
@@ -197,7 +199,7 @@ class TestBlockage:
     def test_marginal_blockage_probability(self, baseline, rng):
         n = 10**6
         factors = blockage_frames(baseline, np.zeros(baseline.num_paths), rng, n)
-        blocked_freq = np.mean(factors[:, 0] == 0.0)
+        blocked_freq = np.mean(factors[0] == 0.0)
         band = 3.0 * math.sqrt(baseline.p_blk * (1 - baseline.p_blk) / n)
         assert abs(blocked_freq - baseline.p_blk) < band
 
@@ -206,7 +208,7 @@ class TestBlockage:
         n = 10**6
         L = baseline.num_paths
         factors = blockage_frames(baseline, np.zeros(L), rng, n)
-        all_blocked = np.mean(np.all(factors == 0.0, axis=1))
+        all_blocked = np.mean(np.all(factors == 0.0, axis=0))
         width = baseline.p_max - baseline.p_min
         expected, _ = quad(lambda p: p**L / width, baseline.p_min, baseline.p_max)
         band = 3.0 * math.sqrt(expected * (1 - expected) / n)

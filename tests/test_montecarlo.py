@@ -191,17 +191,14 @@ def _block_mean(values) -> float:
 
 
 def _worker_scratch(num_paths, mode) -> int:
-    """Bytes of one worker's scratch: per chunk row the two float gain planes
-    over L paths, and in realistic mode the float p_hat of the frame; per
-    sub-block row, over L paths, the float draws (whose bytes then hold the
-    path-major weights), the bool blocked mask, the bool clear ("keep")
-    pattern and the complex gains, path-major (L, rows), whose first row
-    then holds h_eq's conjugate, and the float SE column, sorted in place
-    for the grid counts. The path-major layout takes as many bytes as the
-    frame-major one."""
-    chunk_row = 16 * num_paths + (8 if mode == "realistic" else 0)
-    se_column = 8
-    return CHUNK_TRIALS * chunk_row + SUB_ROWS * (num_paths * (8 + 1 + 1 + 16) + se_column)
+    """Bytes of one worker's scratch, all sized to a sub-block: per row, over
+    L paths, path-major (L, rows), the two float gain planes, the float draws
+    (whose bytes then hold the weights), the bool blocked mask, the bool
+    clear ("keep") pattern and the complex gains, whose first row then holds
+    h_eq's conjugate; and per row the float SE column, sorted in place for
+    the grid counts, and in realistic mode the float p_hat of the frame."""
+    p_hat = 8 if mode == "realistic" else 0
+    return SUB_ROWS * (num_paths * (8 + 8 + 8 + 1 + 1 + 16) + 8 + p_hat)
 
 
 class TestRowSum:
@@ -236,7 +233,7 @@ class TestThreadedFill:
             # L = 9 and 13: more column adds than at the baseline's 4 paths
             (2, 1, 0, 1, 1, 0, 2, 1, 0),
             (3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3),
-            # L = 33 and 64: a sub-block's frame-major reads go in several pieces
+            # L = 33 and 64: wide path-major planes, many row adds per frame
             (2,) + (1, 0, 2, 1) * 8,
             (1, 0, 3) * 21 + (2,),
         ],
@@ -246,7 +243,7 @@ class TestThreadedFill:
         aods = sample_channel(config, rng=np.random.default_rng(7)).aods
         alloc = PanelAllocation(q)
         # at wide L the serial replay is slow: one full chunk, then a 5-row one on
-        # the second worker, cover the pieces, a ragged sub-block and both workers
+        # the second worker, cover the full sub-blocks, a ragged one and both workers
         sizes = (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5) if len(q) < 32 else (1, CHUNK_TRIALS + 5)
         for n in sizes:
             for seed in (3, 2024):
@@ -295,21 +292,29 @@ class TestThreadedFill:
         assert len(results) == len(allocs) * len(modes)
         assert peak < len(results) * 8 * n + workers * scratch + 2**20
 
-    @pytest.mark.parametrize("n", [1 << 17, 1 << 20])
-    def test_traced_peak_of_counts_is_worker_scratch(self, baseline, aods, n):
-        # cdf's call: four designs in both modes, counted at a grid, no samples kept
+    @pytest.mark.parametrize(
+        "num_paths, n", [(4, 1 << 17), (4, 1 << 20), (64, 1 << 17)],
+        ids=["131072", "1048576", "L64-131072"],
+    )
+    def test_traced_peak_of_counts_is_worker_scratch(self, baseline, aods, num_paths, n):
+        # cdf's call: four designs in both modes, counted at a grid, no samples kept;
+        # at 64 paths (two panels per path, as at the baseline) the scratch is 16 times wider
+        config = replace(baseline, n_p=2 * num_paths, num_paths=num_paths)
+        if num_paths != baseline.num_paths:
+            aods = np.linspace(0.1, 3.0, num_paths)
         workers = min(montecarlo._usable_cpus(), n // CHUNK_TRIALS)
         allocs = [
-            uniform_allocation(baseline), los_concentration(baseline),
-            PanelAllocation((1, 2, 2, 3)), PanelAllocation((5, 1, 1, 1)),
+            uniform_allocation(config), los_concentration(config),
+            PanelAllocation((1, 2, 2, 3) * (num_paths // 4)),
+            PanelAllocation((5, 1, 1, 1) * (num_paths // 4)),
         ]
-        scratch = max(_worker_scratch(baseline.num_paths, mode) for mode in MODES)
+        scratch = max(_worker_scratch(num_paths, mode) for mode in MODES)
         grid = np.linspace(0.0, 10.0, 101)
         # lazy imports happen outside the trace
-        run_batches(baseline, allocs, aods, 10, 0, se_grid=grid, keep_samples=False)
+        run_batches(config, allocs, aods, 10, 0, se_grid=grid, keep_samples=False)
         tracemalloc.start()
         try:
-            results = run_batches(baseline, allocs, aods, n, 9, se_grid=grid, keep_samples=False)
+            results = run_batches(config, allocs, aods, n, 9, se_grid=grid, keep_samples=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,10 +357,10 @@ class TestThreadedFill:
     def test_worker_exception_reaches_caller(self, baseline, aods, monkeypatch):
         chunk_rng = montecarlo._chunk_rng
 
-        def failing_rng(seed, chunk_index):
+        def failing_rng(seed, chunk_index, *stream):
             if chunk_index == 1:
                 raise RuntimeError("chunk 1 failed")
-            return chunk_rng(seed, chunk_index)
+            return chunk_rng(seed, chunk_index, *stream)
 
         monkeypatch.setattr(montecarlo, "_chunk_rng", failing_rng)
         outcome = []

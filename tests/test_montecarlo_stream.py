@@ -40,10 +40,23 @@ class TestChunkStream:
         assert rng.standard_normal(64).tobytes() == ref.standard_normal(64).tobytes()
         assert rng.random(64).tobytes() == ref.random(64).tobytes()
 
+    @pytest.mark.parametrize("key", [(0, 0, 1), (0, 0, 2), (1, 15, 1), (2**63 + 5, 1, 2)])
+    def test_mode_stream_is_sfc64_keyed_by_seed_chunk_and_stream(self, key):
+        rng = montecarlo._chunk_rng(*key)
+        ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=key)))
+        assert type(rng.bit_generator) is np.random.SFC64
+        assert rng.bit_generator.random_raw(4).tobytes() == ref.bit_generator.random_raw(4).tobytes()
+        assert rng.random(64).tobytes() == ref.random(64).tobytes()
+
     @pytest.mark.parametrize(
         "a, b",
-        [((0, 0), (0, 1)), ((1, 6), (1, 7)), ((0, 0), (1, 0)), ((41, 3), (42, 3))],
-        ids=["chunk 0-1", "chunk 6-7", "seed 0-1", "seed 41-42"],
+        [((0, 0), (0, 1)), ((1, 6), (1, 7)), ((0, 0), (1, 0)), ((41, 3), (42, 3)),
+         # the gain stream and the two modes' blockage streams of one chunk
+         ((0, 0), (0, 0, 1)), ((0, 0), (0, 0, 2)), ((0, 0, 1), (0, 0, 2)),
+         ((41, 7), (41, 7, 1)), ((41, 7, 1), (41, 8, 1))],
+        ids=["chunk 0-1", "chunk 6-7", "seed 0-1", "seed 41-42", "gains-idealized",
+             "gains-realistic", "idealized-realistic", "chunk 7 gains-idealized",
+             "idealized chunk 7-8"],
     )
     def test_neighbouring_streams_are_uncorrelated(self, a, b):
         x = montecarlo._chunk_rng(*a).standard_normal(STREAM_DRAWS)

@@ -25,7 +25,7 @@ from panelalloc import (
 from panelalloc import cli
 from panelalloc.channel import blockage_attenuation
 from panelalloc.export import write_csv
-from panelalloc.montecarlo import CHUNK_TRIALS
+from panelalloc.montecarlo import CHUNK_TRIALS, SUB_ROWS
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -179,14 +179,16 @@ def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
 
 def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
     """|h_eq|^2 of one allocation in one mode as one serial loop over the
-    chunks, concatenated at the end.
+    chunks and their sub-blocks, concatenated at the end.
 
-    The single-threaded chunk loop the threaded fill replaced, with the gain
-    law (scale * (z1 + 1j z2)) and the shared-p_hat blockage law
-    (np.where over the blocked pattern) written out instead of called, so
-    the reference shares no sampling code with the library. Each frame's
-    terms omega_l conj(h_l) a_eq[l] are added in path order, l = 1, ..., L,
-    by its own adds.
+    Chunk c of CHUNK_TRIALS frames draws its gains from the SFC64 stream
+    keyed (seed, c) and the mode's blockage from the one keyed (seed, c,
+    1 + mode index), sub-block by sub-block of SUB_ROWS frames, path-major
+    (L, rows). The gain law (scale * (z1 + 1j z2)) and the shared-p_hat
+    blockage law (np.where over the blocked pattern) are written out
+    instead of called, so the reference shares no sampling code with the
+    library. Each frame's terms omega_l conj(h_l) a_eq[l] are added in path
+    order, l = 1, ..., L, by its own adds.
     """
     aods = np.asarray(aods, dtype=float)
     validate_allocation(alloc, config)
@@ -203,23 +205,29 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
         blocked_values = np.zeros(L)
         blocked_values[served] = blockage_attenuation(hpbw[served])
 
+    def stream(*key):
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=key)))
+
+    scale = np.sqrt(variances / 2.0)[:, None]
     full, rem = divmod(n_trials, CHUNK_TRIALS)
-    power_chunks = []
+    power_blocks = []
     for chunk_index, size in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
-        rng = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence(entropy=(seed, chunk_index)))
-        )
-        scale = np.sqrt(variances / 2.0)
-        gains = scale * (rng.standard_normal((size, L)) + 1j * rng.standard_normal((size, L)))
-        if mode == "idealized":
-            omega = (rng.random((size, L)) >= config.p_blk).astype(float)
-        else:
-            p_hat = rng.uniform(config.p_min, config.p_max, size=size)
-            blocked = rng.random((size, L)) < p_hat[:, None]
-            omega = np.where(blocked, blocked_values[None, :], 1.0)
-        h_eq = functools.reduce(np.add, (omega * gains.conj() * a_eq[None, :]).T)
-        power_chunks.append(np.abs(h_eq) ** 2)
-    return np.concatenate(power_chunks)
+        gain_rng = stream(seed, chunk_index)
+        block_rng = stream(seed, chunk_index, 1 + ["idealized", "realistic"].index(mode))
+        for a in range(0, size, SUB_ROWS):
+            rows = min(SUB_ROWS, size - a)
+            gains = scale * (
+                gain_rng.standard_normal((L, rows)) + 1j * gain_rng.standard_normal((L, rows))
+            )
+            if mode == "idealized":
+                omega = (block_rng.random((L, rows)) >= config.p_blk).astype(float)
+            else:
+                p_hat = block_rng.uniform(config.p_min, config.p_max, size=rows)
+                blocked = block_rng.random((L, rows)) < p_hat[None, :]
+                omega = np.where(blocked, blocked_values[:, None], 1.0)
+            h_eq = functools.reduce(np.add, omega * gains.conj() * a_eq[:, None])
+            power_blocks.append(np.abs(h_eq) ** 2)
+    return np.concatenate(power_blocks)
 
 
 def reference_cdf(argv) -> None:
