@@ -135,11 +135,7 @@ def chunk_draws(config) -> dict:
 
     def blockage(mode, rng):
         for _ in range(0, rows, sub):
-            if mode == "realistic":
-                p_block = channel._shared_blockage_probability(config, rng, p_hat)
-            else:
-                p_block = config.p_blk
-            channel._block(rng, p_block, draws, mask)
+            channel._block(config, mode, rng, draws, mask, p_hat)
 
     out = {"chunk.fill_gains_s": median_seconds(gains, CHUNK_REPEATS)}
     for stream, mode in enumerate(montecarlo.MODES, 1):

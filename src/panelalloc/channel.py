@@ -1,4 +1,12 @@
-"""Path-gain statistics, AoD sampling and the stochastic blockage model."""
+"""Path-gain statistics, AoD sampling and the stochastic blockage model.
+
+Blockage has one law per Monte Carlo mode, both drawn by ``_block``.
+Idealized, the law of the paper's outage analysis: each path of a frame is
+blocked independently with the marginal probability p_blk. Realistic: each
+frame draws one p_hat ~ U(p_min, p_max), shared by its paths, each then
+blocked independently with probability p_hat, so the marginal is still
+p_blk but a frame's blockage events are positively correlated.
+"""
 
 from __future__ import annotations
 
@@ -118,30 +126,21 @@ def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
     return 1.0 / (ETA_BASE + 180.0 / hpbw)
 
 
-def _shared_blockage_probability(config: SystemConfig, rng, out) -> np.ndarray:
-    """Probability (1, n_frames) that each path of a frame is blocked, under shared blockage.
+def _block(config: SystemConfig, mode: str, rng: np.random.Generator, draws, mask, p_hat) -> None:
+    """Draw one sub-block's blocked pattern ``mask`` (L, rows), path-major, under a mode's law.
 
-    One p_hat ~ U(p_min, p_max) per frame, drawn into the float buffer
-    ``out`` (n_frames,) and shared by all the frame's paths; marginally each
-    path is still blocked with probability p_blk, but blockage events
-    within a frame are positively correlated. (Independent blockage draws
-    nothing: every frame has the marginal p_blk.) The draws are bit for bit
-    ``rng.uniform(p_min, p_max, n_frames)``, which is p_min + (p_max - p_min) u.
-    The row broadcasts along the paths of a path-major (L, n_frames) plane.
+    Realistic mode first draws the frames' p_hat into the float buffer
+    ``p_hat`` (rows,), bit for bit ``rng.uniform(p_min, p_max, rows)``, which
+    is p_min + (p_max - p_min) u; idealized mode draws none and leaves
+    ``p_hat``, which may be empty, alone. Then the uniforms, one per path and
+    frame in path-major order, are drawn into the float scratch ``draws``
+    (L, rows) and compared with p_blk or the (1, rows) p_hat row.
     """
-    rng.random(out=out)
-    out *= config.p_max - config.p_min
-    out += config.p_min
-    return out[None, :]
-
-
-def _block(rng: np.random.Generator, p_block, draws, mask) -> None:
-    """Draw the blocked pattern ``mask`` (L, n), path-major: each path blocked with
-    probability p_block.
-
-    p_block is a scalar or a (1, n) ``_shared_blockage_probability`` row. The
-    uniforms, one per path and frame in path-major order, are drawn into the
-    float scratch ``draws`` (L, n) and compared from there.
-    """
+    p_block = config.p_blk
+    if mode == "realistic":
+        rng.random(out=p_hat)
+        p_hat *= config.p_max - config.p_min
+        p_hat += config.p_min
+        p_block = p_hat[None, :]
     rng.random(out=draws)
     np.less(draws, p_block, out=mask)

@@ -27,7 +27,7 @@ from .beamforming import (
     validate_allocation,
 )
 from .channel import sample_channel
-from .config import SystemConfig, db_to_linear, linear_to_db, load_scenario
+from .config import _SEED_LIMIT, SystemConfig, db_to_linear, linear_to_db, load_scenario
 from .errors import CapacityError, ConfigurationError, SamplingError
 from .export import write_csv
 from .montecarlo import MODES, run_batches
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", type=Path, default=None, help="scenario file path")
-    seed = _checked(int, lambda v: v >= 0, "seed must be nonnegative")
+    seed = _checked(int, lambda v: 0 <= v < _SEED_LIMIT, "seed must be in [0, 2^32)")
     common.add_argument("--seed", type=seed, default=None, help="RNG seed (overrides scenario)")
     trials = _positive("trials must be >= 1")
     common.add_argument("--trials", type=trials, default=DEFAULT_TRIALS, help="Monte Carlo trials")

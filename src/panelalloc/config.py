@@ -20,6 +20,10 @@ SCENARIO_KEYS = (
     "seed",
 )
 
+# Seeds key numpy's SeedSequence, which splits an integer into 32-bit words and
+# zero-pads them, so seed 2^32 in chunk 0 would draw seed 0's chunk-1 frames.
+_SEED_LIMIT = 1 << 32
+
 
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
@@ -132,6 +136,6 @@ def load_scenario(path: str | Path) -> tuple[SystemConfig, int]:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"{path}: malformed scenario value: {exc}") from exc
-    if seed < 0:
-        raise ConfigurationError(f"{path}: seed must be nonnegative, got {seed}")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ConfigurationError(f"{path}: seed must be in [0, 2^32), got {seed}")
     return config, seed

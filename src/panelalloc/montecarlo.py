@@ -1,14 +1,13 @@
 """Dual-mode Monte Carlo engine for the post-beamforming SE distribution.
 
 Idealized mode reproduces the assumptions behind the closed-form analysis:
-main-lobe-only equivalent response (N_a/sqrt(N_t)) q, binary blockage drawn
-independently per path at the marginal probability p_blk. It is the oracle
-the analytic module is validated against.
+main-lobe-only equivalent response (N_a/sqrt(N_t)) q and blocked paths
+nulled. It is the oracle the analytic module is validated against.
 
-Realistic mode keeps the exact array responses (side lobes included), draws
-one blockage probability per frame shared by all paths, and attenuates
-blocked served paths by 1/eta instead of nulling them; unserved paths have
-no beam and are nulled when blocked.
+Realistic mode keeps the exact array responses (side lobes included) and
+attenuates blocked served paths by 1/eta instead of nulling them; unserved
+paths have no beam and are nulled when blocked. Each mode's blockage law
+is ``channel._block``'s.
 
 ``run_batches`` simulates several allocations in both modes from common
 random numbers: one seed gives every design the same frames. Trials come
@@ -71,14 +70,8 @@ from .beamforming import (
     equivalent_array_response_exact,
     validate_allocation,
 )
-from .channel import (
-    _block,
-    _fill_gains,
-    _shared_blockage_probability,
-    blockage_attenuation,
-    path_variances,
-)
-from .config import SystemConfig
+from .channel import _block, _fill_gains, blockage_attenuation, path_variances
+from .config import _SEED_LIMIT, SystemConfig
 from .errors import ConfigurationError
 
 # Trials are generated in fixed-size chunks, each with its own generators
@@ -173,8 +166,8 @@ def run_batches(
     """
     if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
         raise ConfigurationError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < _SEED_LIMIT:
+        raise ConfigurationError(f"seed must be an integer in [0, 2^32), got {seed!r}")
     modes = tuple(dict.fromkeys(modes))
     if not modes or not set(modes) <= set(MODES):
         raise ConfigurationError(f"modes must be a nonempty subset of {MODES}, got {modes!r}")
@@ -233,11 +226,7 @@ def run_batches(
                 column = column_all[:rows]
                 _fill_gains(variances, gain_rng, re, im)
                 for mode, rng in rngs:
-                    if mode == "realistic":
-                        p_block = _shared_blockage_probability(config, rng, p_hat_all[:rows])
-                    else:  # independent blockage: every frame has the marginal p_blk
-                        p_block = config.p_blk
-                    _block(rng, p_block, weights, mask)
+                    _block(config, mode, rng, weights, mask, p_hat_all[:rows])
                     np.logical_not(mask, out=keep)
                     for blocked_values, responses in targets[mode].values():
                         # the draws are spent: 1 on a clear path, the blocked value

@@ -18,7 +18,6 @@ from panelalloc import montecarlo
 from panelalloc.channel import (
     _block,
     _fill_gains,
-    _shared_blockage_probability,
     blockage_attenuation,
     sample_aods,
 )
@@ -35,19 +34,18 @@ def gain_draws(variances, rng, size=None):
 
 
 def blockage_frames(config, blocked_values, rng, n_frames):
-    """Per-frame factors (L, n_frames) of the shared-p_hat law, applied to ones."""
+    """Per-frame factors (L, n_frames) of the realistic shared-p_hat law, applied to ones."""
     shape = (config.num_paths, n_frames)
     mask = np.empty(shape, bool)
-    p_block = _shared_blockage_probability(config, rng, np.empty(n_frames))
-    _block(rng, p_block, np.empty(shape), mask)
+    _block(config, "realistic", rng, np.empty(shape), mask, np.empty(n_frames))
     return np.where(mask, np.asarray(blocked_values)[:, None], 1.0)
 
 
-def independent_frames(config, p_block, rng, n_frames):
-    """Per-frame factors (L, n_frames) of idealized blockage: independent, nulled."""
+def independent_frames(config, rng, n_frames):
+    """Per-frame factors (L, n_frames) of idealized blockage: independent at p_blk, nulled."""
     shape = (config.num_paths, n_frames)
     mask = np.empty(shape, bool)
-    _block(rng, p_block, np.empty(shape), mask)
+    _block(config, "idealized", rng, np.empty(shape), mask, np.empty(0))
     return np.where(mask, 0.0, 1.0)
 
 
@@ -157,10 +155,20 @@ class TestBlockage:
         cfg = SystemConfig(p_min=bounds[0], p_max=bounds[1])
         draws = np.random.default_rng(seed)
         expected = draws.uniform(cfg.p_min, cfg.p_max, size=n)
-        rng = np.random.default_rng(seed)
-        p_block = _shared_blockage_probability(cfg, rng, np.empty(n))
-        assert p_block.shape == (1, n)
-        assert p_block.tobytes() == expected.tobytes()
+        shape = (cfg.num_paths, n)
+        draws.random(shape)  # the blockage uniforms follow p_hat
+        rng, p_hat = np.random.default_rng(seed), np.empty(n)
+        _block(cfg, "realistic", rng, np.empty(shape), np.empty(shape, bool), p_hat)
+        assert p_hat.tobytes() == expected.tobytes()
+        assert rng.random() == draws.random()  # the same number of draws
+
+    def test_idealized_draws_no_p_hat(self, baseline):
+        n, L = 5000, baseline.num_paths
+        draws = np.random.default_rng(3)
+        expected = draws.random((L, n)) < baseline.p_blk
+        rng, mask = np.random.default_rng(3), np.empty((L, n), bool)
+        _block(baseline, "idealized", rng, np.empty((L, n)), mask, np.empty(0))
+        assert mask.tobytes() == expected.tobytes()
         assert rng.random() == draws.random()  # the same number of draws
 
     def test_frames_equal_shared_probability_formula_bitwise(self, baseline):
@@ -174,7 +182,7 @@ class TestBlockage:
 
     def test_certain_blockage_idealized(self, rng):
         cfg = SystemConfig(p_min=1.0, p_max=1.0)
-        np.testing.assert_array_equal(independent_frames(cfg, cfg.p_blk, rng, 100), 0.0)
+        np.testing.assert_array_equal(independent_frames(cfg, rng, 100), 0.0)
 
     def test_realistic_attenuation_value(self, rng):
         # 180 deg beamwidth: eta = 9.8 + 180/180 = 10.8
@@ -184,7 +192,7 @@ class TestBlockage:
 
     def test_never_blocked(self, rng):
         cfg = SystemConfig(p_min=0.0, p_max=0.0)
-        np.testing.assert_array_equal(independent_frames(cfg, cfg.p_blk, rng, 100), 1.0)
+        np.testing.assert_array_equal(independent_frames(cfg, rng, 100), 1.0)
         np.testing.assert_array_equal(blockage_frames(cfg, np.zeros(cfg.num_paths), rng, 100), 1.0)
 
     def test_mode_and_hpbw_validation(self, baseline):
@@ -219,7 +227,7 @@ class TestBlockage:
     @settings(max_examples=25, deadline=None)
     def test_factor_ranges(self, baseline, seed):
         gen = np.random.default_rng(seed)
-        ideal = independent_frames(baseline, baseline.p_blk, gen, 1)
+        ideal = independent_frames(baseline, gen, 1)
         assert set(np.unique(ideal)) <= {0.0, 1.0}
         attenuation = blockage_attenuation(np.full(baseline.num_paths, 25.0))
         real = blockage_frames(baseline, attenuation, gen, 1)

@@ -123,6 +123,7 @@ class TestUsageErrors:
             (["sweep-snr", "--target-se", "inf"], 2),
             (["sweep-se", "--se-min", "-1"], 2),
             (["allocate", "--trials", "0"], 2),
+            (["cdf", "--seed", "4294967296"], 2),
             (["count", "--epsilon", "nan"], 2),
             (["cdf", "--methods", "los", "--epsilon", "-3", "--trials", "100"], 2),
             (["sweep-se", "--epsilon", "1.5"], 2),

@@ -96,6 +96,7 @@ def test_load_scenario_roundtrip(tmp_path):
         lambda t: t.replace("n_a = 32", "n_a"),  # no value
         lambda t: t.replace("tx_snr_db = 10 ", "tx_snr_db = 3100 "),  # 10^310 overflows
         lambda t: t.replace("rician_k_db = 10", "rician_k_db = 4000"),
+        lambda t: t.replace("seed = 99", "seed = 4294967296"),  # 2^32 keys seed 0's streams
     ],
 )
 def test_load_scenario_rejects_bad_files(tmp_path, mutation):

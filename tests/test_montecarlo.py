@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from panelalloc import (
     ConfigurationError,
@@ -26,6 +26,7 @@ from panelalloc import (
     uniform_allocation,
 )
 from panelalloc import montecarlo
+from panelalloc.channel import sample_aods
 from panelalloc.montecarlo import (
     CHUNK_TRIALS,
     MODES,
@@ -130,6 +131,81 @@ class TestExactRealisticOracle:
             result = run_trials(baseline, alloc, aods, "realistic", 10**5, 41)
             exact = lambda x: realistic_se_cdf(baseline, alloc, aods, x)
             assert ks_distance(result, exact) < 0.01
+
+
+@st.composite
+def law_cases(draw):
+    """(config, allocation, seed): n_a <= 32, n_p <= 8, L <= 5, kappa = 0 or in [10^-6, 10^3],
+    blockage U(p, min(1, p + w)) for p in {0, 0.1, ..., 1} and w in {0, 0.4}, and q_1 = 0
+    allowed.
+
+    Below kappa ~ 1e-14 a LoS-only allocation's RSNR scale nears 2^-53, under which
+    a sample's SE rounds to 0: ``test_sub_ulp_rsnr_reads_as_zero_se`` shows that fault,
+    so the drawn kappa stays 8 decades above it."""
+    n_p, L = draw(st.integers(1, 8)), draw(st.integers(2, 5))
+    p = draw(st.integers(0, 10)) / 10.0
+    config = SystemConfig(
+        n_a=draw(st.integers(1, 32)),
+        n_p=n_p,
+        num_paths=L,
+        rician_k=draw(st.sampled_from([0.0]) | st.floats(1e-6, 1e3)),
+        p_min=p,
+        p_max=min(1.0, p + draw(st.sampled_from([0.0, 0.4]))),
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, n_p), min_size=L - 1, max_size=L - 1)))
+    q = np.diff([0, *cuts, n_p])
+    return config, PanelAllocation(tuple(q.tolist())), draw(st.integers(0, 2**32 - 1))
+
+
+class TestExactLawAgreement:
+    """Monte Carlo against the exact law in both modes, across the configuration space.
+
+    Twenty derandomized cases, plus two pinned ones at p = 1 and p = 0 with
+    q_1 = 0, each simulate 10^5 frames of one allocation at AoDs drawn without a
+    spacing demand, counting its SE at 128 grid points spread over every RSNR
+    scale up to tx_snr n_a^2 n_p. Idealized counts are compared with
+    se_cdf(rsnr_mixture) and realistic ones with tests/util.realistic_se_cdf.
+    By the DKW inequality, P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2), so the
+    band eps = sqrt(ln(2 / alpha) / (2 n)) = 0.0085 is crossed with probability
+    at most alpha = 1e-6 per mode and case. The 22 cases make 44 comparisons,
+    a family-wise false-alarm rate of at most 4.4e-5.
+    """
+
+    TRIALS = 10**5
+    ALPHA = 1e-6
+
+    @given(case=law_cases())
+    @example(case=(SystemConfig(n_a=8, n_p=4, num_paths=3, p_min=1.0, p_max=1.0),
+                   PanelAllocation((0, 3, 1)), 7))
+    @example(case=(SystemConfig(n_a=16, n_p=6, num_paths=4, p_min=0.0, p_max=0.0),
+                   PanelAllocation((0, 2, 2, 2)), 11))
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_counts_within_dkw_band(self, case):
+        config, alloc, seed = case
+        aods = sample_aods(config, 0.0, np.random.default_rng(seed))
+        top = config.tx_snr * config.n_a**2 * config.n_p
+        grid = np.r_[0.0, np.log2(1.0 + top * np.geomspace(1e-6, 1.0, 127))]
+        results = run_batches(
+            config, [alloc], aods, self.TRIALS, seed, se_grid=grid, keep_samples=False
+        )
+        exact = {
+            "idealized": se_cdf(rsnr_mixture(alloc, config), grid),
+            "realistic": realistic_se_cdf(config, alloc, aods, grid),
+        }
+        band = math.sqrt(math.log(2.0 / self.ALPHA) / (2.0 * self.TRIALS))
+        for mode, law in exact.items():
+            gap = np.max(np.abs(results[mode, alloc.q].cdf_counts / self.TRIALS - law))
+            assert gap < band, (mode, gap / band)
+
+    @pytest.mark.xfail(strict=True, reason="log2(1 + rsnr) is 0 for an RSNR below 2^-53")
+    def test_sub_ulp_rsnr_reads_as_zero_se(self):
+        # LoS only, with an RSNR scale of 1.2e-261: the exact law has no atom at
+        # SE = 0, but every sample's SE rounds to 0, so the KS distance is 1
+        config = SystemConfig(n_a=1, n_p=1, num_paths=2, rician_k=1.2342128396670148e-262,
+                              p_min=0.0, p_max=0.0)
+        alloc = PanelAllocation((1, 0))
+        result = run_trials(config, alloc, np.array([0.5, 2.0]), "idealized", 1000, 0)
+        assert ks_distance(result, lambda se: se_cdf(rsnr_mixture(alloc, config), se)) < 0.1
 
 
 class TestEmpiricalQueries:
@@ -782,3 +858,7 @@ class TestValidation:
     def test_bad_allocation(self, baseline, aods):
         with pytest.raises(ConfigurationError):
             run_trials(baseline, PanelAllocation((1, 1, 1, 1)), aods, "idealized", 10, 0)
+
+    def test_largest_seed_runs(self, baseline, aods):
+        result = run_trials(baseline, los_concentration(baseline), aods, "idealized", 1, 2**32 - 1)
+        assert result.seed == 2**32 - 1

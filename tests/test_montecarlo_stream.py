@@ -68,9 +68,11 @@ class TestChunkStream:
 class TestInputs:
     @pytest.mark.parametrize(
         "n_trials, seed",
-        [(0, 0), (10.0, 0), (np.float64(10), 0), ("10", 0), (10, -1), (10, 1.5), (10, None)],
+        # SeedSequence zero-pads 32-bit words: seed 2^32's chunk 0 is seed 0's chunk 1
+        [(0, 0), (10.0, 0), (np.float64(10), 0), ("10", 0), (10, -1), (10, 1.5), (10, None),
+         (10, 2**32), (10, 2**64 - 1)],
         ids=["no trials", "float trials", "numpy float trials", "str trials", "negative seed",
-             "float seed", "no seed"],
+             "float seed", "no seed", "seed 2^32", "seed 2^64 - 1"],
     )
     def test_rejected_before_any_draw(self, baseline, aods, monkeypatch, n_trials, seed):
         def no_draws(*args):
