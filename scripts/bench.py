@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Median wall times of the profile search, of the Monte Carlo layer, of
 ``ks_distance``, of fresh ``cdf`` processes, of the battery's jobs, of
-the sweep commands and a battery pass, and of the Tier-1 suite.
+the sweep commands and a battery pass, and of the Tier-1 suite; and the
+source's line counts.
 
     PYTHONPATH=src python scripts/bench.py
 
@@ -59,6 +60,9 @@ JSON object:
                fresh runs, and the passed and failed counts of the last
                (keys ``wall_s``, ``passed``, ``failed``). It tests this
                checkout's src whatever PYTHONPATH says.
+  size         line counts (as ``wc -l`` gives them) of this checkout: each
+               ``src/panelalloc`` module (key ``<module>.py``), their total
+               (``src``) and the total of ``tests/*.py`` (``tests``).
 
 Each number is the median of REPEATS = 5 timings (the per-chunk draws:
 CHUNK_REPEATS; Tier-1: TIER1_REPEATS); the search, Monte Carlo, ks and
@@ -302,6 +306,17 @@ def tier1() -> dict:
     return out
 
 
+def lines(path: Path) -> int:
+    return path.read_bytes().count(b"\n")
+
+
+def size() -> dict:
+    out = {path.name: lines(path) for path in sorted((ROOT / "src" / "panelalloc").glob("*.py"))}
+    out["src"] = sum(out.values())
+    out["tests"] = sum(map(lines, (ROOT / "tests").glob("*.py")))
+    return out
+
+
 def main() -> int:
     result = {
         "search": search_layer(),
@@ -311,6 +326,7 @@ def main() -> int:
         "battery": battery_jobs(),
         "commands": commands(),
         "tier1": tier1(),
+        "size": size(),
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -28,7 +28,6 @@ from .beamforming import (
 )
 from .channel import (
     ChannelRealization,
-    default_min_separation,
     path_variances,
     sample_channel,
 )

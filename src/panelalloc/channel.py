@@ -52,11 +52,6 @@ def path_variances(kappa: float, num_paths: int) -> np.ndarray:
     return variances
 
 
-def default_min_separation(config: SystemConfig) -> float:
-    """Default minimum pairwise AoD spacing: four full-array beamwidths, radians."""
-    return 4.0 * math.radians(HPBW_COEFF_DEG / config.n_t)
-
-
 def _fill_gains(variances: np.ndarray, rng: np.random.Generator, re, im) -> None:
     """Fill the C-contiguous float planes ``re`` and ``im`` (L, n), path-major, with path gains.
 
@@ -71,51 +66,28 @@ def _fill_gains(variances: np.ndarray, rng: np.random.Generator, re, im) -> None
         plane *= scale
 
 
-def sample_aods(
-    config: SystemConfig,
-    min_separation: float | None = None,
-    rng: np.random.Generator | None = None,
-    max_attempts: int = _AOD_MAX_ATTEMPTS,
-) -> np.ndarray:
-    """Draw L AoDs uniformly on [0, pi) with pairwise spacing >= min_separation.
-
-    Rejection sampling; raises SamplingError if no admissible draw is found
-    within the retry budget (possible when the separation demand is close to
-    the packing limit min_separation * L < pi).
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    if min_separation is None:
-        min_separation = default_min_separation(config)
-    L = config.num_paths
-    if min_separation < 0.0:
-        raise ConfigurationError("min_separation must be nonnegative")
-    if min_separation * L >= math.pi:
-        raise ConfigurationError(
-            f"min_separation {min_separation:.4g} rad is infeasible for {L} paths on [0, pi)"
-        )
-    for _ in range(max_attempts):
-        aods = rng.uniform(0.0, math.pi, size=L)
-        gaps = np.diff(np.sort(aods))
-        if min_separation == 0.0 or np.all(gaps >= min_separation):
-            return aods
-    raise SamplingError(
-        f"could not draw {L} AoDs with spacing {min_separation:.4g} rad "
-        f"in {max_attempts} attempts"
-    )
-
-
-def sample_channel(
-    config: SystemConfig,
-    min_separation: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> ChannelRealization:
+def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one training-phase channel: the AoDs the beamformers are steered to.
 
+    The L AoDs are uniform on [0, pi), redrawn until every pair is at least four
+    full-array beamwidths apart; raises SamplingError if no draw is admissible in
+    ``_AOD_MAX_ATTEMPTS`` (possible when the spacing nears the packing limit pi / L).
     Path gains and blockage are redrawn per transmission frame by the Monte
     Carlo engine (``montecarlo.run_batches``), not here.
     """
-    return ChannelRealization(aods=sample_aods(config, min_separation, rng))
+    L = config.num_paths
+    spacing = 4.0 * math.radians(HPBW_COEFF_DEG / config.n_t)
+    if spacing * L >= math.pi:
+        raise ConfigurationError(
+            f"AoD spacing {spacing:.4g} rad is infeasible for {L} paths on [0, pi)"
+        )
+    for _ in range(_AOD_MAX_ATTEMPTS):
+        aods = rng.uniform(0.0, math.pi, size=L)
+        if np.all(np.diff(np.sort(aods)) >= spacing):
+            return ChannelRealization(aods=aods)
+    raise SamplingError(
+        f"could not draw {L} AoDs with spacing {spacing:.4g} rad in {_AOD_MAX_ATTEMPTS} attempts"
+    )
 
 
 def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:

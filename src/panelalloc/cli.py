@@ -21,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import _se_bound, _se_means, average_rsnr, rsnr_mixture, score_allocations, se_cdf
+from .analytic import (
+    _se_means, average_rsnr, average_se_upper_bound, rsnr_mixture, score_allocations, se_cdf,
+)
 from .beamforming import (
     PanelAllocation, beam_pattern, build_beamformer, los_concentration, uniform_allocation,
     validate_allocation,
@@ -168,8 +170,8 @@ def cmd_sweep_tx_snr(spec: ExperimentSpec) -> list[Path]:
     for snr in spec.snr_grid_db:
         cfg = replace(spec.config, tx_snr=10.0 ** (snr / 10.0))
         for method, alloc in resolve_allocations(spec, cfg).items():
-            mean = average_rsnr(alloc, cfg)
-            per_method[method].append((linear_to_db(mean), _se_bound(mean)))
+            mean_db = linear_to_db(average_rsnr(alloc, cfg))
+            per_method[method].append((mean_db, average_se_upper_bound(alloc, cfg)))
             mixtures.append(rsnr_mixture(alloc, cfg))
     # every cell's exact mean SE from one evaluation, one row per SNR
     mean_se = np.reshape(_se_means(mixtures), (spec.snr_grid_db.size, len(per_method)))

@@ -172,8 +172,8 @@ def run_batches(
     if not modes or not set(modes) <= set(MODES):
         raise ConfigurationError(f"modes must be a nonempty subset of {MODES}, got {modes!r}")
     aods = np.asarray(aods, dtype=float)
-    if aods.shape != (config.num_paths,):
-        raise ValueError(f"expected {config.num_paths} AoDs, got shape {aods.shape}")
+    if aods.shape != (config.num_paths,) or not np.isfinite(aods).all():
+        raise ValueError(f"expected {config.num_paths} finite AoDs, got {aods!r}")
     grid = None if se_grid is None else np.asarray(se_grid, dtype=float)
     if grid is not None and (grid.ndim != 1 or np.isnan(grid).any()):
         raise ConfigurationError(f"se_grid must be 1-D with no NaN point, got shape {grid.shape}")

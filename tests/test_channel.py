@@ -9,18 +9,12 @@ from panelalloc import (
     ConfigurationError,
     SamplingError,
     SystemConfig,
-    default_min_separation,
     los_concentration,
     path_variances,
     sample_channel,
 )
 from panelalloc import montecarlo
-from panelalloc.channel import (
-    _block,
-    _fill_gains,
-    blockage_attenuation,
-    sample_aods,
-)
+from panelalloc.channel import _block, _fill_gains, blockage_attenuation
 
 
 def gain_draws(variances, rng, size=None):
@@ -74,29 +68,31 @@ class TestPathVariances:
 
 class TestAodSampling:
     def test_pairwise_separation_enforced(self, baseline, rng):
-        sep = default_min_separation(baseline)
+        sep = 4.0 * math.radians(102.0 / baseline.n_t)  # four full-array beamwidths
         for _ in range(300):
-            aods = sample_aods(baseline, sep, rng)
+            aods = sample_channel(baseline, rng).aods
             gaps = np.diff(np.sort(aods))
             assert np.all(gaps >= sep)
             assert np.all((aods >= 0) & (aods < math.pi))
 
-    def test_infeasible_separation_rejected(self, baseline):
+    def test_infeasible_separation_rejected(self):
+        # a one-element array needs 4 x 102 = 408 deg gaps, more than [0, 180) holds
         with pytest.raises(ConfigurationError):
-            sample_aods(baseline, math.pi / baseline.num_paths)
+            sample_channel(SystemConfig(n_a=1, n_p=1, num_paths=3), np.random.default_rng(0))
 
-    def test_retry_budget_exhausted(self, baseline):
-        # demanding separation plus a tiny retry budget: rejection must surface
-        sep = 0.995 * math.pi / baseline.num_paths
+    def test_retry_budget_exhausted(self):
+        # 10 AoDs 17.7 deg apart on [0, 180): an admissible draw has probability
+        # ~3e-10, so rejection sampling exhausts its budget
+        crowded = SystemConfig(n_a=23, n_p=1, num_paths=10)
         with pytest.raises(SamplingError):
-            sample_aods(baseline, sep, np.random.default_rng(0), max_attempts=2)
+            sample_channel(crowded, np.random.default_rng(0))
 
     def test_sample_channel_draws_only_aods(self, baseline):
-        # the training-phase draw is the AoDs alone: the generator is left
-        # exactly where sample_aods leaves it
+        # the training-phase draw is the AoDs alone: seed 3's first draw is
+        # admissible, so it is one uniform draw and leaves the generator there
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         aods = sample_channel(baseline, rng=ours).aods
-        np.testing.assert_array_equal(aods, sample_aods(baseline, rng=theirs))
+        np.testing.assert_array_equal(aods, theirs.uniform(0.0, math.pi, baseline.num_paths))
         assert ours.random() == theirs.random()
 
 

@@ -11,6 +11,8 @@ import pytest
 from panelalloc import (
     SystemConfig,
     allocation_array,
+    average_rsnr,
+    average_se_upper_bound,
     linear_to_db,
     load_scenario,
     los_concentration,
@@ -336,11 +338,16 @@ class TestSweepExactMean:
                 for xi in column(sweep_se, "xi_th")
             ]
             assert column(sweep_se, f"mean_se_{method}").tolist() == expected
-            expected = []
+            expected, bounds, avg_db = [], [], []
             for snr_db in column(sweep_snr, "tx_snr_db"):
                 cfg = replace(config, tx_snr=10.0 ** (snr_db / 10.0))
-                expected.append(mean_se(cfg, allocation_of(cfg, method, 4.0)))
+                alloc = allocation_of(cfg, method, 4.0)
+                expected.append(mean_se(cfg, alloc))
+                bounds.append(average_se_upper_bound(alloc, cfg))
+                avg_db.append(linear_to_db(average_rsnr(alloc, cfg)))
             assert column(sweep_snr, f"mean_se_{method}").tolist() == expected
+            assert column(sweep_snr, f"se_bound_{method}").tolist() == bounds
+            assert column(sweep_snr, f"avg_rsnr_db_{method}").tolist() == avg_db
 
     @pytest.mark.parametrize("args", SWEEPS, ids=lambda a: a[0])
     def test_one_exact_mean_evaluation_per_command(self, tmp_path, monkeypatch, args):

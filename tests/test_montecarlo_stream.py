@@ -100,6 +100,26 @@ class TestInputs:
         with pytest.raises(ConfigurationError, match="se_grid"):
             run_batches(baseline, [alloc], aods, 3 * montecarlo.CHUNK_TRIALS, 0, se_grid=se_grid)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, "short"], ids=["NaN", "+inf", "-inf", "wrong shape"]
+    )
+    def test_bad_aods_rejected_before_any_draw(self, baseline, aods, monkeypatch, bad):
+        def no_draws(*args):
+            raise AssertionError("a chunk generator was built")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        alloc = los_concentration(baseline)
+        if bad == "short":
+            aods = aods[:-1]
+        else:
+            aods = aods.copy()
+            aods[1] = bad
+        # three chunks, so a check inside the workers would run on threads
+        with pytest.raises(ValueError, match="AoDs"):
+            run_trials(baseline, alloc, aods, "realistic", 3 * montecarlo.CHUNK_TRIALS, 1)
+        with pytest.raises(ValueError, match="AoDs"):
+            run_batches(baseline, [alloc], aods, 3 * montecarlo.CHUNK_TRIALS, 1)
+
     def test_infinite_se_grid_points_are_valid(self, baseline, aods):
         alloc = los_concentration(baseline)
         grid = [-np.inf, 0.0, 1.0, np.inf]
