@@ -53,7 +53,12 @@ JSON object:
                jobs through ``cli.main`` at seed 1 in a fresh process, run as
                perfbench/workloads.py runs them, so the parser built on the
                first call and the first simulation's imports count
-               (``battery_pass_s``).
+               (``battery_pass_s``). In this process, ``beam_pattern`` of
+               the four baseline designs at seed 1, as ``pattern`` calls it,
+               on 721 and 20,000 points: seconds (``beam_pattern_<points>_s``)
+               and tracemalloc peak in MiB (``beam_pattern_<points>.peak_mib``);
+               and numpy's BLAS (``blas``) and ``OPENBLAS_NUM_THREADS``
+               (null when unset), which say whose thread pool the times saw.
   tier1        wall seconds of this checkout's Tier-1 suite (``python -m
                pytest -q --continue-on-collection-errors`` in its root, with
                its src first on PYTHONPATH), median of TIER1_REPEATS = 3
@@ -77,6 +82,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,9 +276,28 @@ def command_processes(repeats: int = REPEATS) -> dict:
     return out
 
 
+def pattern_calls() -> dict:
+    """In-process ``beam_pattern`` of the four baseline designs, as ``pattern`` calls it."""
+    spec = cli._spec_from_args(cli.build_parser().parse_args(["pattern", "--seed", "1"]))
+    aods = pa.sample_channel(spec.config, rng=np.random.default_rng(spec.seed)).aods
+    beams = np.array([pa.build_beamformer(alloc, aods, spec.config)
+                      for alloc in cli.resolve_allocations(spec).values()])
+    out = {}
+    for points in (721, 20000):
+        grid = np.radians(np.linspace(0.0, 180.0, points))
+        out[f"beam_pattern_{points}_s"] = median_seconds(lambda: pa.beam_pattern(beams, grid))
+        tracemalloc.start()
+        pa.beam_pattern(beams, grid)
+        out[f"beam_pattern_{points}.peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    out["blas"] = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    out["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    return out
+
+
 def commands() -> dict:
     parser = cli.build_parser()
-    out = command_processes()
+    out = command_processes() | pattern_calls()
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in (("sweep-se", cli.cmd_sweep_target_se),
                               ("sweep-snr", cli.cmd_sweep_tx_snr)):

@@ -7,6 +7,7 @@ a panel allocation assigns how many panels serve each path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ def build_beamformer(
     """
     validate_allocation(alloc, config)
     aods = np.asarray(aods, dtype=float)
-    if aods.shape != (len(alloc.q),):
-        raise ValueError(f"expected {len(alloc.q)} AoDs, got shape {aods.shape}")
+    if aods.shape != (len(alloc.q),) or not np.isfinite(aods).all():
+        raise ValueError(f"expected {len(alloc.q)} finite AoDs, got {aods!r}")
 
     n_a, n_t = config.n_a, config.n_t
     directivities = np.repeat(aods, alloc.as_array())
@@ -84,19 +85,28 @@ def build_beamformer(
 def equivalent_array_response_exact(aods: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Exact equivalent array response a_eq[l] = a(N_t, theta_l)^H f.
 
-    a(n, theta) is the ULA response with entries exp(j pi k cos(theta)). The
-    rows of a 2-D f are beamformers that share one steering matrix.
+    a(n, theta) has entries exp(j pi k cos(theta)). With b the largest divisor of
+    N_t not above sqrt(N_t), the sum over k runs as sum_m e^{-j pi m b cos theta}
+    sum_i e^{-j pi i cos theta} f[m b + i] on (angles, b) and (angles, N_t / b)
+    tables in numpy's own einsum loops, no BLAS: each angle and each row of a
+    2-D f is summed alone, so stacking rows or splitting angles moves no bit.
     """
     aods = np.atleast_1d(np.asarray(aods, dtype=float))
-    steering = np.exp(1j * np.pi * np.outer(np.cos(aods), np.arange(np.shape(f)[-1]))).conj()
-    return steering @ f if np.ndim(f) == 1 else np.array([steering @ row for row in f])
+    if not np.isfinite(aods).all():
+        raise ValueError(f"angles must be finite, got {aods!r}")
+    n_t = np.shape(f)[-1]
+    b = max(d for d in range(1, math.isqrt(n_t) + 1) if n_t % d == 0)
+    blocks = np.reshape(f, np.shape(f)[:-1] + (n_t // b, b))
+    phase = -1j * np.pi * np.cos(aods)[:, None]
+    inner = np.einsum("ai,...mi->...am", np.exp(phase * np.arange(b)), blocks)
+    return np.einsum("am,...am->...a", np.exp(phase * np.arange(0, n_t, b)), inner)
 
 
 def beam_pattern(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """|a(N_t, theta)^H f| over the given angle grid (radians), per row of a 2-D f.
 
     The grid is evaluated in near-equal pieces of at most 1,024 angles, so memory
-    stays flat in the grid size; a one-angle last piece would round differently.
+    stays flat in the grid size.
     """
     grid = np.atleast_1d(grid)
     if grid.size == 0:

@@ -222,7 +222,7 @@ def cmd_pattern(spec: ExperimentSpec) -> list[Path]:
     targets = resolve_allocations(spec)
     if spec.alloc_override is not None:
         targets["custom"] = PanelAllocation(spec.alloc_override)
-    # one steering matrix for every beamformer
+    # one pair of phase tables for every beamformer
     beams = np.array([build_beamformer(alloc, aods, spec.config) for alloc in targets.values()])
     aods_deg = "/".join(f"{np.degrees(a):.3f}" for a in aods)
     written = []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,7 +139,7 @@ class TestBeamPattern:
         np.testing.assert_allclose(beam_pattern(f, grid), expected, rtol=1e-12, atol=1e-12)
 
     def test_stacked_beamformers_equal_each_alone(self, baseline, rng):
-        # one steering matrix serves every row, and each row's product is unchanged
+        # one pair of phase tables serves every row, and each row's product is unchanged
         aods = sample_channel(baseline, rng=rng).aods
         allocs = (los_concentration(baseline), uniform_allocation(baseline))
         fs = np.array([build_beamformer(alloc, aods, baseline) for alloc in allocs])
@@ -149,8 +151,8 @@ class TestBeamPattern:
 
     @pytest.mark.parametrize("points", [1025, 20000])
     def test_pieces_equal_one_steering_matrix(self, baseline, rng, points):
-        # near-equal pieces: a lone last angle (1,024-angle pieces at 1,025
-        # points) would round differently from the whole product
+        # each angle is summed on its own, so the pieces (1,024-angle pieces
+        # at 1,025 points would leave a lone last angle) equal the whole product
         aods = sample_channel(baseline, rng=rng).aods
         allocs = (los_concentration(baseline), uniform_allocation(baseline))
         fs = np.array([build_beamformer(alloc, aods, baseline) for alloc in allocs])
@@ -172,7 +174,45 @@ class TestBeamPattern:
         assert pattern_energy(f) == pytest.approx(baseline.n_t, rel=1e-6)
 
 
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name", ["build_beamformer", "equivalent_array_response_exact", "beam_pattern"]
+    )
+    def test_rejected_without_warning(self, baseline, name, bad):
+        alloc = uniform_allocation(baseline)
+        f = build_beamformer(alloc, np.array([0.1, 0.5, 1.0, 2.0]), baseline)
+        aods = np.array([0.1, bad, 1.0, 2.0])
+        call = {
+            "build_beamformer": lambda: build_beamformer(alloc, aods, baseline),
+            "equivalent_array_response_exact": lambda: equivalent_array_response_exact(aods, f),
+            "beam_pattern": lambda: beam_pattern(f, aods),
+        }[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
 class TestEquivalentResponse:
+    @pytest.mark.parametrize("n_a, n_p", [(1, 1), (3, 5), (23, 1), (32, 8), (32, 32)])
+    def test_factored_sum_matches_steering_oracle(self, n_a, n_p):
+        # (23, 1) has a prime N_t, so its blocks are single elements
+        cfg = SystemConfig(n_a=n_a, n_p=n_p, num_paths=2)
+        aods = np.random.default_rng(n_a * n_p).uniform(0.0, np.pi, 2)
+        allocs = (los_concentration(cfg), uniform_allocation(cfg))
+        fs = np.array([build_beamformer(alloc, aods, cfg) for alloc in allocs])
+        # the endpoints 0 and pi and every AoD (a main-lobe peak) exactly
+        grid = np.concatenate([np.linspace(0.0, np.pi, 361), aods])
+        steering = np.array([array_response(cfg.n_t, theta).conj() for theta in grid])
+        expected = np.array([steering @ f for f in fs])
+        np.testing.assert_allclose(
+            equivalent_array_response_exact(grid, fs), expected, rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            equivalent_array_response_exact(grid, fs[0]), expected[0], rtol=1e-12, atol=1e-12
+        )
+
     def test_single_path_concentration(self, baseline, rng):
         aods = sample_channel(baseline, rng=rng).aods
         f = build_beamformer(los_concentration(baseline), aods, baseline)

@@ -555,15 +555,25 @@ class TestPatternAndCount:
         assert gains.max() == pytest.approx(16.0, rel=0.01)
         assert (tmp_path / "pattern_custom.csv").exists()
 
-    def test_pattern_memory_is_flat_in_points(self, tmp_path):
-        # one (points, N_t) steering matrix for 20,000 points peaked at 157 MiB
+    @staticmethod
+    def traced_peak(args):
         tracemalloc.start()
         try:
-            assert run_cli(["pattern", "--points", "20000", "--out", str(tmp_path)]) == 0
-            _, peak = tracemalloc.get_traced_memory()
+            assert run_cli(args) == 0
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+
+    def test_pattern_memory_is_flat_in_points(self, tmp_path):
+        # one (points, N_t) steering matrix for 20,000 points peaked at 157 MiB,
+        # and 1,024-angle pieces of it at 8.7 MiB
+        peak = self.traced_peak(["pattern", "--points", "20000", "--out", str(tmp_path)])
+        assert peak < 4 * 2**20
+
+    def test_pattern_memory_at_default_points(self, tmp_path):
+        # the 721-angle cut of the four designs; a full (721, 256) steering
+        # matrix and its temporaries traced 6.6 MiB
+        assert self.traced_peak(["pattern", "--out", str(tmp_path)]) < 4 * 2**20
 
     def test_count_values(self, tmp_path):
         rc = run_cli(["count", "--out", str(tmp_path)])
