@@ -21,10 +21,10 @@ JSON object:
                each mode, one batch (the outmin design) and cdf's four
                designs; and cdf's whole pass, four designs in both modes
                (8 batches). The draw floor under them, per chunk of
-               CHUNK_TRIALS = 2^16 trials on one thread, drawn in
-               sub-blocks as run_batches draws them: the gain fill
-               (``chunk.fill_gains_s``) and each mode's blockage draws,
-               p_hat included in realistic mode
+               CHUNK_TRIALS = 2^13 trials on one thread, drawn as
+               run_batches draws one, keying its generator included: the
+               gain fill (``chunk.fill_gains_s``) and each mode's blockage
+               draws, p_hat included in realistic mode
                (``chunk.<mode>_blockage_s``), median of CHUNK_REPEATS.
                Keys without a prefix are the baseline scenario (8 panels,
                4 paths); keys prefixed ``scale_16_8.`` are
@@ -131,26 +131,24 @@ def search_layer() -> dict:
 
 def chunk_draws(config) -> dict:
     """Seconds of one chunk's gain fill and of each mode's blockage draws, as run_batches
-    draws them: sub-block by sub-block of SUB_ROWS rows into path-major (L, rows) planes,
-    the gains and each mode's blockage from streams of their own."""
-    rows, sub, L = montecarlo.CHUNK_TRIALS, montecarlo.SUB_ROWS, config.num_paths
+    draws them: CHUNK_TRIALS rows into path-major (L, rows) planes, the gains and each
+    mode's blockage from streams of their own, one generator per chunk and stream."""
+    rows, L = montecarlo.CHUNK_TRIALS, config.num_paths
     variances = channel.path_variances(config.rician_k, L)
-    re, im, draws = np.empty((L, sub)), np.empty((L, sub)), np.empty((L, sub))
-    mask, p_hat = np.empty((L, sub), bool), np.empty(sub)
-    gain_rng = montecarlo._chunk_rng(1, 0)
+    re, im, draws = np.empty((L, rows)), np.empty((L, rows)), np.empty((L, rows))
+    mask, p_hat = np.empty((L, rows), bool), np.empty(rows)
 
     def gains():
-        for _ in range(0, rows, sub):
-            channel._fill_gains(variances, gain_rng, re, im)
+        channel._fill_gains(variances, montecarlo._chunk_rng(1, 0), re, im)
 
-    def blockage(mode, rng):
-        for _ in range(0, rows, sub):
-            channel._block(config, mode, rng, draws, mask, p_hat)
+    def blockage(mode, stream):
+        channel._block(config, mode, montecarlo._chunk_rng(1, 0, stream), draws, mask, p_hat)
 
     out = {"chunk.fill_gains_s": median_seconds(gains, CHUNK_REPEATS)}
     for stream, mode in enumerate(montecarlo.MODES, 1):
-        rng = montecarlo._chunk_rng(1, 0, stream)
-        out[f"chunk.{mode}_blockage_s"] = median_seconds(lambda: blockage(mode, rng), CHUNK_REPEATS)
+        out[f"chunk.{mode}_blockage_s"] = median_seconds(
+            lambda: blockage(mode, stream), CHUNK_REPEATS
+        )
     return out
 
 

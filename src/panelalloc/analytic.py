@@ -112,13 +112,17 @@ def rsnr_cdf(mix: RsnrMixture, gamma: np.ndarray) -> np.ndarray:
     return out.reshape(gamma.shape) if gamma.shape else float(out[0])
 
 
+def _rsnr_at(se_bits) -> np.ndarray:
+    """gamma = 2^SE - 1: expm1(SE ln 2) below SE = 1, where 2^SE - 1 loses digits (all of
+    them below 2^-53), else exp2(SE) - 1, which overflows to inf from SE = 1024."""
+    se = np.asarray(se_bits, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.where(se < 1.0, np.expm1(se * np.log(2.0)), np.exp2(se) - 1.0)
+
+
 def se_cdf(mix: RsnrMixture, se_bits: np.ndarray) -> np.ndarray:
     """CDF of the spectral efficiency log2(1 + gamma) at the given SE values."""
-    # SE >= 1024 overflows to gamma = inf, where the CDF is 1
-    with np.errstate(over="ignore"):
-        gamma = np.exp2(np.asarray(se_bits, dtype=float))
-    gamma -= 1.0
-    return rsnr_cdf(mix, gamma)
+    return rsnr_cdf(mix, _rsnr_at(se_bits))  # 1 at SE >= 1024, where gamma = inf
 
 
 _FRACTION_DEPTH = 80
@@ -184,8 +188,7 @@ def score_allocations(
     targets = np.asarray(target_se, dtype=float)
     if not np.all(targets >= 0.0):
         raise ConfigurationError(f"target SE must be nonnegative, got {target_se}")
-    with np.errstate(over="ignore"):  # gamma = inf at SE >= 1024, as in se_cdf
-        gamma = np.exp2(targets.ravel()) - 1.0
+    gamma = _rsnr_at(targets.ravel())
     profiles = _profile(q, config)
     outage = np.empty((len(profiles), gamma.size))
     for rows, zero_mass, weights, scales in _survival_masks(profiles, config.p_blk):

@@ -99,7 +99,7 @@ def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
 
 
 def _block(config: SystemConfig, mode: str, rng: np.random.Generator, draws, mask, p_hat) -> None:
-    """Draw one sub-block's blocked pattern ``mask`` (L, rows), path-major, under a mode's law.
+    """Draw one chunk's blocked pattern ``mask`` (L, rows), path-major, under a mode's law.
 
     Realistic mode first draws the frames' p_hat into the float buffer
     ``p_hat`` (rows,), bit for bit ``rng.uniform(p_min, p_max, rows)``, which

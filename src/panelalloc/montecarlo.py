@@ -11,14 +11,13 @@ is ``channel._block``'s.
 
 ``run_batches`` simulates several allocations in both modes from common
 random numbers: one seed gives every design the same frames. Trials come
-in chunks of ``CHUNK_TRIALS``, and a chunk in sub-blocks of ``SUB_ROWS``
-rows (the last of each shorter); both sizes are part of the stream
-contract. Chunk c draws from SFC64 generators keyed by
+in chunks of ``CHUNK_TRIALS`` rows (the last shorter), a size that is
+part of the stream contract. Chunk c draws from SFC64 generators keyed by
 ``SeedSequence(entropy=(seed, c, s))``: stream s = 0, keyed (seed, c), the
 path gains, and stream 1 + ``MODES.index(mode)`` each mode's blockage. A
 stream is only keyed, never jumped or advanced, so the fastest of numpy's
 bit generators serves, and a mode's frames do not depend on which other
-modes or allocations share the call. Each sub-block draws, path-major,
+modes or allocations share the call. Each chunk draws, path-major,
 (L, rows): the gains' z1 then z2 planes from stream 0, and from a mode's
 stream the per-frame p_hat (realistic mode) and then the blockage
 uniforms. So each per-path operand broadcasts as an (L, 1) column along
@@ -29,22 +28,21 @@ adds them in path order, l = 1, ..., L, one row add per path. That order
 is the fill's contract: an oracle can replay it, where numpy's pairwise
 row sum changes its order with L and could change it in a numpy release.
 The worker writes the sum row into the kept samples, or else into its own
-SE column, turns it into the RSNR and then the SE in place and stores the
-two sums of the sub-block; given an SE grid, it sorts the sub-block's SE
-in its column and adds the counts at the grid to its own. So ``cdf``,
-which needs only the counts and the means, holds no trial-length array.
-``run_trials`` is its one-allocation, one-mode call.
+SE column, turns it into the RSNR and then the SE, log1p(RSNR) / ln 2, in
+place and stores the two sums of the chunk; given an SE grid, it sorts the
+chunk's SE in its column and adds the counts at the grid to its own. So
+``cdf``, which needs only the counts and the means, holds no trial-length
+array. ``run_trials`` is its one-allocation, one-mode call.
 
 Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
 chunks) threads, since numpy's generators and ufuncs release the
-interpreter lock. Each worker owns scratch sized to one sub-block: two
-float gain planes and a float draw (then weight) plane, bool blocked and
-clear planes and a complex gain plane, all SUB_ROWS x L, a float SE
-column and in realistic mode a p_hat column: about 1.5 MB at L = 4, on
-top of 8 n_trials bytes per result whose samples are kept. Worker threads
-call only numpy and the private in-place helpers of ``channel``. The
-samples, counts and means are bit-identical to a serial pass over the
-chunks.
+interpreter lock. Each worker owns scratch sized to one chunk: two float
+gain planes and a float draw (then weight) plane, bool blocked and clear
+planes and a complex gain plane, all CHUNK_TRIALS x L, a float SE column
+and in realistic mode a p_hat column: about 1.5 MB at L = 4, on top of
+8 n_trials bytes per result whose samples are kept. Worker threads call
+only numpy and the private in-place helpers of ``channel``. The samples,
+counts and means are bit-identical to a serial pass over the chunks.
 
 ``ks_distance`` reads the samples a piece at a time: one pass for their
 range, one to count them into value cells whose edges bound each cell's
@@ -74,13 +72,11 @@ from .channel import _block, _fill_gains, blockage_attenuation, path_variances
 from .config import _SEED_LIMIT, SystemConfig
 from .errors import ConfigurationError
 
-# Trials are generated in fixed-size chunks, each with its own generators
-# keyed by (seed, chunk index, stream) and its own slice of the result, so the
-# sample sequence is reproducible no matter how chunks are scheduled.
-CHUNK_TRIALS = 1 << 16
-# Rows of a chunk drawn and turned into |h_eq|^2 at a time, so each
-# worker's scratch is a few sub-block planes, whatever the chunk size.
-SUB_ROWS = 1 << 13
+# Trials come in fixed-size chunks, each with its own generators keyed by (seed,
+# chunk index, stream), its own slice of the result and its worker's scratch, so
+# the sample sequence is reproducible no matter how chunks are scheduled.
+CHUNK_TRIALS = 1 << 13
+_LOG2_E = 1.0 / np.log(2.0)  # SE = log1p(RSNR) * _LOG2_E, positive for any RSNR > 0
 
 MODES = ("idealized", "realistic")
 
@@ -157,8 +153,8 @@ def run_batches(
     whatever the chunk scheduling: min(usable CPUs, chunks) threads fill the
     chunks, worker w taking chunks w, w + W, ....
 
-    The SE of a frame is log2(1 + tx_snr |h_eq|^2), h_eq's terms added in
-    path order. The means are the ``np.sum`` of the per-sub-block
+    The SE of a frame is log1p(tx_snr |h_eq|^2) * (1 / ln 2), h_eq's terms
+    added in path order. The means are the ``np.sum`` of the per-chunk
     ``np.sum``s, in trial order, over n_trials. The samples are kept only
     if ``keep_samples``; with an ``se_grid``, ``cdf_counts`` holds the
     number of samples <= each of its points, so a call that keeps no
@@ -197,63 +193,61 @@ def run_batches(
     L = config.num_paths
     chunks = -(-n_trials // CHUNK_TRIALS)
     workers = min(_usable_cpus(), chunks)
-    sub = min(SUB_ROWS, n_trials)
-    # the RSNR and SE sums of each result's sub-blocks, in trial order
-    partials = np.empty((len(keys), 2, -(-n_trials // sub)))
+    size = min(CHUNK_TRIALS, n_trials)
+    # the RSNR and SE sums of each result's chunks, in trial order
+    partials = np.empty((len(keys), 2, chunks))
     counts = np.zeros((workers, len(keys), 0 if grid is None else grid.size), dtype=np.int64)
-    # Scratch, one set per worker, sized to one sub-block: the gain planes,
-    # the draws (then weights), blocked and clear patterns and gains, all
-    # flat so a shorter last sub-block is contiguous too (strided views would
-    # make numpy buffer its operands on the worker thread), the realistic
-    # p_hat and the SE column. It is allocated here, not in the threads,
-    # whose per-thread malloc arenas would raise the peak RSS.
+    # Scratch, one set per worker, sized to one chunk: the gain planes, the
+    # draws (then weights), blocked and clear patterns and gains, all flat so
+    # a shorter last chunk is contiguous too (strided views would make numpy
+    # buffer its operands on the worker thread), the realistic p_hat and the
+    # SE column. It is allocated here, not in the threads, whose per-thread
+    # malloc arenas would raise the peak RSS.
     scratch = [
-        (np.empty(L * sub), np.empty(L * sub), np.empty(L * sub), np.empty(L * sub, bool),
-         np.empty(L * sub, bool), np.empty(L * sub, complex),
-         np.empty(sub if "realistic" in modes else 0), np.empty(sub))
+        (np.empty(L * size), np.empty(L * size), np.empty(L * size), np.empty(L * size, bool),
+         np.empty(L * size, bool), np.empty(L * size, complex),
+         np.empty(size if "realistic" in modes else 0), np.empty(size))
         for _ in range(workers)
     ]
 
     def fill(worker: int) -> None:
         *planes, p_hat_all, column_all = scratch[worker]
-        for chunk_index in range(worker, chunks, workers):
-            gain_rng = _chunk_rng(seed, chunk_index)
-            rngs = [(mode, _chunk_rng(seed, chunk_index, 1 + MODES.index(mode))) for mode in modes]
-            start = chunk_index * CHUNK_TRIALS
-            for a in range(start, min(start + CHUNK_TRIALS, n_trials), sub):
-                rows = min(sub, n_trials - a)
-                re, im, weights, mask, keep, gains = (p[: L * rows].reshape(L, rows) for p in planes)
-                column = column_all[:rows]
-                _fill_gains(variances, gain_rng, re, im)
-                for mode, rng in rngs:
-                    _block(config, mode, rng, weights, mask, p_hat_all[:rows])
-                    np.logical_not(mask, out=keep)
-                    for blocked_values, responses in targets[mode].values():
-                        # the draws are spent: 1 on a clear path, the blocked value
-                        # on a blocked one, exactly, as blocked values are >= 0
-                        np.multiply(mask, blocked_values, out=weights)
-                        np.maximum(weights, keep, out=weights)
-                        for conj_a_eq, k in responses:
-                            # h_eq's conjugate, which has the same modulus
-                            np.multiply(re, weights, out=gains.real)
-                            np.multiply(im, weights, out=gains.imag)
-                            gains *= conj_a_eq
-                            # |h_eq|^2, then the RSNR, then the SE, in place: in the
-                            # kept samples, or else in the SE column
-                            kept = samples[k]
-                            se = column if kept is None else kept[a : a + rows]
-                            np.abs(_row_sum(gains), out=se)
-                            se **= 2
-                            se *= config.tx_snr
-                            partials[k, 0, a // sub] = np.sum(se)
-                            se += 1.0
-                            np.log2(se, out=se)
-                            partials[k, 1, a // sub] = np.sum(se)
-                            if grid is not None:
-                                if kept is not None:  # the samples stay in trial order
-                                    column[:] = se
-                                column.sort()
-                                counts[worker, k] += np.searchsorted(column, grid, side="right")
+        for c in range(worker, chunks, workers):
+            a = c * CHUNK_TRIALS
+            rows = min(CHUNK_TRIALS, n_trials - a)
+            re, im, weights, mask, keep, gains = (p[: L * rows].reshape(L, rows) for p in planes)
+            column = column_all[:rows]
+            _fill_gains(variances, _chunk_rng(seed, c), re, im)
+            for mode in modes:
+                rng = _chunk_rng(seed, c, 1 + MODES.index(mode))
+                _block(config, mode, rng, weights, mask, p_hat_all[:rows])
+                np.logical_not(mask, out=keep)
+                for blocked_values, responses in targets[mode].values():
+                    # the draws are spent: 1 on a clear path, the blocked value
+                    # on a blocked one, exactly, as blocked values are >= 0
+                    np.multiply(mask, blocked_values, out=weights)
+                    np.maximum(weights, keep, out=weights)
+                    for conj_a_eq, k in responses:
+                        # h_eq's conjugate, which has the same modulus
+                        np.multiply(re, weights, out=gains.real)
+                        np.multiply(im, weights, out=gains.imag)
+                        gains *= conj_a_eq
+                        # |h_eq|^2, then the RSNR, then the SE, in place: in the
+                        # kept samples, or else in the SE column
+                        kept = samples[k]
+                        se = column if kept is None else kept[a : a + rows]
+                        np.abs(_row_sum(gains), out=se)
+                        se **= 2
+                        se *= config.tx_snr
+                        partials[k, 0, c] = np.sum(se)
+                        np.log1p(se, out=se)
+                        se *= _LOG2_E
+                        partials[k, 1, c] = np.sum(se)
+                        if grid is not None:
+                            if kept is not None:  # the samples stay in trial order
+                                column[:] = se
+                            column.sort()
+                            counts[worker, k] += np.searchsorted(column, grid, side="right")
 
     failures: list[BaseException] = []
 

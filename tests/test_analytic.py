@@ -420,6 +420,18 @@ class TestScoreAllocations:
         assert outage.tolist() == [outage_probability(a, baseline, xi) for a in allocs]
         assert outage.tolist() == [float(se_cdf(rsnr_mixture(a, baseline), xi)) for a in allocs]
 
+    def test_sub_ulp_target_keeps_an_atom_free_outage_positive(self, baseline):
+        # 2^SE - 1 rounds to 0 below SE = 2^-53, which would give a law with no atom
+        # at SE = 0 outage 0 there; gamma = SE ln 2 (1 + SE ln 2 / 2 + ...) instead
+        cfg = replace(baseline, p_min=0.0, p_max=0.0)
+        q = allocation_array(cfg.n_p, cfg.num_paths)
+        outage, _ = score_allocations(q, cfg, 1e-17)
+        mixtures = [rsnr_mixture(PanelAllocation(tuple(r)), cfg) for r in q.tolist()]
+        assert all(mix.zero_mass == 0.0 for mix in mixtures) and np.all(outage > 0.0)
+        assert outage.tolist() == [float(se_cdf(mix, 1e-17)) for mix in mixtures]
+        expected = [rsnr_cdf(mix, 1e-17 * np.log(2.0)) for mix in mixtures]
+        np.testing.assert_allclose(outage, expected, rtol=1e-15, atol=0.0)
+
     @given(
         seed=st.integers(0, 2**31),
         xi=st.sampled_from([0.4, 1.5, 1.6]) | st.floats(0.0, 9.0),

@@ -29,12 +29,12 @@ from panelalloc import montecarlo
 from panelalloc.montecarlo import (
     CHUNK_TRIALS,
     MODES,
-    SUB_ROWS,
     TrialBatchResult,
     _row_sum,
 )
 from util import (
     blockage_pattern_se_cdf,
+    fill_se,
     fresh_python,
     realistic_se_cdf,
     serial_channel_power,
@@ -139,8 +139,8 @@ def law_cases(draw):
     allowed.
 
     Below kappa ~ 1e-14 a LoS-only allocation's RSNR scale nears 2^-53, under which
-    a sample's SE rounds to 0: ``test_sub_ulp_rsnr_reads_as_zero_se`` shows that fault,
-    so the drawn kappa stays 8 decades above it."""
+    log2(1 + gamma) would round to 0; ``test_sub_ulp_rsnr_reads_as_zero_se`` pins that
+    case, so the drawn kappa stays 8 decades above it."""
     n_p, L = draw(st.integers(1, 8)), draw(st.integers(2, 5))
     p = draw(st.integers(0, 10)) / 10.0
     config = SystemConfig(
@@ -196,10 +196,10 @@ class TestExactLawAgreement:
             gap = np.max(np.abs(results[mode, alloc.q].cdf_counts / self.TRIALS - law))
             assert gap < band, (mode, gap / band)
 
-    @pytest.mark.xfail(strict=True, reason="log2(1 + rsnr) is 0 for an RSNR below 2^-53")
     def test_sub_ulp_rsnr_reads_as_zero_se(self):
         # LoS only, with an RSNR scale of 1.2e-261: the exact law has no atom at
-        # SE = 0, but every sample's SE rounds to 0, so the KS distance is 1
+        # SE = 0, so log2(1 + gamma) and 2^SE - 1, which round such an SE and gamma
+        # to 0, would make every sample the atom and the KS distance 1
         config = SystemConfig(n_a=1, n_p=1, num_paths=2, rician_k=1.2342128396670148e-262,
                               p_min=0.0, p_max=0.0)
         alloc = PanelAllocation((1, 0))
@@ -243,10 +243,10 @@ class TestChannelPower:
         alloc = PanelAllocation((2, 1, 2, 3))
         power = serial_channel_power(baseline, alloc, aods, mode, n, 41)
         rsnr = baseline.tx_snr * power
-        expected = np.log2(1 + rsnr)
+        expected = fill_se(rsnr)
         result = run_trials(baseline, alloc, aods, mode, n, 41)
         assert result.se_samples.tobytes() == expected.tobytes()
-        # each mean sums the sub-blocks' sums, in trial order, over n
+        # each mean sums the chunks' sums, in trial order, over n
         assert result.mean_se == _block_mean(expected)
         assert result.mean_rsnr == _block_mean(rsnr)
         assert abs(result.mean_se - expected.mean()) <= 4 * math.ulp(expected.mean())
@@ -254,31 +254,30 @@ class TestChannelPower:
         # the draws ignore tx_snr; run_trials applies it
         louder = replace(baseline, tx_snr=40.0)
         got = run_trials(louder, alloc, aods, mode, n, 41)
-        assert got.se_samples.tobytes() == np.log2(1 + 40.0 * power).tobytes()
+        assert got.se_samples.tobytes() == fill_se(40.0 * power).tobytes()
         assert got.mean_rsnr == _block_mean(40.0 * power)
 
 
 def _block_mean(values) -> float:
-    """np.sum of the np.sums of sub-blocks of SUB_ROWS values (fewer if n is less), over n."""
-    sub = min(SUB_ROWS, values.size)
-    sums = [np.sum(values[a : a + sub]) for a in range(0, values.size, sub)]
+    """np.sum of the np.sums of chunks of CHUNK_TRIALS values (the last shorter), over n."""
+    sums = [np.sum(values[a : a + CHUNK_TRIALS]) for a in range(0, values.size, CHUNK_TRIALS)]
     return float(np.sum(np.array(sums)) / values.size)
 
 
 def _worker_scratch(num_paths, mode) -> int:
-    """Bytes of one worker's scratch, all sized to a sub-block: per row, over
+    """Bytes of one worker's scratch, all sized to a chunk: per row, over
     L paths, path-major (L, rows), the two float gain planes, the float draws
     (whose bytes then hold the weights), the bool blocked mask, the bool
     clear ("keep") pattern and the complex gains, whose first row then holds
     h_eq's conjugate; and per row the float SE column, sorted in place for
     the grid counts, and in realistic mode the float p_hat of the frame."""
     p_hat = 8 if mode == "realistic" else 0
-    return SUB_ROWS * (num_paths * (8 + 8 + 8 + 1 + 1 + 16) + 8 + p_hat)
+    return CHUNK_TRIALS * (num_paths * (8 + 8 + 8 + 1 + 1 + 16) + 8 + p_hat)
 
 
 class TestRowSum:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 63, 64, 65, 130])
-    @pytest.mark.parametrize("rows", [1, 7, SUB_ROWS])
+    @pytest.mark.parametrize("rows", [1, 7, CHUNK_TRIALS])
     def test_equals_numpy_sum_bytewise(self, L, rows):
         gen = np.random.default_rng(L * rows)
         spread = lambda: gen.standard_normal((rows, L)) * 10.0 ** gen.uniform(-8, 8, (rows, L))
@@ -318,16 +317,16 @@ class TestThreadedFill:
         aods = sample_channel(config, rng=np.random.default_rng(7)).aods
         alloc = PanelAllocation(q)
         # at wide L the serial replay is slow: one full chunk, then a 5-row one on
-        # the second worker, cover the full sub-blocks, a ragged one and both workers
+        # the second worker, cover a full chunk, a ragged one and both workers
         sizes = (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5) if len(q) < 32 else (1, CHUNK_TRIALS + 5)
         for n in sizes:
             for seed in (3, 2024):
                 power = serial_channel_power(config, alloc, aods, mode, n, seed)
                 got = run_trials(config, alloc, aods, mode, n, seed)
-                expected = np.log2(1 + config.tx_snr * power)
+                expected = fill_se(config.tx_snr * power)
                 assert got.se_samples.tobytes() == expected.tobytes(), (n, seed)
                 assert got.mean_rsnr == _block_mean(config.tx_snr * power), (n, seed)
-        # log2 maps neighbouring powers to one SE; with tx_snr = 1 and one
+        # the SE map takes neighbouring powers to one SE; with tx_snr = 1 and one
         # trial, mean_rsnr is the power itself, so it is checked bytewise
         unit = replace(config, tx_snr=1.0)
         for seed in range(8):
@@ -398,7 +397,7 @@ class TestThreadedFill:
 
     def test_more_workers_than_cores_equal_serial_chunk_loop(self, baseline, aods, monkeypatch):
         # five workers share every result array, each writing its own chunks'
-        # slices and sub-block sums, and each adding to its own grid counts
+        # slices and sums, and each adding to its own grid counts
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
         allocs = [PanelAllocation((8, 0, 0, 0)), PanelAllocation((1, 2, 2, 3))]
         n = 5 * CHUNK_TRIALS + 7
@@ -422,7 +421,7 @@ class TestThreadedFill:
             rsnr = baseline.tx_snr * serial_channel_power(
                 baseline, PanelAllocation(q), aods, mode, n, 6
             )
-            expected = np.log2(1 + rsnr)
+            expected = fill_se(rsnr)
             assert result.se_samples.tobytes() == expected.tobytes(), (mode, q)
             below = np.searchsorted(np.sort(expected), grid, side="right")
             assert result.cdf_counts.tobytes() == below.tobytes(), (mode, q)
@@ -490,9 +489,10 @@ class TestRunBatches:
     @given(
         case=batch_cases(),
         modes=st.sampled_from([("idealized",), ("realistic",), MODES, MODES[::-1]]),
-        # across the sub-block and chunk boundaries
-        n=st.sampled_from([1, SUB_ROWS - 1, SUB_ROWS + 1, CHUNK_TRIALS, CHUNK_TRIALS + SUB_ROWS])
-        | st.integers(1, CHUNK_TRIALS + 2 * SUB_ROWS),
+        # across the chunk boundaries, past two chunks, and a ragged last chunk
+        n=st.sampled_from([1, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS,
+                           3 * CHUNK_TRIALS + 5])
+        | st.integers(1, 10 * CHUNK_TRIALS),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=40, deadline=None)
@@ -510,10 +510,10 @@ class TestRunBatches:
         case=batch_cases(),
         modes=st.sampled_from([("idealized",), ("realistic",), MODES]),
         n=st.sampled_from(
-            [1, SUB_ROWS - 1, SUB_ROWS, SUB_ROWS + 1, CHUNK_TRIALS - 1, CHUNK_TRIALS,
-             CHUNK_TRIALS + 1, CHUNK_TRIALS + SUB_ROWS]
+            [1, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1,
+             8 * CHUNK_TRIALS, 9 * CHUNK_TRIALS]
         )
-        | st.integers(1, CHUNK_TRIALS + 2 * SUB_ROWS),
+        | st.integers(1, 10 * CHUNK_TRIALS),
         seed=st.integers(0, 2**31),
         all_blocked=st.booleans(),
         where=st.sampled_from(["samples", "below", "above"]),
@@ -552,7 +552,7 @@ class TestRunBatches:
 
     def test_workers_do_not_change_samples_counts_or_means(self, baseline, aods, monkeypatch):
         allocs = [uniform_allocation(baseline), PanelAllocation((1, 2, 2, 3))]
-        n = 5 * CHUNK_TRIALS + SUB_ROWS + 3
+        n = 5 * CHUNK_TRIALS + 3
         grid = np.linspace(0.0, 10.0, 101)
         outcomes = []
         for workers in (1, 2, 5):

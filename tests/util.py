@@ -25,7 +25,7 @@ from panelalloc import (
 from panelalloc import cli
 from panelalloc.channel import blockage_attenuation
 from panelalloc.export import write_csv
-from panelalloc.montecarlo import CHUNK_TRIALS, SUB_ROWS
+from panelalloc.montecarlo import CHUNK_TRIALS
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -148,7 +148,8 @@ def blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits) -> np.ndarray
     half = (config.p_max - config.p_min) / 2.0
     p_hat = (config.p_min + config.p_max) / 2.0 + half * nodes
     weights = weights / 2.0
-    gamma = np.exp2(np.atleast_1d(np.asarray(se_bits, dtype=float))) - 1.0
+    # 2^SE - 1 as expm1, which keeps every SE > 0 at a gamma > 0, below 2^-53 too
+    gamma = np.expm1(np.atleast_1d(np.asarray(se_bits, dtype=float)) * np.log(2.0))
     cdf = np.zeros_like(gamma)
     for pattern in product((False, True), repeat=L):
         blocked = np.array(pattern)
@@ -179,16 +180,16 @@ def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
 
 def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
     """|h_eq|^2 of one allocation in one mode as one serial loop over the
-    chunks and their sub-blocks, concatenated at the end.
+    chunks, concatenated at the end.
 
-    Chunk c of CHUNK_TRIALS frames draws its gains from the SFC64 stream
-    keyed (seed, c) and the mode's blockage from the one keyed (seed, c,
-    1 + mode index), sub-block by sub-block of SUB_ROWS frames, path-major
-    (L, rows). The gain law (scale * (z1 + 1j z2)) and the shared-p_hat
-    blockage law (np.where over the blocked pattern) are written out
-    instead of called, so the reference shares no sampling code with the
-    library. Each frame's terms omega_l conj(h_l) a_eq[l] are added in path
-    order, l = 1, ..., L, by its own adds.
+    Chunk c of CHUNK_TRIALS frames (the last shorter) draws its gains from
+    the SFC64 stream keyed (seed, c) and the mode's blockage from the one
+    keyed (seed, c, 1 + mode index), path-major (L, rows). The gain law
+    (scale * (z1 + 1j z2)) and the shared-p_hat blockage law (np.where over
+    the blocked pattern) are written out instead of called, so the
+    reference shares no sampling code with the library. Each frame's terms
+    omega_l conj(h_l) a_eq[l] are added in path order, l = 1, ..., L, by
+    its own adds.
     """
     aods = np.asarray(aods, dtype=float)
     validate_allocation(alloc, config)
@@ -211,23 +212,26 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
     scale = np.sqrt(variances / 2.0)[:, None]
     full, rem = divmod(n_trials, CHUNK_TRIALS)
     power_blocks = []
-    for chunk_index, size in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
+    for chunk_index, rows in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
         gain_rng = stream(seed, chunk_index)
         block_rng = stream(seed, chunk_index, 1 + ["idealized", "realistic"].index(mode))
-        for a in range(0, size, SUB_ROWS):
-            rows = min(SUB_ROWS, size - a)
-            gains = scale * (
-                gain_rng.standard_normal((L, rows)) + 1j * gain_rng.standard_normal((L, rows))
-            )
-            if mode == "idealized":
-                omega = (block_rng.random((L, rows)) >= config.p_blk).astype(float)
-            else:
-                p_hat = block_rng.uniform(config.p_min, config.p_max, size=rows)
-                blocked = block_rng.random((L, rows)) < p_hat[None, :]
-                omega = np.where(blocked, blocked_values[:, None], 1.0)
-            h_eq = functools.reduce(np.add, omega * gains.conj() * a_eq[:, None])
-            power_blocks.append(np.abs(h_eq) ** 2)
+        gains = scale * (
+            gain_rng.standard_normal((L, rows)) + 1j * gain_rng.standard_normal((L, rows))
+        )
+        if mode == "idealized":
+            omega = (block_rng.random((L, rows)) >= config.p_blk).astype(float)
+        else:
+            p_hat = block_rng.uniform(config.p_min, config.p_max, size=rows)
+            blocked = block_rng.random((L, rows)) < p_hat[None, :]
+            omega = np.where(blocked, blocked_values[:, None], 1.0)
+        h_eq = functools.reduce(np.add, omega * gains.conj() * a_eq[:, None])
+        power_blocks.append(np.abs(h_eq) ** 2)
     return np.concatenate(power_blocks)
+
+
+def fill_se(rsnr) -> np.ndarray:
+    """The fill's SE of each RSNR, log2(1 + rsnr) as log1p(rsnr) times the rounded 1 / ln 2."""
+    return np.log1p(rsnr) * (1.0 / np.log(2.0))
 
 
 def reference_cdf(argv) -> None:
