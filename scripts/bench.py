@@ -15,6 +15,8 @@ JSON object:
                designs on allocate's default 32-point SE grid, at
                (n_p, L) = (8, 4), (16, 6), (16, 8) and (32, 8) with the
                other parameters at their defaults (key ``outmin_reports_<n_p>_<L>_s``);
+               of one ``maximize_average_se`` call at (16, 8) and (32, 8),
+               defaults otherwise (``maximize_average_se_<n_p>_<L>_s``);
                and of ``score_allocations`` on all 120 baseline
                compositions at target SE 1 (``score_allocations_8_4_s``).
   montecarlo   seconds for TRIALS = 10^6 trials at AoDs and seed 1: for
@@ -121,6 +123,11 @@ def search_layer() -> dict:
         config = pa.SystemConfig(n_p=n_p, num_paths=num_paths)
         out[f"outmin_reports_{n_p}_{num_paths}_s"] = median_seconds(
             lambda: optimizer.outmin_reports(config, grid, [0.0, cli.DEFAULT_EPSILON])
+        )
+    for n_p, num_paths in ((16, 8), (32, 8)):
+        config = pa.SystemConfig(n_p=n_p, num_paths=num_paths)
+        out[f"maximize_average_se_{n_p}_{num_paths}_s"] = median_seconds(
+            lambda: optimizer.maximize_average_se(config)
         )
     q = optimizer.allocation_array(8, 4)
     out["score_allocations_8_4_s"] = median_seconds(

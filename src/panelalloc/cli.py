@@ -73,13 +73,17 @@ class ExperimentSpec:
         return " ".join(parts + [f"{k}={v}" for k, v in (reads | extra).items()])
 
 
-def _optimize(spec: ExperimentSpec, designs, target_ses, config: SystemConfig):
-    """``reports[design][j]``, a design's report at target_ses[j], from one scored table.
-
-    The designs are ``outmin`` and ``outmin_ase``; without a design no table is built.
-    """
+def _allocations(spec: ExperimentSpec, targets, config: SystemConfig) -> dict[str, list]:
+    """Every method's allocation at each target SE; one ``outmin_reports`` call searches
+    for the designs, and without a design no table is built."""
+    if not set(spec.methods) <= set(METHODS):
+        raise ConfigurationError(f"unknown method in {spec.methods}")
+    designs = [m for m in spec.methods if m in DESIGNS]
     epsilons = [0.0 if design == "outmin" else spec.epsilon for design in designs]
-    return dict(zip(designs, outmin_reports(config, target_ses, epsilons))) if designs else {}
+    reports = outmin_reports(config, targets, epsilons) if designs else []
+    picks = {m: [r.chosen for r in rs] for m, rs in zip(designs, reports)}
+    fixed = {"los": los_concentration, "uniform": uniform_allocation}
+    return {m: picks[m] if m in picks else [fixed[m](config)] * len(targets) for m in spec.methods}
 
 
 def resolve_allocations(
@@ -87,11 +91,7 @@ def resolve_allocations(
 ) -> dict[str, PanelAllocation]:
     """Allocation of every method of the spec at its target SE, from one scored table."""
     cfg = config if config is not None else spec.config
-    if not set(spec.methods) <= set(METHODS):
-        raise ConfigurationError(f"unknown method in {spec.methods}")
-    searched = _optimize(spec, [m for m in spec.methods if m in DESIGNS], [spec.target_se], cfg)
-    fixed = {"los": los_concentration, "uniform": uniform_allocation}
-    return {m: searched[m][0].chosen if m in searched else fixed[m](cfg) for m in spec.methods}
+    return {m: allocs[0] for m, allocs in _allocations(spec, [spec.target_se], cfg).items()}
 
 
 def resolve_allocation(spec: ExperimentSpec, method: str, config: SystemConfig | None = None):
@@ -141,24 +141,18 @@ def cmd_cdf(spec: ExperimentSpec) -> list[Path]:
 
 def cmd_sweep_target_se(spec: ExperimentSpec) -> list[Path]:
     """Outage probability and exact mean SE as functions of the target SE."""
-    grid = spec.se_grid
-    designs = [m for m in spec.methods if m in DESIGNS]
-    searched = _optimize(spec, designs, grid, spec.config)
-    fixed = {m: resolve_allocation(spec, m) for m in spec.methods if m not in searched}
-    chosen = {m: [r.chosen for r in reports] for m, reports in searched.items()}
-    chosen |= {m: [alloc] * grid.size for m, alloc in fixed.items()}
-    # one mixture per distinct allocation, and all of their means from one evaluation
+    config, grid = spec.config, spec.se_grid
+    chosen = _allocations(spec, grid, config)
+    # every outage cell from one table of the distinct allocations at the grid, and
+    # every mean from one evaluation of their mixtures
     distinct = {a.q: a for allocs in chosen.values() for a in allocs}
-    mixtures = {q: rsnr_mixture(a, spec.config) for q, a in distinct.items()}
-    means = dict(zip(mixtures, _se_means(list(mixtures.values()))))
+    row = {q: i for i, q in enumerate(distinct)}
+    outages = score_allocations(np.array(list(distinct)), config, grid)[0]
+    means = dict(zip(distinct, _se_means([rsnr_mixture(a, config) for a in distinct.values()])))
     columns: dict[str, np.ndarray] = {"xi_th": grid}
-    for method in spec.methods:
-        if method in searched:
-            outage = np.array([r.outage for r in searched[method]])
-        else:
-            outage = se_cdf(mixtures[fixed[method].q], grid)
-        columns[f"outage_{method}"] = outage
-        columns[f"mean_se_{method}"] = np.array([means[a.q] for a in chosen[method]])
+    for method, allocs in chosen.items():
+        columns[f"outage_{method}"] = outages[[row[a.q] for a in allocs], np.arange(grid.size)]
+        columns[f"mean_se_{method}"] = np.array([means[a.q] for a in allocs])
     comment = spec.comment("sweep-se")
     return [write_csv(spec.output_dir / "sweep_se.csv", comment, columns)]
 
@@ -190,7 +184,7 @@ def cmd_allocate(spec: ExperimentSpec) -> list[Path]:
     config, grid = spec.config, spec.se_grid
     # the dump's target rides along as one more column of the same table
     targets = np.append(grid, spec.target_se) if spec.dump_candidates else grid
-    reports = _optimize(spec, DESIGNS, targets, config)
+    reports = dict(zip(DESIGNS, outmin_reports(config, targets, [0.0, spec.epsilon])))
     columns: dict[str, object] = {"xi_th": grid}
     for tag in DESIGNS:
         chosen = reports[tag][: grid.size]

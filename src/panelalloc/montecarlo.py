@@ -27,10 +27,10 @@ times conj(a_eq) give the conjugate of h_eq's terms, and ``_row_sum``
 adds them in path order, l = 1, ..., L, one row add per path. That order
 is the fill's contract: an oracle can replay it, where numpy's pairwise
 row sum changes its order with L and could change it in a numpy release.
-The worker writes the sum row into the kept samples, or else into its own
-SE column, turns it into the RSNR and then the SE, log1p(RSNR) / ln 2, in
-place and stores the two sums of the chunk; given an SE grid, it sorts the
-chunk's SE in its column and adds the counts at the grid to its own. So
+The worker writes the sum row into its own SE column, turns it into the
+RSNR and then the SE, log1p(RSNR) / ln 2, in place and stores the two sums
+of the chunk; it copies the SE into the kept samples, and given an SE grid,
+sorts the column and adds the counts at the grid to its own. So
 ``cdf``, which needs only the counts and the means, holds no trial-length
 array. ``run_trials`` is its one-allocation, one-mode call.
 
@@ -232,20 +232,18 @@ def run_batches(
                         np.multiply(re, weights, out=gains.real)
                         np.multiply(im, weights, out=gains.imag)
                         gains *= conj_a_eq
-                        # |h_eq|^2, then the RSNR, then the SE, in place: in the
-                        # kept samples, or else in the SE column
-                        kept = samples[k]
-                        se = column if kept is None else kept[a : a + rows]
-                        np.abs(_row_sum(gains), out=se)
-                        se **= 2
-                        se *= config.tx_snr
-                        partials[k, 0, c] = np.sum(se)
-                        np.log1p(se, out=se)
-                        se *= _LOG2_E
-                        partials[k, 1, c] = np.sum(se)
+                        # |h_eq|^2, then the RSNR, then the SE, in place in the SE
+                        # column; copied into the kept samples, then sorted for counts
+                        np.abs(_row_sum(gains), out=column)
+                        column **= 2
+                        column *= config.tx_snr
+                        partials[k, 0, c] = np.sum(column)
+                        np.log1p(column, out=column)
+                        column *= _LOG2_E
+                        partials[k, 1, c] = np.sum(column)
+                        if samples[k] is not None:
+                            samples[k][a : a + rows] = column
                         if grid is not None:
-                            if kept is not None:  # the samples stay in trial order
-                                column[:] = se
                             column.sort()
                             counts[worker, k] += np.searchsorted(column, grid, side="right")
 

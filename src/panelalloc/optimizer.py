@@ -10,7 +10,9 @@ scores it at once, for a whole grid of target SEs if asked, and each design
 picks its row with one ``np.lexsort`` on (outage, -mean, allocation). The
 ascending-tail member is the lexicographically smallest allocation of its
 profile, so the pick is the allocation exhaustive search over all
-compositions (``allocation_array``) would make, ties included.
+compositions (``allocation_array``) would make, ties included. The mean-RSNR
+maximizer needs no search when kappa (L - 1) > 1, at any (n_p, L): it is LoS
+concentration in closed form; otherwise it reads the epsilon = 1 table.
 """
 
 from __future__ import annotations
@@ -137,29 +139,22 @@ def _report(q: np.ndarray, outages: np.ndarray, avgs: np.ndarray, best: int) -> 
 def maximize_average_se(config: SystemConfig) -> PanelAllocation:
     """Allocation maximizing the mean RSNR (equivalently the Jensen SE bound).
 
-    When kappa (L-1) > 1 the LoS term dominates the objective and the
-    maximizer is concentration of all panels on the LoS path; this is
-    cross-checked against a brute-force scan, the ``outmin_reports`` table at
-    epsilon = 1, where every row is feasible and the mean-RSNR argmax wins.
-    Outside that regime a warning is emitted and the scan argmax is returned.
+    The mean RSNR is a nonnegative multiple of kappa (L-1) q_1^2 + q_2^2 + ... + q_L^2, a sum
+    at most kappa (L-1) q_1^2 + (N_p - q_1)^2. That bound is convex in q_1 and, when
+    kappa (L-1) > 1, peaks over 1 <= q_1 <= N_p only at q_1 = N_p, where LoS concentration
+    attains it: there the maximizer is closed form at any (n_p, L). Otherwise a warning is
+    emitted and the argmax of the ``outmin_reports`` table at epsilon = 1, where every row
+    is feasible and the mean RSNR decides, is returned.
     """
-    scan = outmin_reports(config, [0.0], [1.0])[0][0]
     dominance = config.rician_k * (config.num_paths - 1)
     if dominance > 1.0:
-        # compare objective values, not allocations: at p_blk = 1 every mean
-        # is 0, an exact tie. LoS concentration is the last lexicographic row.
-        los = los_concentration(config)
-        if scan.avg_rsnr > scan.avg_rsnrs[-1]:
-            raise AssertionError(
-                f"brute-force argmax {scan.chosen.q} contradicts the closed-form maximizer {los.q}"
-            )
-        return los
+        return los_concentration(config)
     warnings.warn(
         f"kappa (L-1) = {dominance:.4g} <= 1: LoS concentration is not guaranteed "
         "to maximize the mean RSNR; returning the brute-force argmax",
         stacklevel=2,
     )
-    return scan.chosen
+    return outmin_reports(config, [0.0], [1.0])[0][0].chosen
 
 
 def outmin_reports(

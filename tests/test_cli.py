@@ -19,6 +19,7 @@ from panelalloc import (
     optimize_outmin,
     optimize_outmin_ase,
     rsnr_mixture,
+    se_cdf,
     se_mean,
     uniform_allocation,
 )
@@ -333,11 +334,13 @@ class TestSweepExactMean:
 
         sweep_se, sweep_snr = tmp_path / "sweep_se.csv", tmp_path / "sweep_snr.csv"
         for method in cli.METHODS:
-            expected = [
-                mean_se(config, allocation_of(config, method, xi))
-                for xi in column(sweep_se, "xi_th")
-            ]
+            xis = column(sweep_se, "xi_th").tolist()
+            allocs = [allocation_of(config, method, xi) for xi in xis]
+            expected = [mean_se(config, alloc) for alloc in allocs]
             assert column(sweep_se, f"mean_se_{method}").tolist() == expected
+            # every outage cell, searched design or not, is its allocation's CDF at the cell
+            expected = [se_cdf(rsnr_mixture(alloc, config), xi) for alloc, xi in zip(allocs, xis)]
+            assert column(sweep_se, f"outage_{method}").tolist() == expected
             expected, bounds, avg_db = [], [], []
             for snr_db in column(sweep_snr, "tx_snr_db"):
                 cfg = replace(config, tx_snr=10.0 ** (snr_db / 10.0))

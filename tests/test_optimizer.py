@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +22,7 @@ from panelalloc import (
     se_cdf,
     uniform_allocation,
 )
+from panelalloc import optimizer
 from panelalloc.beamforming import PanelAllocation
 from panelalloc.optimizer import outmin_reports
 from util import composition_count, exhaustive_outmin, profile_count
@@ -114,6 +117,40 @@ class TestMaximizeAverageSe:
             key=lambda a: average_rsnr(a, baseline),
         )
         assert best.q == maximize_average_se(baseline).q
+
+    @pytest.mark.parametrize("n_p, num_paths", [(64, 8), (32, 12)])
+    def test_closed_form_past_the_search_limit(self, n_p, num_paths):
+        # 1.2e9 and 4.3e9 compositions: a search there raises CapacityError
+        config = SystemConfig(n_p=n_p, num_paths=num_paths)
+        with pytest.raises(CapacityError):
+            profile_array(n_p, num_paths)
+        assert maximize_average_se(config) == los_concentration(config)
+        assert maximize_average_se(config).q == (n_p,) + (0,) * (num_paths - 1)
+
+    def test_dominant_los_builds_no_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("kappa (L-1) > 1 needs no scored table")
+
+        monkeypatch.setattr(optimizer, "outmin_reports", no_table)
+        grid = itertools.product((1, 2, 7, 16, 64), (2, 3, 4, 8, 12), (0.3, 0.6, 1.01, 3.0, 1e6))
+        cases = [(n_p, L, kappa) for n_p, L, kappa in grid if kappa * (L - 1) > 1.0]
+        assert len(cases) == 5 * (3 + 4 + 4 + 5 + 5)  # n_p x the dominant (L, kappa)
+        for (n_p, num_paths, kappa), p_blk in itertools.product(cases, (0.0, 0.4, 1.0)):
+            config = SystemConfig(
+                n_p=n_p, num_paths=num_paths, rician_k=kappa, p_min=p_blk, p_max=p_blk
+            )
+            assert maximize_average_se(config) == los_concentration(config)
+
+    @pytest.mark.parametrize("n_p", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("num_paths", [2, 3, 4, 5])
+    def test_bound_holds_just_past_the_regime_edge(self, n_p, num_paths):
+        # kappa (L-1) = 1 + 1e-9: every composition's mean RSNR, scored by brute
+        # force, is strictly below LoS concentration's, the last lexicographic row
+        config = SystemConfig(n_p=n_p, num_paths=num_paths, rician_k=(1 + 1e-9) / (num_paths - 1))
+        q = allocation_array(n_p, num_paths)
+        means = score_allocations(q, config, 0.0)[1]
+        assert np.all(means[:-1] < means[-1])
+        assert q[-1].tolist() == list(maximize_average_se(config).q)
 
     def test_weak_los_falls_back_to_scan(self):
         cfg = SystemConfig(rician_k=0.2)
