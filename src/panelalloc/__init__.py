@@ -17,7 +17,6 @@ from .analytic import (
 )
 from .beamforming import (
     PanelAllocation,
-    beam_hpbw_deg,
     beam_pattern,
     build_beamformer,
     equivalent_array_response_approx,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import HPBW_COEFF_DEG
 from .config import SystemConfig
 from .errors import ConfigurationError
 
@@ -132,14 +131,3 @@ def uniform_allocation(config: SystemConfig) -> PanelAllocation:
     base, rem = divmod(config.n_p, config.num_paths)
     q = tuple(base + (1 if l < rem else 0) for l in range(config.num_paths))
     return PanelAllocation(q)
-
-
-def beam_hpbw_deg(alloc: PanelAllocation, n_a: int) -> np.ndarray:
-    """Half-power beamwidth of the beam serving each path: 102 deg / (q_l N_a).
-
-    Paths with no serving beam get NaN; they have no beamwidth.
-    """
-    q = alloc.as_array().astype(float)
-    with np.errstate(divide="ignore"):
-        hpbw = np.where(q > 0, HPBW_COEFF_DEG / (q * n_a), np.nan)
-    return hpbw

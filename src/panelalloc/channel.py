@@ -5,7 +5,10 @@ Idealized, the law of the paper's outage analysis: each path of a frame is
 blocked independently with the marginal probability p_blk. Realistic: each
 frame draws one p_hat ~ U(p_min, p_max), shared by its paths, each then
 blocked independently with probability p_hat, so the marginal is still
-p_blk but a frame's blockage events are positively correlated.
+p_blk but a frame's blockage events are positively correlated. A blocked
+path keeps amplitude 0 in idealized mode; in realistic mode it keeps what
+``_blocked_amplitudes``, the one blocked-path law, gives: 1/eta on a
+served path, from its beam's beamwidth, and 0 on an unserved one.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import numpy as np
 from .config import SystemConfig
 from .errors import ConfigurationError, SamplingError
 
-# ULA half-power beamwidth rule of thumb: HPBW ~ 102 deg / (number of elements).
+# ULA half-power beamwidth rule of thumb, HPBW ~ 102 deg / (number of elements), and the
+# blocked-path attenuation eta = ETA_BASE + 180 deg / HPBW of the serving beam's HPBW.
 HPBW_COEFF_DEG = 102.0
-
-# Blockage attenuation model: eta = ETA_BASE + 180 deg / HPBW, amplitude factor 1/eta.
 ETA_BASE = 9.8
 
 _AOD_MAX_ATTEMPTS = 10_000
@@ -90,12 +92,11 @@ def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRea
     )
 
 
-def blockage_attenuation(hpbw_deg: np.ndarray) -> np.ndarray:
-    """Amplitude factor 1/eta applied to a blocked path, eta = 9.8 + 180/HPBW."""
-    hpbw = np.asarray(hpbw_deg, dtype=float)
-    if np.any(~(hpbw > 0.0)):
-        raise ConfigurationError("hpbw_deg entries must be positive")
-    return 1.0 / (ETA_BASE + 180.0 / hpbw)
+def _blocked_amplitudes(q, n_a: int) -> np.ndarray:
+    """Blocked amplitude of each path of ``q`` in realistic mode: 1/eta if served, else 0."""
+    q = np.asarray(q)
+    with np.errstate(divide="ignore"):
+        return np.where(q > 0, 1.0 / (ETA_BASE + 180.0 / (HPBW_COEFF_DEG / (q * n_a))), 0.0)
 
 
 def _block(config: SystemConfig, mode: str, rng: np.random.Generator, draws, mask, p_hat) -> None:

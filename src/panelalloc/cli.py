@@ -254,7 +254,7 @@ def _positive(message: str):
 
 
 def float_list(text: str) -> np.ndarray:
-    """Comma-separated transmit SNRs in dB, each finite with a finite linear value."""
+    """Comma-separated, strictly increasing transmit SNRs in dB, each with a finite linear value."""
     values = np.asarray([float(v) for v in text.split(",") if v.strip()])
     try:
         linear = [db_to_linear(v) for v in values.tolist()]  # OverflowError past ~3082 dB
@@ -262,6 +262,8 @@ def float_list(text: str) -> np.ndarray:
         linear = [math.inf]
     if not np.isfinite(np.append(values, linear)).all():
         raise argparse.ArgumentTypeError("SNR values must be finite")
+    if values.size == 0 or np.any(np.diff(values) <= 0):
+        raise argparse.ArgumentTypeError("SNR grid must be strictly increasing")
     return values
 
 
@@ -359,9 +361,6 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if args.se_max <= args.se_min:
             error("SE grid must be strictly increasing")
         fields["se_grid"] = np.linspace(args.se_min, args.se_max, args.se_points)
-    snr_grid_db = getattr(args, "snr_grid_db", None)
-    if snr_grid_db is not None and (snr_grid_db.size == 0 or np.any(np.diff(snr_grid_db) <= 0)):
-        error("SNR grid must be strictly increasing")
     if args.command == "count":
         if not args.np_values or args.l_min > args.l_max:
             error("count needs at least one panel count and --l-min <= --l-max")

@@ -62,13 +62,12 @@ import numpy as np
 
 from .beamforming import (
     PanelAllocation,
-    beam_hpbw_deg,
     build_beamformer,
     equivalent_array_response_approx,
     equivalent_array_response_exact,
     validate_allocation,
 )
-from .channel import _block, _fill_gains, blockage_attenuation, path_variances
+from .channel import _block, _blocked_amplitudes, _fill_gains, path_variances
 from .config import _SEED_LIMIT, SystemConfig
 from .errors import ConfigurationError
 
@@ -112,16 +111,13 @@ def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, m
     """(conj(a_eq), blocked_values) of an allocation in a mode: complex and float (L,).
 
     A blocked path is multiplied by its blocked value: 0 in idealized mode;
-    in realistic mode 1/eta on a served path and 0 on an unserved one.
+    in realistic mode ``channel._blocked_amplitudes``, 1/eta if served, else 0.
     """
-    blocked_values = np.zeros(config.num_paths)
     if mode == "idealized":
         a_eq = equivalent_array_response_approx(alloc, config).astype(complex)
-    else:
-        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-        served = alloc.as_array() > 0
-        blocked_values[served] = blockage_attenuation(beam_hpbw_deg(alloc, config.n_a)[served])
-    return a_eq.conj(), blocked_values
+        return a_eq.conj(), np.zeros(config.num_paths)
+    a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
+    return a_eq.conj(), _blocked_amplitudes(alloc.as_array(), config.n_a)
 
 
 def _row_sum(g: np.ndarray) -> np.ndarray:

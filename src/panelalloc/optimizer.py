@@ -11,8 +11,8 @@ picks its row with one ``np.lexsort`` on (outage, -mean, allocation). The
 ascending-tail member is the lexicographically smallest allocation of its
 profile, so the pick is the allocation exhaustive search over all
 compositions (``allocation_array``) would make, ties included. The mean-RSNR
-maximizer needs no search when kappa (L - 1) > 1, at any (n_p, L): it is LoS
-concentration in closed form; otherwise it reads the epsilon = 1 table.
+maximizer needs no search at any (n_p, L): it is LoS concentration when
+kappa (L - 1) > 1, and otherwise the better of two scored endpoint allocations.
 """
 
 from __future__ import annotations
@@ -137,24 +137,27 @@ def _report(q: np.ndarray, outages: np.ndarray, avgs: np.ndarray, best: int) -> 
 
 
 def maximize_average_se(config: SystemConfig) -> PanelAllocation:
-    """Allocation maximizing the mean RSNR (equivalently the Jensen SE bound).
+    """Allocation maximizing the mean RSNR (equivalently the Jensen SE bound), in closed form.
 
-    The mean RSNR is a nonnegative multiple of kappa (L-1) q_1^2 + q_2^2 + ... + q_L^2, a sum
-    at most kappa (L-1) q_1^2 + (N_p - q_1)^2. That bound is convex in q_1 and, when
-    kappa (L-1) > 1, peaks over 1 <= q_1 <= N_p only at q_1 = N_p, where LoS concentration
-    attains it: there the maximizer is closed form at any (n_p, L). Otherwise a warning is
-    emitted and the argmax of the ``outmin_reports`` table at epsilon = 1, where every row
-    is feasible and the mean RSNR decides, is returned.
+    The mean RSNR is a nonnegative multiple of kappa (L-1) q_1^2 + q_2^2 + ... + q_L^2, at most
+    kappa (L-1) q_1^2 + (N_p - q_1)^2 (every NLoS panel on one path), a bound convex in q_1. So
+    the spread (1, 0, ..., 0, N_p - 1) or LoS concentration maximizes it, only the latter when
+    kappa (L-1) > 1, where it is returned unscored. Otherwise a warning is emitted and the two
+    are scored; LoS concentration wins only with a strictly higher mean, so ties and p_blk = 1
+    give the spread, the lexicographically smallest.
     """
+    los = los_concentration(config)
     dominance = config.rician_k * (config.num_paths - 1)
     if dominance > 1.0:
-        return los_concentration(config)
+        return los
     warnings.warn(
         f"kappa (L-1) = {dominance:.4g} <= 1: LoS concentration is not guaranteed "
         "to maximize the mean RSNR; returning the brute-force argmax",
         stacklevel=2,
     )
-    return outmin_reports(config, [0.0], [1.0])[0][0].chosen
+    spread = PanelAllocation((1,) + (0,) * (config.num_paths - 2) + (config.n_p - 1,))
+    means = score_allocations(np.array([spread.q, los.q]), config, 0.0)[1]
+    return los if means[1] > means[0] else spread
 
 
 def outmin_reports(

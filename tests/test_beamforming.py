@@ -10,7 +10,6 @@ from panelalloc import (
     SystemConfig,
     allocation_array,
     average_rsnr,
-    beam_hpbw_deg,
     beam_pattern,
     build_beamformer,
     equivalent_array_response_approx,
@@ -286,9 +285,3 @@ class TestCannedAllocations:
         assert uniform_allocation(SystemConfig(n_p=6, num_paths=4)).q == (2, 2, 1, 1)
         # fewer panels than paths: the first n_p paths get one panel each
         assert uniform_allocation(SystemConfig(n_p=2, num_paths=3)).q == (1, 1, 0)
-
-    def test_beam_hpbw(self, baseline):
-        hpbw = beam_hpbw_deg(PanelAllocation((2, 0, 1, 5)), baseline.n_a)
-        assert hpbw[0] == pytest.approx(102.0 / 64)
-        assert np.isnan(hpbw[1])
-        assert hpbw[3] == pytest.approx(102.0 / 160)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from panelalloc import (
     sample_channel,
 )
 from panelalloc import montecarlo
-from panelalloc.channel import _block, _fill_gains, blockage_attenuation
+from panelalloc.channel import _block, _blocked_amplitudes, _fill_gains
 
 
 def gain_draws(variances, rng, size=None):
@@ -183,7 +184,7 @@ class TestBlockage:
     def test_realistic_attenuation_value(self, rng):
         # 180 deg beamwidth: eta = 9.8 + 180/180 = 10.8
         cfg = SystemConfig(p_min=1.0, p_max=1.0)
-        attenuation = blockage_attenuation(np.full(cfg.num_paths, 180.0))
+        attenuation = np.full(cfg.num_paths, 1.0 / 10.8)
         np.testing.assert_allclose(blockage_frames(cfg, attenuation, rng, 100), 1.0 / 10.8)
 
     def test_never_blocked(self, rng):
@@ -191,14 +192,20 @@ class TestBlockage:
         np.testing.assert_array_equal(independent_frames(cfg, rng, 100), 1.0)
         np.testing.assert_array_equal(blockage_frames(cfg, np.zeros(cfg.num_paths), rng, 100), 1.0)
 
-    def test_mode_and_hpbw_validation(self, baseline):
+    def test_mode_validation(self, baseline):
         alloc, aods = los_concentration(baseline), np.linspace(0.3, 2.8, baseline.num_paths)
         with pytest.raises(ConfigurationError):
             montecarlo.run_batches(baseline, [alloc], aods, 10, 0, ("exact",))
-        with pytest.raises(ConfigurationError):
-            blockage_attenuation(np.zeros(baseline.num_paths))
-        with pytest.raises(ConfigurationError):
-            blockage_attenuation([25.0, np.nan])
+
+    def test_blocked_amplitudes(self):
+        # served paths keep 1/eta, eta = 9.8 + 180 deg / (102 deg / (q_l N_a)); unserved keep 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            amplitudes = _blocked_amplitudes((2, 0, 1, 5), 32)
+        for path, q in ((0, 2), (2, 1), (3, 5)):
+            expected = 1.0 / (9.8 + 180.0 * q * 32 / 102.0)
+            assert amplitudes[path] == pytest.approx(expected, rel=1e-15)
+        assert amplitudes[1] == 0.0
 
     def test_marginal_blockage_probability(self, baseline, rng):
         n = 10**6
@@ -225,6 +232,6 @@ class TestBlockage:
         gen = np.random.default_rng(seed)
         ideal = independent_frames(baseline, gen, 1)
         assert set(np.unique(ideal)) <= {0.0, 1.0}
-        attenuation = blockage_attenuation(np.full(baseline.num_paths, 25.0))
+        attenuation = np.full(baseline.num_paths, 1.0 / (9.8 + 180.0 / 25.0))
         real = blockage_frames(baseline, attenuation, gen, 1)
         assert set(np.unique(real)) <= {1.0, 1.0 / (9.8 + 180.0 / 25.0)}

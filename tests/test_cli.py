@@ -116,6 +116,9 @@ class TestUsageErrors:
             (["sweep-snr", "--snr-db", "5,abc"], 2),
             (["sweep-snr", "--snr-db", "1e400"], 2),
             (["sweep-snr", "--snr-db", "0,nan"], 2),
+            (["sweep-snr", "--snr-db", "10,5"], 2),
+            (["sweep-snr", "--snr-db", "0,0"], 2),
+            (["sweep-snr", "--snr-db", ","], 2),
             (["count", "--n-p", "2,y"], 2),
             (["count", "--l-min", "5", "--l-max", "3"], 2),
             (["count", "--n-p", ","], 2),

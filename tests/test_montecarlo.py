@@ -299,21 +299,24 @@ class TestRowSum:
 class TestThreadedFill:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
-        "q",
+        "q, n_a",
         [
-            (8, 0, 0, 0),
-            (4, 0, 2, 2),
-            (1, 2, 2, 3),
+            ((8, 0, 0, 0), 32),
+            ((4, 0, 2, 2), 32),
+            ((1, 2, 2, 3), 32),
             # L = 9 and 13: more column adds than at the baseline's 4 paths
-            (2, 1, 0, 1, 1, 0, 2, 1, 0),
-            (3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3),
+            ((2, 1, 0, 1, 1, 0, 2, 1, 0), 32),
+            ((3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3), 32),
             # L = 33 and 64: wide path-major planes, many row adds per frame
-            (2,) + (1, 0, 2, 1) * 8,
-            (1, 0, 3) * 21 + (2,),
+            ((2,) + (1, 0, 2, 1) * 8, 32),
+            ((1, 0, 3) * 21 + (2,), 32),
+            # n_a = 3: wider beams, so smaller eta and larger blocked amplitudes than at 32
+            ((3, 1, 0, 4), 3),
         ],
+        ids=[f"q{i}" for i in range(8)],
     )
-    def test_equals_serial_chunk_loop_bytewise(self, baseline, mode, q):
-        config = replace(baseline, n_p=sum(q), num_paths=len(q))
+    def test_equals_serial_chunk_loop_bytewise(self, baseline, mode, q, n_a):
+        config = replace(baseline, n_p=sum(q), num_paths=len(q), n_a=n_a)
         aods = sample_channel(config, rng=np.random.default_rng(7)).aods
         alloc = PanelAllocation(q)
         # at wide L the serial replay is slow: one full chunk, then a 5-row one on

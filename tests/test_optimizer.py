@@ -160,6 +160,33 @@ class TestMaximizeAverageSe:
         # 7-panel NLoS beam; ties resolve to the lexicographically smallest
         assert chosen.q == (1, 0, 0, 7)
 
+    @pytest.mark.parametrize("n_p, num_paths, kappa", [(64, 8, 0.1), (32, 12, 0.05)])
+    def test_weak_los_past_the_search_limit(self, n_p, num_paths, kappa):
+        # kappa (L-1) = 0.7 and 0.55: the spread (1, 0, ..., 0, N_p - 1) wins, with no table
+        config = SystemConfig(n_p=n_p, num_paths=num_paths, rician_k=kappa)
+        with pytest.warns(UserWarning, match="brute-force"):
+            chosen = maximize_average_se(config)
+        assert chosen.q == (1,) + (0,) * (num_paths - 2) + (n_p - 1,)
+
+    def test_weak_los_builds_no_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the mean-RSNR maximizer scores two endpoints, not a table")
+
+        monkeypatch.setattr(optimizer, "outmin_reports", no_table)
+        grid = itertools.product((1, 2, 3, 5, 8), (2, 3, 4, 5), (0.0, 0.4, 1.0))
+        for n_p, num_paths, p_blk in grid:
+            edge = np.nextafter(1.0 / (num_paths - 1), 0.0)  # just below the regime edge
+            for kappa in (0.0, 1e-300, 0.3 * edge, edge):
+                config = SystemConfig(
+                    n_p=n_p, num_paths=num_paths, rician_k=kappa, p_min=p_blk, p_max=p_blk
+                )
+                q = allocation_array(n_p, num_paths)
+                means = score_allocations(q, config, 0.0)[1]
+                best = q[np.flatnonzero(means == means.max())[0]]  # smallest argmax
+                with pytest.warns(UserWarning, match="brute-force"):
+                    chosen = maximize_average_se(config)
+                assert chosen.q == tuple(best.tolist()), (n_p, num_paths, kappa, p_blk)
+
 
 class TestOutMin:
     def test_high_target_single_sharp_beam(self, baseline):

@@ -12,7 +12,6 @@ import numpy as np
 from panelalloc import (
     PanelAllocation,
     allocation_array,
-    beam_hpbw_deg,
     build_beamformer,
     equivalent_array_response_exact,
     rsnr_mixture,
@@ -23,7 +22,6 @@ from panelalloc import (
     validate_allocation,
 )
 from panelalloc import cli
-from panelalloc.channel import blockage_attenuation
 from panelalloc.export import write_csv
 from panelalloc.montecarlo import CHUNK_TRIALS
 
@@ -185,11 +183,11 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
     Chunk c of CHUNK_TRIALS frames (the last shorter) draws its gains from
     the SFC64 stream keyed (seed, c) and the mode's blockage from the one
     keyed (seed, c, 1 + mode index), path-major (L, rows). The gain law
-    (scale * (z1 + 1j z2)) and the shared-p_hat blockage law (np.where over
-    the blocked pattern) are written out instead of called, so the
-    reference shares no sampling code with the library. Each frame's terms
-    omega_l conj(h_l) a_eq[l] are added in path order, l = 1, ..., L, by
-    its own adds.
+    (scale * (z1 + 1j z2)), the shared-p_hat blockage law (np.where over
+    the blocked pattern) and the realistic blocked amplitude 1/eta are
+    written out instead of called, so the reference shares no sampling
+    code with the library. Each frame's terms omega_l conj(h_l) a_eq[l] are
+    added in path order, l = 1, ..., L, by its own adds.
     """
     aods = np.asarray(aods, dtype=float)
     validate_allocation(alloc, config)
@@ -201,10 +199,10 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
         a_eq = config.n_a / np.sqrt(config.n_t) * q
     else:
         a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-        hpbw = beam_hpbw_deg(alloc, config.n_a)
+        # eta = 9.8 + 180 deg / HPBW, with the serving beam's HPBW = 102 deg / (q_l N_a)
         served = q > 0
         blocked_values = np.zeros(L)
-        blocked_values[served] = blockage_attenuation(hpbw[served])
+        blocked_values[served] = 1.0 / (9.8 + 180.0 / (102.0 / (q[served] * config.n_a)))
 
     def stream(*key):
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=key)))
