@@ -26,9 +26,10 @@ JSON object:
                (8 batches). The draw floor under them, per chunk of
                CHUNK_TRIALS = 2^13 trials on one thread, drawn as
                run_batches draws one, keying its generator included: the
-               gain fill (``chunk.fill_gains_s``) and each mode's blockage
-               draws, p_hat included in realistic mode
-               (``chunk.<mode>_blockage_s``), median of CHUNK_REPEATS.
+               stream-0 row of CHUNK_TRIALS standard exponentials E
+               (``chunk.exp_row_s``) and each mode's blockage draws, p_hat
+               included in realistic mode (``chunk.<mode>_blockage_s``),
+               median of CHUNK_REPEATS.
                Keys without a prefix are the baseline scenario (8 panels,
                4 paths); keys prefixed ``scale_16_8.`` are
                scenarios/scale_16_8.txt (16 panels, 8 paths). At wide L,
@@ -141,21 +142,21 @@ def search_layer() -> dict:
 
 
 def chunk_draws(config) -> dict:
-    """Seconds of one chunk's gain fill and of each mode's blockage draws, as run_batches
-    draws them: CHUNK_TRIALS rows into path-major (L, rows) planes, the gains and each
-    mode's blockage from streams of their own, one generator per chunk and stream."""
+    """Seconds of one chunk's stream-0 row and of each mode's blockage draws, as
+    run_batches draws them: CHUNK_TRIALS standard exponentials E into one row, and
+    the blockage into path-major (L, rows) planes, each from a stream of its own,
+    one generator per chunk and stream."""
     rows, L = montecarlo.CHUNK_TRIALS, config.num_paths
-    variances = channel.path_variances(config.rician_k, L)
-    re, im, draws = np.empty((L, rows)), np.empty((L, rows)), np.empty((L, rows))
+    exp_row, draws = np.empty(rows), np.empty((L, rows))
     mask, p_hat = np.empty((L, rows), bool), np.empty(rows)
 
-    def gains():
-        channel._fill_gains(variances, montecarlo._chunk_rng(1, 0), re, im)
+    def exponentials():
+        montecarlo._chunk_rng(1, 0).standard_exponential(out=exp_row)
 
     def blockage(mode, stream):
         channel._block(config, mode, montecarlo._chunk_rng(1, 0, stream), draws, mask, p_hat)
 
-    out = {"chunk.fill_gains_s": median_seconds(gains, CHUNK_REPEATS)}
+    out = {"chunk.exp_row_s": median_seconds(exponentials, CHUNK_REPEATS)}
     for stream, mode in enumerate(montecarlo.MODES, 1):
         out[f"chunk.{mode}_blockage_s"] = median_seconds(
             lambda: blockage(mode, stream), CHUNK_REPEATS

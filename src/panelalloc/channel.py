@@ -1,4 +1,4 @@
-"""Path-gain statistics, AoD sampling and the stochastic blockage model.
+"""Path-gain variances, AoD sampling and the stochastic blockage model.
 
 Blockage has one law per Monte Carlo mode, both drawn by ``_block``.
 Idealized, the law of the paper's outage analysis: each path of a frame is
@@ -54,28 +54,15 @@ def path_variances(kappa: float, num_paths: int) -> np.ndarray:
     return variances
 
 
-def _fill_gains(variances: np.ndarray, rng: np.random.Generator, re, im) -> None:
-    """Fill the C-contiguous float planes ``re`` and ``im`` (L, n), path-major, with path gains.
-
-    Each gain is zero-mean circularly-symmetric complex Gaussian,
-    sqrt(sigma_l^2 / 2) (z1 + 1j z2): z1 is drawn into ``re``, then z2 into
-    ``im``, each scaled in place by the (L, 1) column sqrt(sigma^2 / 2), so
-    re + 1j im has the values of scale * (z1 + 1j * z2).
-    """
-    scale = np.sqrt(variances / 2.0)[:, None]
-    for plane in (re, im):
-        rng.standard_normal(out=plane)
-        plane *= scale
-
-
 def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one training-phase channel: the AoDs the beamformers are steered to.
 
     The L AoDs are uniform on [0, pi), redrawn until every pair is at least four
     full-array beamwidths apart; raises SamplingError if no draw is admissible in
     ``_AOD_MAX_ATTEMPTS`` (possible when the spacing nears the packing limit pi / L).
-    Path gains and blockage are redrawn per transmission frame by the Monte
-    Carlo engine (``montecarlo.run_batches``), not here.
+    Blockage and the path gains' Exp(1) RSNR factor are redrawn per
+    transmission frame by the Monte Carlo engine (``montecarlo.run_batches``),
+    not here.
     """
     L = config.num_paths
     spacing = 4.0 * math.radians(HPBW_COEFF_DEG / config.n_t)
@@ -107,7 +94,9 @@ def _block(config: SystemConfig, mode: str, rng: np.random.Generator, draws, mas
     is p_min + (p_max - p_min) u; idealized mode draws none and leaves
     ``p_hat``, which may be empty, alone. Then the uniforms, one per path and
     frame in path-major order, are drawn into the float scratch ``draws``
-    (L, rows) and compared with p_blk or the (1, rows) p_hat row.
+    (L, rows) and compared with p_blk or the (1, rows) p_hat row. The draws
+    are then spent: the Monte Carlo fill reuses their bytes for its squared
+    weights.
     """
     p_block = config.p_blk
     if mode == "realistic":

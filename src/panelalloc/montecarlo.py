@@ -9,40 +9,41 @@ attenuates blocked served paths by 1/eta instead of nulling them; unserved
 paths have no beam and are nulled when blocked. Each mode's blockage law
 is ``channel._block``'s.
 
-``run_batches`` simulates several allocations in both modes from common
-random numbers: one seed gives every design the same frames. Trials come
-in chunks of ``CHUNK_TRIALS`` rows (the last shorter), a size that is
-part of the stream contract. Chunk c draws from SFC64 generators keyed by
-``SeedSequence(entropy=(seed, c, s))``: stream s = 0, keyed (seed, c), the
-path gains, and stream 1 + ``MODES.index(mode)`` each mode's blockage. A
-stream is only keyed, never jumped or advanced, so the fastest of numpy's
-bit generators serves, and a mode's frames do not depend on which other
-modes or allocations share the call. Each chunk draws, path-major,
-(L, rows): the gains' z1 then z2 planes from stream 0, and from a mode's
-stream the per-frame p_hat (realistic mode) and then the blockage
-uniforms. So each per-path operand broadcasts as an (L, 1) column along
-a contiguous row: the spent draws' bytes hold the weights, 1 on a clear
-path and the blocked value on a blocked one; the gains times the weights
-times conj(a_eq) give the conjugate of h_eq's terms, and ``_row_sum``
-adds them in path order, l = 1, ..., L, one row add per path. That order
-is the fill's contract: an oracle can replay it, where numpy's pairwise
-row sum changes its order with L and could change it in a numpy release.
-The worker writes the sum row into its own SE column, turns it into the
-RSNR and then the SE, log1p(RSNR) / ln 2, in place and stores the two sums
-of the chunk; it copies the SE into the kept samples, and given an SE grid,
-sorts the column and adds the counts at the grid to its own. So
+``run_batches`` simulates several allocations in both modes and draws no
+path gains: given a frame's blockage, h_eq = sum_l omega_l conj(g_l) a_eq,l
+is CN(0, v) with v = sum_l omega_l^2 |a_eq,l|^2 sigma_l^2 in either mode, so
+its RSNR is E sum_l omega_l^2 P_l, with E ~ Exp(1) and the power column
+P_l = tx_snr |a_eq,l|^2 sigma_l^2. So every result's law is exact, and the
+common random numbers of one call are E and, within a mode, the blockage
+patterns, which every design shares, not per-path gains.
+
+Trials come in chunks of ``CHUNK_TRIALS`` rows (the last shorter), a size
+that is part of the stream contract. Chunk c draws from SFC64 generators
+keyed by ``SeedSequence(entropy=(seed, c, s))``, only keyed, never jumped:
+stream s = 0, keyed (seed, c), one ``standard_exponential`` row of E, and
+stream 1 + ``MODES.index(mode)`` each mode's p_hat (realistic mode) and
+then its blockage uniforms, path-major (L, rows). So a mode's frames do not
+depend on which other modes or allocations share the call, and each
+per-path operand broadcasts as an (L, 1) column along a contiguous row: the
+spent draws' bytes hold the squared weights, 1 on a clear path and the
+blocked value squared on a blocked one; times P they give each path's
+share, and ``_row_sum`` adds them in path order, one row add per path. That
+order is the fill's contract: an oracle can replay it, where numpy's
+pairwise row sum changes its order with L. The worker multiplies the sum by
+E into its SE column, takes the SE, log1p(RSNR) / ln 2, in place, and
+stores the chunk's two sums; it copies the SE into the kept samples, and
+given an SE grid, sorts the column and adds its counts at the grid. So
 ``cdf``, which needs only the counts and the means, holds no trial-length
 array. ``run_trials`` is its one-allocation, one-mode call.
 
-Chunks are filled on all usable cores: min(len(os.sched_getaffinity(0)),
-chunks) threads, since numpy's generators and ufuncs release the
-interpreter lock. Each worker owns scratch sized to one chunk: two float
-gain planes and a float draw (then weight) plane, bool blocked and clear
-planes and a complex gain plane, all CHUNK_TRIALS x L, a float SE column
-and in realistic mode a p_hat column: about 1.5 MB at L = 4, on top of
-8 n_trials bytes per result whose samples are kept. Worker threads call
-only numpy and the private in-place helpers of ``channel``. The samples,
-counts and means are bit-identical to a serial pass over the chunks.
+Chunks are filled on min(len(os.sched_getaffinity(0)), chunks) threads, as
+numpy's generators and ufuncs release the interpreter lock. Each worker
+owns scratch sized to one chunk: float draw (then squared-weight) and
+power planes and bool blocked and clear planes, all CHUNK_TRIALS x L, and
+float E, SE and (realistic mode) p_hat rows: about 0.8 MB at L = 4, besides
+8 n_trials bytes per result whose samples are kept. Worker threads call only
+numpy and the private in-place helpers of ``channel``. The samples, counts
+and means are bit-identical to a serial pass over the chunks.
 
 ``ks_distance`` reads the samples a piece at a time: one pass for their
 range, one to count them into value cells whose edges bound each cell's
@@ -67,7 +68,7 @@ from .beamforming import (
     equivalent_array_response_exact,
     validate_allocation,
 )
-from .channel import _block, _blocked_amplitudes, _fill_gains, path_variances
+from .channel import _block, _blocked_amplitudes, path_variances
 from .config import _SEED_LIMIT, SystemConfig
 from .errors import ConfigurationError
 
@@ -108,20 +109,20 @@ def _usable_cpus() -> int:
 
 
 def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, mode: str):
-    """(conj(a_eq), blocked_values) of an allocation in a mode: complex and float (L,).
-
-    A blocked path is multiplied by its blocked value: 0 in idealized mode;
-    in realistic mode ``channel._blocked_amplitudes``, 1/eta if served, else 0.
-    """
+    """(P, blocked powers) of an allocation in a mode, float (L,): P_l = tx_snr |a_eq,l|^2
+    sigma_l^2, and the factor of P_l on a blocked path, its blocked value squared: 0 in
+    idealized mode, ``channel._blocked_amplitudes`` squared in realistic mode."""
+    variances = path_variances(config.rician_k, config.num_paths)
     if mode == "idealized":
-        a_eq = equivalent_array_response_approx(alloc, config).astype(complex)
-        return a_eq.conj(), np.zeros(config.num_paths)
-    a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-    return a_eq.conj(), _blocked_amplitudes(alloc.as_array(), config.n_a)
+        a_eq, blocked = equivalent_array_response_approx(alloc, config), np.zeros(config.num_paths)
+    else:
+        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
+        blocked = _blocked_amplitudes(alloc.as_array(), config.n_a)
+    return config.tx_snr * np.abs(a_eq) ** 2 * variances, blocked**2
 
 
 def _row_sum(g: np.ndarray) -> np.ndarray:
-    """Per-frame sums of complex g (L, rows) in path order, in place: the row g[0]."""
+    """Per-frame sums of g (L, rows) in path order, in place: the row g[0]."""
     total = g[0]
     for path in g[1:]:
         total += path
@@ -141,16 +142,17 @@ def run_batches(
     """Simulate n_trials frames for every allocation in every mode.
 
     Returns ``{(mode, alloc.q): TrialBatchResult}``, one entry per distinct
-    allocation and mode. Every frame resamples the path gains and the
+    allocation and mode. Every frame redraws its Exp(1) variable E and its
     blockage state; the AoDs (and hence the beamformer in realistic mode)
     stay fixed for the batch. For a fixed seed all allocations see the same
-    gains and, within a mode, the same blocked patterns, and each result is
+    E and, within a mode, the same blocked patterns, and each result is
     bit for bit the one a call with that allocation and mode alone gives,
     whatever the chunk scheduling: min(usable CPUs, chunks) threads fill the
     chunks, worker w taking chunks w, w + W, ....
 
-    The SE of a frame is log1p(tx_snr |h_eq|^2) * (1 / ln 2), h_eq's terms
-    added in path order. The means are the ``np.sum`` of the per-chunk
+    The RSNR of a frame is E sum_l omega_l^2 P_l, with P_l = tx_snr
+    |a_eq,l|^2 sigma_l^2 and the terms added in path order, and its SE is
+    log1p(RSNR) * (1 / ln 2). The means are the ``np.sum`` of the per-chunk
     ``np.sum``s, in trial order, over n_trials. The samples are kept only
     if ``keep_samples``; with an ``se_grid``, ``cdf_counts`` holds the
     number of samples <= each of its points, so a call that keeps no
@@ -178,14 +180,13 @@ def run_batches(
 
     keys = [(mode, q) for mode in modes for q in distinct]
     samples = [np.empty(n_trials) if keep_samples else None for _ in keys]
-    # per mode and distinct blocked values: (conj(a_eq), result index) of each
-    # allocation, both per-path operands as (L, 1) columns
+    # per mode and distinct blocked powers: (P, result index) of each allocation,
+    # both per-path operands as (L, 1) columns
     targets = {mode: {} for mode in modes}
     for k, (mode, q) in enumerate(keys):
-        conj_a_eq, blocked_values = _responses(config, distinct[q], aods, mode)
-        group = targets[mode].setdefault(blocked_values.tobytes(), (blocked_values[:, None], []))
-        group[1].append((conj_a_eq[:, None], k))
-    variances = path_variances(config.rician_k, config.num_paths)
+        power, blocked_powers = _responses(config, distinct[q], aods, mode)
+        group = targets[mode].setdefault(blocked_powers.tobytes(), (blocked_powers[:, None], []))
+        group[1].append((power[:, None], k))
     L = config.num_paths
     chunks = -(-n_trials // CHUNK_TRIALS)
     workers = min(_usable_cpus(), chunks)
@@ -193,46 +194,38 @@ def run_batches(
     # the RSNR and SE sums of each result's chunks, in trial order
     partials = np.empty((len(keys), 2, chunks))
     counts = np.zeros((workers, len(keys), 0 if grid is None else grid.size), dtype=np.int64)
-    # Scratch, one set per worker, sized to one chunk: the gain planes, the
-    # draws (then weights), blocked and clear patterns and gains, all flat so
-    # a shorter last chunk is contiguous too (strided views would make numpy
-    # buffer its operands on the worker thread), the realistic p_hat and the
-    # SE column. It is allocated here, not in the threads, whose per-thread
-    # malloc arenas would raise the peak RSS.
+    # Scratch per worker, sized to one chunk and flat, so a shorter last chunk is
+    # contiguous too (numpy would buffer strided operands on the worker thread);
+    # made here, not in the threads, whose per-thread malloc arenas raise peak RSS.
     scratch = [
-        (np.empty(L * size), np.empty(L * size), np.empty(L * size), np.empty(L * size, bool),
-         np.empty(L * size, bool), np.empty(L * size, complex),
-         np.empty(size if "realistic" in modes else 0), np.empty(size))
+        (np.empty(L * size), np.empty(L * size, bool), np.empty(L * size, bool),
+         np.empty(L * size), np.empty(size), np.empty(size if "realistic" in modes else 0),
+         np.empty(size))
         for _ in range(workers)
     ]
 
     def fill(worker: int) -> None:
-        *planes, p_hat_all, column_all = scratch[worker]
+        *planes, exp_all, p_hat_all, column_all = scratch[worker]
         for c in range(worker, chunks, workers):
             a = c * CHUNK_TRIALS
             rows = min(CHUNK_TRIALS, n_trials - a)
-            re, im, weights, mask, keep, gains = (p[: L * rows].reshape(L, rows) for p in planes)
-            column = column_all[:rows]
-            _fill_gains(variances, _chunk_rng(seed, c), re, im)
+            weights, mask, keep, terms = (p[: L * rows].reshape(L, rows) for p in planes)
+            exp_row, column = exp_all[:rows], column_all[:rows]
+            _chunk_rng(seed, c).standard_exponential(out=exp_row)
             for mode in modes:
                 rng = _chunk_rng(seed, c, 1 + MODES.index(mode))
                 _block(config, mode, rng, weights, mask, p_hat_all[:rows])
                 np.logical_not(mask, out=keep)
-                for blocked_values, responses in targets[mode].values():
-                    # the draws are spent: 1 on a clear path, the blocked value
-                    # on a blocked one, exactly, as blocked values are >= 0
-                    np.multiply(mask, blocked_values, out=weights)
+                for blocked_powers, results in targets[mode].values():
+                    # the draws are spent: 1 on a clear path, the blocked power
+                    # on a blocked one, exactly, as blocked powers are in [0, 1]
+                    np.multiply(mask, blocked_powers, out=weights)
                     np.maximum(weights, keep, out=weights)
-                    for conj_a_eq, k in responses:
-                        # h_eq's conjugate, which has the same modulus
-                        np.multiply(re, weights, out=gains.real)
-                        np.multiply(im, weights, out=gains.imag)
-                        gains *= conj_a_eq
-                        # |h_eq|^2, then the RSNR, then the SE, in place in the SE
-                        # column; copied into the kept samples, then sorted for counts
-                        np.abs(_row_sum(gains), out=column)
-                        column **= 2
-                        column *= config.tx_snr
+                    for power, k in results:
+                        # the RSNR, then the SE, in place in the SE column;
+                        # copied into the kept samples, then sorted for counts
+                        np.multiply(weights, power, out=terms)
+                        np.multiply(_row_sum(terms), exp_row, out=column)
                         partials[k, 0, c] = np.sum(column)
                         np.log1p(column, out=column)
                         column *= _LOG2_E

@@ -152,7 +152,8 @@ def maximize_average_se(config: SystemConfig) -> PanelAllocation:
         return los
     warnings.warn(
         f"kappa (L-1) = {dominance:.4g} <= 1: LoS concentration is not guaranteed "
-        "to maximize the mean RSNR; returning the brute-force argmax",
+        "to maximize the mean RSNR; returning the better of the two endpoint allocations, "
+        "LoS concentration and the spread (1, 0, ..., 0, N_p - 1)",
         stacklevel=2,
     )
     spread = PanelAllocation((1,) + (0,) * (config.num_paths - 2) + (config.n_p - 1,))

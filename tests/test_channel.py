@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,24 +10,36 @@ from scipy.integrate import quad
 
 from panelalloc import (
     ConfigurationError,
+    PanelAllocation,
     SamplingError,
     SystemConfig,
+    build_beamformer,
+    equivalent_array_response_exact,
     los_concentration,
     path_variances,
     sample_channel,
+    uniform_allocation,
 )
 from panelalloc import montecarlo
-from panelalloc.channel import _block, _blocked_amplitudes, _fill_gains
+from panelalloc.channel import _block, _blocked_amplitudes
+from util import fill_se
 
 
-def gain_draws(variances, rng, size=None):
-    """Gains from the library's in-place law, path-major (L, size) when size is set."""
-    shape = (variances.size, 1 if size is None else size)
-    re, im = np.empty(shape), np.empty(shape)
-    _fill_gains(variances, rng, re, im)
-    gains = np.empty(shape, dtype=complex)
-    gains.real, gains.imag = re, im
-    return gains[:, 0] if size is None else gains
+def gain_draws(config, alloc, mode, size=None, aods=None):
+    """The library's path-gain law at p_blk = 0, where every weight is 1: the
+    power column P of ``montecarlo._responses`` and the seed-5 ``run_trials``
+    result of ``size`` unblocked frames (one when size is None), whose RSNR is
+    E sum_l P_l. Idealized mode reads no AoDs; they default to a fixed spread."""
+    clear = replace(config, p_min=0.0, p_max=0.0)
+    aods = np.linspace(0.3, 2.8, config.num_paths) if aods is None else aods
+    power, _ = montecarlo._responses(clear, alloc, aods, mode)
+    return power, montecarlo.run_trials(clear, alloc, aods, mode, size or 1, 5)
+
+
+def stream_zero_row(size):
+    """The first ``size`` standard exponentials of seed 5's chunk 0 stream 0, SFC64 keyed (5, 0)."""
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=(5, 0))))
+    return rng.standard_exponential(size)
 
 
 def blockage_frames(config, blocked_values, rng, n_frames):
@@ -98,47 +112,68 @@ class TestAodSampling:
 
 
 class TestGainStatistics:
-    def test_los_power_matches_k_factor(self, baseline, rng):
-        variances = path_variances(baseline.rician_k, baseline.num_paths)
-        n = 10**6
-        g = gain_draws(variances, rng, size=n)
-        # |g_1|^2 is exponential with mean sigma_1^2 and std sigma_1^2
-        band = 3.0 * variances[0] / math.sqrt(n)
-        assert abs(np.mean(np.abs(g[0]) ** 2) - baseline.rician_k / (baseline.rician_k + 1)) < band
+    """The per-path Gaussian gains as the fill keeps them: one Exp(1) row E per
+    chunk and a power column P_l = tx_snr |a_eq,l|^2 sigma_l^2 per result."""
 
-    def test_total_power_is_unit(self, baseline, rng):
-        variances = path_variances(baseline.rician_k, baseline.num_paths)
+    def test_los_power_matches_k_factor(self, baseline):
+        # LoS concentration: |a_1|^2 = (32 / 16 * 8)^2 = 256, so at tx_snr = 1/256
+        # P = (sigma_1^2, 0, 0, 0) and the unblocked RSNR is sigma_1^2 E
+        config = replace(baseline, tx_snr=1.0 / 256.0)
+        variances = path_variances(config.rician_k, config.num_paths)
         n = 10**6
-        g = gain_draws(variances, rng, size=n)
-        total = np.sum(np.abs(g) ** 2, axis=0)
-        band = 3.0 * math.sqrt(np.sum(variances**2)) / math.sqrt(n)
-        assert abs(total.mean() - 1.0) < band
+        power, result = gain_draws(config, los_concentration(config), "idealized", n)
+        assert power.tolist() == [variances[0], 0.0, 0.0, 0.0]
+        # the RSNR is exponential with mean sigma_1^2 and std sigma_1^2
+        band = 3.0 * variances[0] / math.sqrt(n)
+        assert abs(result.mean_rsnr - config.rician_k / (config.rician_k + 1)) < band
+
+    def test_total_power_is_unit(self, baseline):
+        # uniform allocation: |a_l|^2 = 16 on every path, so at tx_snr = 1/16 P = sigma^2
+        config = replace(baseline, tx_snr=1.0 / 16.0)
+        variances = path_variances(config.rician_k, config.num_paths)
+        n = 10**6
+        power, result = gain_draws(config, uniform_allocation(config), "idealized", n)
+        assert power.tobytes() == variances.tobytes()
+        # the unblocked RSNR is (sum_l sigma_l^2) E = E, with mean 1 and std 1
+        assert abs(result.mean_rsnr - 1.0) < 3.0 / math.sqrt(n)
 
     @pytest.mark.parametrize("size", [None, 1000])
-    def test_equals_complex_gaussian_formula_bitwise(self, baseline, size):
-        variances = path_variances(baseline.rician_k, baseline.num_paths)
-        shape = (baseline.num_paths,) if size is None else (baseline.num_paths, size)
-        scale = np.sqrt(variances / 2.0) if size is None else np.sqrt(variances / 2.0)[:, None]
-        draws = np.random.default_rng(21)
-        expected = scale * (
-            draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
-        )
-        gains = gain_draws(variances, np.random.default_rng(21), size)
-        assert gains.shape == shape
-        assert gains.tobytes() == expected.tobytes()
+    def test_stream_zero_row_is_standard_exponential_bitwise(self, baseline, size):
+        # kappa = 1 and tx_snr = 1/128 give LoS concentration P = (1, 0, 0, 0), so
+        # the unblocked RSNR is the stream-0 row E itself
+        config = replace(baseline, rician_k=1.0, tx_snr=1.0 / 128.0)
+        power, result = gain_draws(config, los_concentration(config), "idealized", size)
+        assert power.tolist() == [1.0, 0.0, 0.0, 0.0]
+        expected = stream_zero_row(size or 1)
+        if size is None:
+            assert np.float64(result.mean_rsnr).tobytes() == expected[0].tobytes()
+        else:
+            assert result.se_samples.tobytes() == fill_se(expected).tobytes()
 
     @pytest.mark.parametrize("num_paths", [2, 3, 33, 64])
     @pytest.mark.parametrize("size", [None, 1, 127, 2049, 3000])
     def test_scale_repeated_over_frames_equals_formula_bitwise(self, num_paths, size):
-        # the (L, 1) scale column multiplies each path's row of frames
-        variances = path_variances(4.0, num_paths)
-        shape = (num_paths,) if size is None else (num_paths, size)
-        scale = np.sqrt(variances / 2.0) if size is None else np.sqrt(variances / 2.0)[:, None]
-        draws = np.random.default_rng(5)
-        expected = scale * (
-            draws.standard_normal(shape) + 1j * draws.standard_normal(shape)
-        )
-        assert gain_draws(variances, np.random.default_rng(5), size).tobytes() == expected.tobytes()
+        # P equals tx_snr |a_eq|^2 sigma^2 in both modes, and the (L, 1) column,
+        # repeated over the frames, sums in path order to the unblocked RSNR per E
+        q = tuple(1 + path % 3 for path in range(num_paths))
+        config = SystemConfig(n_a=4, n_p=sum(q), num_paths=num_paths, rician_k=4.0)
+        alloc, aods = PanelAllocation(q), np.linspace(0.1, 3.0, num_paths)
+        variances = path_variances(config.rician_k, num_paths)
+        responses = {
+            "idealized": config.n_a / np.sqrt(config.n_t) * np.array(q, dtype=float),
+            "realistic": equivalent_array_response_exact(
+                aods, build_beamformer(alloc, aods, config)
+            ),
+        }
+        for mode, a_eq in responses.items():
+            power, result = gain_draws(config, alloc, mode, size, aods)
+            expected = config.tx_snr * np.abs(a_eq) ** 2 * variances
+            assert power.tobytes() == expected.tobytes(), mode
+            rsnr = functools.reduce(np.add, expected) * stream_zero_row(size or 1)
+            if size is None:
+                assert np.float64(result.mean_rsnr).tobytes() == rsnr[0].tobytes(), mode
+            else:
+                assert result.se_samples.tobytes() == fill_se(rsnr).tobytes(), mode
 
 
 class TestBlockage:

@@ -38,6 +38,7 @@ from util import (
     fresh_python,
     realistic_se_cdf,
     serial_channel_power,
+    serial_rsnr,
     unique_ks_distance,
 )
 
@@ -241,8 +242,7 @@ class TestChannelPower:
     def test_run_trials_is_log2_of_scaled_power(self, baseline, aods, mode):
         n = CHUNK_TRIALS + 17  # cross a chunk boundary
         alloc = PanelAllocation((2, 1, 2, 3))
-        power = serial_channel_power(baseline, alloc, aods, mode, n, 41)
-        rsnr = baseline.tx_snr * power
+        rsnr = serial_rsnr(baseline, alloc, aods, mode, n, 41)
         expected = fill_se(rsnr)
         result = run_trials(baseline, alloc, aods, mode, n, 41)
         assert result.se_samples.tobytes() == expected.tobytes()
@@ -251,11 +251,66 @@ class TestChannelPower:
         assert result.mean_rsnr == _block_mean(rsnr)
         assert abs(result.mean_se - expected.mean()) <= 4 * math.ulp(expected.mean())
         assert abs(result.mean_rsnr - rsnr.mean()) <= 4 * math.ulp(rsnr.mean())
-        # the draws ignore tx_snr; run_trials applies it
+        # the draws ignore tx_snr; it enters through the power column P
         louder = replace(baseline, tx_snr=40.0)
         got = run_trials(louder, alloc, aods, mode, n, 41)
-        assert got.se_samples.tobytes() == fill_se(40.0 * power).tobytes()
-        assert got.mean_rsnr == _block_mean(40.0 * power)
+        loud = serial_rsnr(louder, alloc, aods, mode, n, 41)
+        assert got.se_samples.tobytes() == fill_se(loud).tobytes()
+        assert got.mean_rsnr == _block_mean(loud)
+        assert not np.array_equal(loud, rsnr)
+
+
+def _two_sample_ks(x, y) -> float:
+    """sup |F_x - F_y| of two samples, both empirical CDFs taken at every distinct value."""
+    x, y = np.sort(x), np.sort(y)
+    at = np.unique(np.r_[x, y])
+    fx = np.searchsorted(x, at, side="right") / x.size
+    fy = np.searchsorted(y, at, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+class TestConditionalLaw:
+    """The library's one-E-per-frame sampler against the physical law.
+
+    ``tests/util.serial_channel_power`` draws 2L standard normals per frame
+    as path gains and sums the paths' complex terms; the library draws one
+    Exp(1) value per frame. Their SE samples, from independent seeds, are
+    compared by the two-sample KS distance. By the DKW inequality each
+    empirical CDF is within eps = sqrt(ln(4 / alpha) / (2 n)) of the common
+    law but with probability alpha / 2, so the distance exceeds 2 eps with
+    probability at most alpha = 1e-6 per case and mode.
+    """
+
+    TRIALS = 1 << 17
+    ALPHA = 1e-6
+
+    @pytest.mark.parametrize(
+        "q, n_a, kappa, p_min, p_max",
+        [
+            ((2, 1, 2, 3), 32, 10.0, 0.2, 0.6),
+            ((1, 2, 2, 3), 32, 0.0, 0.2, 0.6),
+            ((3, 1, 0, 4), 3, 10.0, 0.2, 0.6),
+            ((2, 1, 0, 1, 1, 0, 2, 1), 32, 10.0, 0.2, 0.6),
+            ((4, 0, 2, 2), 32, 10.0, 0.0, 0.0),
+            ((0, 3, 1), 8, 1.0, 1.0, 1.0),
+            ((5, 1, 1, 1), 16, 1e3, 0.1, 0.9),
+            ((1, 0, 1, 0), 4, 0.5, 0.4, 0.4),
+            ((8, 0, 0, 0), 32, 10.0, 0.2, 0.6),
+        ],
+        ids=["baseline", "kappa0", "na3", "L8", "pblk0", "pblk1", "kappa1e3", "np_below_L",
+             "los"],
+    )
+    def test_equals_gaussian_gain_law_in_distribution(self, q, n_a, kappa, p_min, p_max):
+        config = SystemConfig(n_a=n_a, n_p=sum(q), num_paths=len(q), rician_k=kappa,
+                              p_min=p_min, p_max=p_max)
+        alloc = PanelAllocation(q)
+        aods = np.random.default_rng(sum(q) * len(q)).uniform(0.0, np.pi, len(q))
+        band = 2.0 * math.sqrt(math.log(4.0 / self.ALPHA) / (2.0 * self.TRIALS))
+        for mode in MODES:
+            got = run_trials(config, alloc, aods, mode, self.TRIALS, 5).se_samples
+            power = serial_channel_power(config, alloc, aods, mode, self.TRIALS, 6)
+            gap = _two_sample_ks(got, fill_se(config.tx_snr * power))
+            assert gap < band, (mode, gap / band)
 
 
 def _block_mean(values) -> float:
@@ -266,22 +321,22 @@ def _block_mean(values) -> float:
 
 def _worker_scratch(num_paths, mode) -> int:
     """Bytes of one worker's scratch, all sized to a chunk: per row, over
-    L paths, path-major (L, rows), the two float gain planes, the float draws
-    (whose bytes then hold the weights), the bool blocked mask, the bool
-    clear ("keep") pattern and the complex gains, whose first row then holds
-    h_eq's conjugate; and per row the float SE column, sorted in place for
-    the grid counts, and in realistic mode the float p_hat of the frame."""
+    L paths, path-major (L, rows), the float draws (whose bytes then hold the
+    squared weights), the bool blocked mask, the bool clear ("keep") pattern
+    and the float power terms, whose first row then holds their sum; and per
+    row the float E, the float SE column, sorted in place for the grid
+    counts, and in realistic mode the float p_hat of the frame."""
     p_hat = 8 if mode == "realistic" else 0
-    return CHUNK_TRIALS * (num_paths * (8 + 8 + 8 + 1 + 1 + 16) + 8 + p_hat)
+    return CHUNK_TRIALS * (num_paths * (8 + 1 + 1 + 8) + 8 + 8 + p_hat)
 
 
 class TestRowSum:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 63, 64, 65, 130])
     @pytest.mark.parametrize("rows", [1, 7, CHUNK_TRIALS])
     def test_equals_numpy_sum_bytewise(self, L, rows):
+        # the fill's terms: nonnegative floats over 16 decades
         gen = np.random.default_rng(L * rows)
-        spread = lambda: gen.standard_normal((rows, L)) * 10.0 ** gen.uniform(-8, 8, (rows, L))
-        g = spread() + 1j * spread()
+        g = gen.standard_exponential((rows, L)) * 10.0 ** gen.uniform(-8, 8, (rows, L))
         g[1::5] = 0.0  # all-zero rows, none in a one-row g
         # numpy's running sum along the row: the paths added in path order
         expected = np.cumsum(g, axis=1)[:, -1]
@@ -292,7 +347,7 @@ class TestRowSum:
 
     def test_negative_zero_sum_equals_numpy_in_value(self):
         # np.sum adds the row to +0, so it gives +0 where the columns give -0
-        g = np.full((3, 5), complex(-0.0, -0.0))
+        g = np.full((3, 5), -0.0)
         assert np.array_equal(_row_sum(g.T.copy()), np.sum(g, axis=1))
 
 
@@ -324,18 +379,17 @@ class TestThreadedFill:
         sizes = (1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5) if len(q) < 32 else (1, CHUNK_TRIALS + 5)
         for n in sizes:
             for seed in (3, 2024):
-                power = serial_channel_power(config, alloc, aods, mode, n, seed)
+                rsnr = serial_rsnr(config, alloc, aods, mode, n, seed)
                 got = run_trials(config, alloc, aods, mode, n, seed)
-                expected = fill_se(config.tx_snr * power)
-                assert got.se_samples.tobytes() == expected.tobytes(), (n, seed)
-                assert got.mean_rsnr == _block_mean(config.tx_snr * power), (n, seed)
-        # the SE map takes neighbouring powers to one SE; with tx_snr = 1 and one
-        # trial, mean_rsnr is the power itself, so it is checked bytewise
+                assert got.se_samples.tobytes() == fill_se(rsnr).tobytes(), (n, seed)
+                assert got.mean_rsnr == _block_mean(rsnr), (n, seed)
+        # the SE map takes neighbouring RSNRs to one SE; with tx_snr = 1 and one
+        # trial, mean_rsnr is the frame's RSNR itself, so it is checked bytewise
         unit = replace(config, tx_snr=1.0)
         for seed in range(8):
-            power = serial_channel_power(unit, alloc, aods, mode, 1, seed)
+            rsnr = serial_rsnr(unit, alloc, aods, mode, 1, seed)
             got = run_trials(unit, alloc, aods, mode, 1, seed).mean_rsnr
-            assert np.float64(got).tobytes() == power[0].tobytes(), seed
+            assert np.float64(got).tobytes() == rsnr[0].tobytes(), seed
 
     @pytest.mark.parametrize("mode", MODES)
     def test_traced_peak_is_output_plus_worker_scratch(self, baseline, aods, mode):
@@ -421,9 +475,7 @@ class TestThreadedFill:
             sys.setswitchinterval(interval)
         assert not caller.is_alive() and len(outcome) == 1
         for (mode, q), result in outcome[0].items():
-            rsnr = baseline.tx_snr * serial_channel_power(
-                baseline, PanelAllocation(q), aods, mode, n, 6
-            )
+            rsnr = serial_rsnr(baseline, PanelAllocation(q), aods, mode, n, 6)
             expected = fill_se(rsnr)
             assert result.se_samples.tobytes() == expected.tobytes(), (mode, q)
             below = np.searchsorted(np.sort(expected), grid, side="right")

@@ -154,7 +154,7 @@ class TestMaximizeAverageSe:
 
     def test_weak_los_falls_back_to_scan(self):
         cfg = SystemConfig(rician_k=0.2)
-        with pytest.warns(UserWarning, match="brute-force"):
+        with pytest.warns(UserWarning, match="better of the two endpoint allocations"):
             chosen = maximize_average_se(cfg)
         # objective 0.6 q1^2 + sum q_l^2: best is one LoS panel plus a single
         # 7-panel NLoS beam; ties resolve to the lexicographically smallest
@@ -164,7 +164,7 @@ class TestMaximizeAverageSe:
     def test_weak_los_past_the_search_limit(self, n_p, num_paths, kappa):
         # kappa (L-1) = 0.7 and 0.55: the spread (1, 0, ..., 0, N_p - 1) wins, with no table
         config = SystemConfig(n_p=n_p, num_paths=num_paths, rician_k=kappa)
-        with pytest.warns(UserWarning, match="brute-force"):
+        with pytest.warns(UserWarning, match="better of the two endpoint allocations"):
             chosen = maximize_average_se(config)
         assert chosen.q == (1,) + (0,) * (num_paths - 2) + (n_p - 1,)
 
@@ -183,7 +183,7 @@ class TestMaximizeAverageSe:
                 q = allocation_array(n_p, num_paths)
                 means = score_allocations(q, config, 0.0)[1]
                 best = q[np.flatnonzero(means == means.max())[0]]  # smallest argmax
-                with pytest.warns(UserWarning, match="brute-force"):
+                with pytest.warns(UserWarning, match="better of the two endpoint allocations"):
                     chosen = maximize_average_se(config)
                 assert chosen.q == tuple(best.tolist()), (n_p, num_paths, kappa, p_blk)
 

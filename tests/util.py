@@ -160,71 +160,96 @@ def blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits) -> np.ndarray
     return cdf.reshape(np.shape(se_bits))
 
 
-def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
-    """Exact SE CDF of realistic-mode frames for fixed AoDs.
+def _mode_law(config, alloc, aods, mode):
+    """(a_eq, blocked_values) of one allocation in one mode, from literals.
 
-    Exact array responses of the allocation's beamformer; a blocked served
-    path keeps amplitude 1/eta with eta = 9.8 + 180 / HPBW and
-    HPBW = 102 deg / (q_l N_a); a blocked unserved path is nulled.
-    """
-    a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-    q = alloc.as_array().astype(float)
-    served = q > 0
-    blocked_values = np.zeros(config.num_paths)
-    hpbw = 102.0 / (q[served] * config.n_a)
-    blocked_values[served] = 1.0 / (9.8 + 180.0 / hpbw)
-    return blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits)
-
-
-def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
-    """|h_eq|^2 of one allocation in one mode as one serial loop over the
-    chunks, concatenated at the end.
-
-    Chunk c of CHUNK_TRIALS frames (the last shorter) draws its gains from
-    the SFC64 stream keyed (seed, c) and the mode's blockage from the one
-    keyed (seed, c, 1 + mode index), path-major (L, rows). The gain law
-    (scale * (z1 + 1j z2)), the shared-p_hat blockage law (np.where over
-    the blocked pattern) and the realistic blocked amplitude 1/eta are
-    written out instead of called, so the reference shares no sampling
-    code with the library. Each frame's terms omega_l conj(h_l) a_eq[l] are
-    added in path order, l = 1, ..., L, by its own adds.
+    Idealized: main-lobe responses (N_a / sqrt(N_t)) q and blocked paths
+    nulled. Realistic: exact responses; a blocked served path keeps 1/eta,
+    eta = 9.8 + 180 deg / HPBW with the serving beam's HPBW = 102 deg / (q_l N_a),
+    and a blocked unserved one is nulled.
     """
     aods = np.asarray(aods, dtype=float)
     validate_allocation(alloc, config)
-    L = config.num_paths
-    variances = _path_variances(config.rician_k, L)
     q = alloc.as_array().astype(float)
-
+    blocked_values = np.zeros(config.num_paths)
     if mode == "idealized":
-        a_eq = config.n_a / np.sqrt(config.n_t) * q
-    else:
-        a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
-        # eta = 9.8 + 180 deg / HPBW, with the serving beam's HPBW = 102 deg / (q_l N_a)
-        served = q > 0
-        blocked_values = np.zeros(L)
-        blocked_values[served] = 1.0 / (9.8 + 180.0 / (102.0 / (q[served] * config.n_a)))
+        return config.n_a / np.sqrt(config.n_t) * q, blocked_values
+    a_eq = equivalent_array_response_exact(aods, build_beamformer(alloc, aods, config))
+    served = q > 0
+    blocked_values[served] = 1.0 / (9.8 + 180.0 / (102.0 / (q[served] * config.n_a)))
+    return a_eq, blocked_values
+
+
+def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
+    """Exact SE CDF of realistic-mode frames for fixed AoDs: ``_mode_law``'s
+    exact responses and blocked amplitudes under the shared-p_hat law."""
+    a_eq, blocked_values = _mode_law(config, alloc, aods, "realistic")
+    return blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits)
+
+
+def _serial_chunks(config, mode, n_trials, seed, blocked_values):
+    """(stream 0, omega) of each chunk of CHUNK_TRIALS frames (the last shorter):
+    the SFC64 stream keyed (seed, c), left undrawn, and the per-path factors
+    (L, rows) drawn from the one keyed (seed, c, 1 + mode index), 1 on a clear
+    path and blocked_values[l] on a blocked one. The independent (idealized) and
+    shared-p_hat (realistic) blockage laws are written out with np.where."""
 
     def stream(*key):
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=key)))
 
-    scale = np.sqrt(variances / 2.0)[:, None]
+    L = config.num_paths
     full, rem = divmod(n_trials, CHUNK_TRIALS)
-    power_blocks = []
     for chunk_index, rows in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
-        gain_rng = stream(seed, chunk_index)
         block_rng = stream(seed, chunk_index, 1 + ["idealized", "realistic"].index(mode))
-        gains = scale * (
-            gain_rng.standard_normal((L, rows)) + 1j * gain_rng.standard_normal((L, rows))
-        )
         if mode == "idealized":
-            omega = (block_rng.random((L, rows)) >= config.p_blk).astype(float)
+            blocked = block_rng.random((L, rows)) < config.p_blk
         else:
             p_hat = block_rng.uniform(config.p_min, config.p_max, size=rows)
             blocked = block_rng.random((L, rows)) < p_hat[None, :]
-            omega = np.where(blocked, blocked_values[:, None], 1.0)
+        yield stream(seed, chunk_index), np.where(blocked, blocked_values[:, None], 1.0)
+
+
+def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
+    """|h_eq|^2 of one allocation in one mode from the physical law: per frame
+    2L standard normals, as path gains, and the complex sum of the paths.
+
+    Chunk c draws its gains from the SFC64 stream keyed (seed, c),
+    sqrt(sigma_l^2 / 2) (z1 + 1j z2) path-major, and its blockage as
+    ``_serial_chunks`` gives it. Each frame's terms omega_l conj(g_l) a_eq[l]
+    are added in path order, l = 1, ..., L. This is the law the library's
+    conditional sampler must agree with in distribution, not in bytes: it
+    shares no sampling code with the library.
+    """
+    a_eq, blocked_values = _mode_law(config, alloc, aods, mode)
+    L = config.num_paths
+    scale = np.sqrt(_path_variances(config.rician_k, L) / 2.0)[:, None]
+    power_blocks = []
+    for gain_rng, omega in _serial_chunks(config, mode, n_trials, seed, blocked_values):
+        shape = omega.shape
+        gains = scale * (gain_rng.standard_normal(shape) + 1j * gain_rng.standard_normal(shape))
         h_eq = functools.reduce(np.add, omega * gains.conj() * a_eq[:, None])
         power_blocks.append(np.abs(h_eq) ** 2)
     return np.concatenate(power_blocks)
+
+
+def serial_rsnr(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
+    """The RSNR of one allocation in one mode as the library's conditional law
+    gives it, replayed bytewise as one serial loop over the chunks.
+
+    Given a frame's blockage, h_eq is CN(0, v), so its RSNR is E times
+    sum_l omega_l^2 P_l, with P_l = tx_snr |a_eq[l]|^2 sigma_l^2 and
+    E ~ Exp(1). Chunk c draws one ``standard_exponential`` row E from the
+    stream keyed (seed, c) and its blockage as ``_serial_chunks`` gives it;
+    the terms omega_l^2 P_l are added in path order, l = 1, ..., L, and the
+    sum is multiplied by E. Written out, not called.
+    """
+    a_eq, blocked_values = _mode_law(config, alloc, aods, mode)
+    power = config.tx_snr * np.abs(a_eq) ** 2 * _path_variances(config.rician_k, config.num_paths)
+    rsnr_blocks = []
+    for exp_rng, omega in _serial_chunks(config, mode, n_trials, seed, blocked_values):
+        total = functools.reduce(np.add, omega**2 * power[:, None])
+        rsnr_blocks.append(total * exp_rng.standard_exponential(omega.shape[1]))
+    return np.concatenate(rsnr_blocks)
 
 
 def fill_se(rsnr) -> np.ndarray:
