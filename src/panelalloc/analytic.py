@@ -39,7 +39,11 @@ def _profile(q: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Ascending RSNR scales rho_l^2 of each allocation row of q (C, L), gain applied first."""
     gain = config.tx_snr * config.n_a**2 / config.n_t
     variances = path_variances(config.rician_k, config.num_paths)
-    return np.sort(gain * variances * np.asarray(q, dtype=float) ** 2, axis=1)
+    q2 = np.asarray(q, dtype=float) ** 2
+    power = gain * variances * q2
+    # a subnormal scale (kappa near 5e-324) is rounded once, sigma^2 last: gain sigma^2
+    # would keep only a few bits, and q^2 would scale their error
+    return np.sort(np.where(power < np.finfo(float).tiny, variances * (gain * q2), power), axis=1)
 
 
 def _survival_masks(profiles: np.ndarray, p_blk: float):

@@ -140,8 +140,11 @@ def blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits) -> np.ndarray
     """
     L = config.num_paths
     variances = _path_variances(config.rician_k, L)
-    clear_power = variances * np.abs(np.asarray(a_eq)) ** 2
-    blocked_power = clear_power * np.asarray(blocked_values, dtype=float) ** 2
+    # sigma^2 multiplied last, so a scale below the normal range (kappa near 5e-324)
+    # is rounded once, not once per factor
+    received = config.tx_snr * np.abs(np.asarray(a_eq)) ** 2
+    clear_power = variances * received
+    blocked_power = variances * (received * np.asarray(blocked_values, dtype=float) ** 2)
     nodes, weights = np.polynomial.legendre.leggauss(L // 2 + 1)
     half = (config.p_max - config.p_min) / 2.0
     p_hat = (config.p_min + config.p_max) / 2.0 + half * nodes
@@ -153,7 +156,7 @@ def blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits) -> np.ndarray
         blocked = np.array(pattern)
         k = int(blocked.sum())
         weight = float(np.sum(weights * p_hat**k * (1.0 - p_hat) ** (L - k)))
-        scale = config.tx_snr * float(np.where(blocked, blocked_power, clear_power).sum())
+        scale = float(np.where(blocked, blocked_power, clear_power).sum())
         # a subnormal scale (kappa near 5e-324) sends gamma / scale to inf: the CDF is 1
         with np.errstate(over="ignore"):
             cdf += weight * (1.0 if scale == 0.0 else -np.expm1(-gamma / scale))
