@@ -24,19 +24,22 @@ JSON object:
                each mode, one batch (the outmin design) and cdf's four
                designs; and cdf's whole pass, four designs in both modes
                (8 batches). The draw floor under them, per chunk of
-               CHUNK_TRIALS = 2^13 trials on one thread, drawn as
+               CHUNK_TRIALS = 2^15 trials on one thread, drawn as
                run_batches draws one, keying its generator included: the
                stream-0 row of CHUNK_TRIALS standard exponentials E
-               (``chunk.exp_row_s``) and each mode's blockage draws, p_hat
-               included in realistic mode (``chunk.<mode>_blockage_s``),
-               median of CHUNK_REPEATS.
+               (``chunk.exp_row_s``) and each mode's blockage-pattern draw,
+               one alias-table index row per group of 8 paths
+               (``chunk.<mode>_pattern_s``), median of CHUNK_REPEATS.
                Keys without a prefix are the baseline scenario (8 panels,
                4 paths); keys prefixed ``scale_16_8.`` are
                scenarios/scale_16_8.txt (16 panels, 8 paths). At wide L,
                for L in WIDE_PATHS = 8, 16, 32 and 64 paths with one panel
                per path: seconds per batch of one WIDE_TRIALS = 2^18-trial
                call of the uniform and LoS designs in both modes (its time
-               over 4 batches; key ``wide_<L>.per_batch_s``).
+               over 4 batches; key ``wide_<L>.per_batch_s``). And the
+               build of a mode's pattern tables, ``channel._pattern_tables``,
+               at TABLE_PATHS = 4, 8 and 64 paths with the default blockage
+               bounds (key ``tables_<L>.<mode>_s``).
   ks           seconds of one ``ks_distance`` call, against its mixture's
                ``se_cdf``, on the 10^6 idealized samples (AoDs and seed 1)
                of each of cdf's four designs at target SE 1, baseline
@@ -100,6 +103,7 @@ DESIGNS = ("los", "uniform", "outmin", "outmin_ase")
 TRIALS = 10**6
 WIDE_PATHS = (8, 16, 32, 64)
 WIDE_TRIALS = 1 << 18
+TABLE_PATHS = (4, 8, 64)
 REPEATS = 5
 CHUNK_REPEATS = 51
 TIER1_REPEATS = 3
@@ -142,25 +146,40 @@ def search_layer() -> dict:
 
 
 def chunk_draws(config) -> dict:
-    """Seconds of one chunk's stream-0 row and of each mode's blockage draws, as
+    """Seconds of one chunk's stream-0 row and of each mode's pattern draw, as
     run_batches draws them: CHUNK_TRIALS standard exponentials E into one row, and
-    the blockage into path-major (L, rows) planes, each from a stream of its own,
-    one generator per chunk and stream."""
-    rows, L = montecarlo.CHUNK_TRIALS, config.num_paths
-    exp_row, draws = np.empty(rows), np.empty((L, rows))
-    mask, p_hat = np.empty((L, rows), bool), np.empty(rows)
+    the patterns into one index row per group of 8 paths (two more rows when a node
+    is drawn), each from a stream of its own, one generator per chunk and stream."""
+    rows = montecarlo.CHUNK_TRIALS
+    exp_row, u, probe, accept = np.empty(rows), np.empty(rows), np.empty(rows), np.empty(rows, bool)
 
     def exponentials():
         montecarlo._chunk_rng(1, 0).standard_exponential(out=exp_row)
 
-    def blockage(mode, stream):
-        channel._block(config, mode, montecarlo._chunk_rng(1, 0, stream), draws, mask, p_hat)
-
     out = {"chunk.exp_row_s": median_seconds(exponentials, CHUNK_REPEATS)}
     for stream, mode in enumerate(montecarlo.MODES, 1):
-        out[f"chunk.{mode}_blockage_s"] = median_seconds(
-            lambda: blockage(mode, stream), CHUNK_REPEATS
+        tables = channel._pattern_tables(config, mode)
+        node, groups = tables
+        index = np.empty((len(groups) + 2 * (node is not None), rows), np.intp)
+        out[f"chunk.{mode}_pattern_s"] = median_seconds(
+            lambda: channel._draw_patterns(
+                tables, montecarlo._chunk_rng(1, 0, stream), u, index, probe, accept
+            ),
+            CHUNK_REPEATS,
         )
+    return out
+
+
+def pattern_tables() -> dict:
+    """Seconds of one ``channel._pattern_tables`` build per mode at TABLE_PATHS paths,
+    default blockage bounds (key ``tables_<L>.<mode>_s``)."""
+    out = {}
+    for num_paths in TABLE_PATHS:
+        config = pa.SystemConfig(n_p=num_paths, num_paths=num_paths)
+        for mode in montecarlo.MODES:
+            out[f"tables_{num_paths}.{mode}_s"] = median_seconds(
+                lambda: channel._pattern_tables(config, mode)
+            )
     return out
 
 
@@ -185,7 +204,7 @@ def montecarlo_layer() -> dict:
         aods = pa.sample_channel(config, rng=np.random.default_rng(1)).aods
         run = lambda: montecarlo.run_batches(config, allocs, aods, WIDE_TRIALS, 1)  # noqa: E731
         out[f"wide_{num_paths}.per_batch_s"] = median_seconds(run) / (2 * len(montecarlo.MODES))
-    return out
+    return out | pattern_tables()
 
 
 def ks_layer() -> dict:

@@ -3,47 +3,29 @@
 Idealized mode reproduces the assumptions behind the closed-form analysis:
 main-lobe-only equivalent response (N_a/sqrt(N_t)) q and blocked paths
 nulled. It is the oracle the analytic module is validated against.
-
 Realistic mode keeps the exact array responses (side lobes included) and
 attenuates blocked served paths by 1/eta instead of nulling them; unserved
-paths have no beam and are nulled when blocked. Each mode's blockage law
-is ``channel._block``'s.
+paths have no beam and are nulled when blocked.
 
-``run_batches`` simulates several allocations in both modes and draws no
-path gains: given a frame's blockage, h_eq = sum_l omega_l conj(g_l) a_eq,l
-is CN(0, v) with v = sum_l omega_l^2 |a_eq,l|^2 sigma_l^2 in either mode, so
-its RSNR is E sum_l omega_l^2 P_l, with E ~ Exp(1) and the power column
-P_l = tx_snr |a_eq,l|^2 sigma_l^2. So every result's law is exact, and the
-common random numbers of one call are E and, within a mode, the blockage
-patterns, which every design shares, not per-path gains.
-
-Trials come in chunks of ``CHUNK_TRIALS`` rows (the last shorter), a size
-that is part of the stream contract. Chunk c draws from SFC64 generators
-keyed by ``SeedSequence(entropy=(seed, c, s))``, only keyed, never jumped:
-stream s = 0, keyed (seed, c), one ``standard_exponential`` row of E, and
-stream 1 + ``MODES.index(mode)`` each mode's p_hat (realistic mode) and
-then its blockage uniforms, path-major (L, rows). So a mode's frames do not
-depend on which other modes or allocations share the call, and each
-per-path operand broadcasts as an (L, 1) column along a contiguous row: the
-spent draws' bytes hold the squared weights, 1 on a clear path and the
-blocked value squared on a blocked one; times P they give each path's
-share, and ``_row_sum`` adds them in path order, one row add per path. That
-order is the fill's contract: an oracle can replay it, where numpy's
-pairwise row sum changes its order with L. The worker multiplies the sum by
-E into its SE column, takes the SE, log1p(RSNR) / ln 2, in place, and
-stores the chunk's two sums; it copies the SE into the kept samples, and
-given an SE grid, sorts the column and adds its counts at the grid. So
-``cdf``, which needs only the counts and the means, holds no trial-length
-array. ``run_trials`` is its one-allocation, one-mode call.
-
-Chunks are filled on min(len(os.sched_getaffinity(0)), chunks) threads, as
-numpy's generators and ufuncs release the interpreter lock. Each worker
-owns scratch sized to one chunk: float draw (then squared-weight) and
-power planes and bool blocked and clear planes, all CHUNK_TRIALS x L, and
-float E, SE and (realistic mode) p_hat rows: about 0.8 MB at L = 4, besides
-8 n_trials bytes per result whose samples are kept. Worker threads call only
-numpy and the private in-place helpers of ``channel``. The samples, counts
-and means are bit-identical to a serial pass over the chunks.
+``run_batches`` draws no path gains: given a frame's blockage, h_eq is
+CN(0, v) with v = sum_l omega_l^2 |a_eq,l|^2 sigma_l^2, so its RSNR is
+E sum_l omega_l^2 P_l, with E ~ Exp(1) and P_l = tx_snr |a_eq,l|^2 sigma_l^2.
+Trials come in chunks of ``CHUNK_TRIALS`` = 2^15 rows (the last shorter), a
+size that is part of the stream contract. Chunk c draws from SFC64 generators keyed by
+``SeedSequence(entropy=(seed, c, s))``: stream 0 one ``standard_exponential``
+row of E, and stream 1 + ``MODES.index(mode)`` each mode's patterns as
+``channel._draw_patterns`` draws them: a node row when a node is drawn, then
+one uniform row per group of 8 paths, in order. A result's RSNR row is E times
+its ``channel._pattern_scales`` tables read at the index rows, in an order an
+oracle can replay. The worker takes the SE, log1p(RSNR) / ln 2, in place,
+stores both sums, copies it into the kept samples and, given an SE grid, sorts
+it and adds its counts, so ``cdf`` holds no trial-length array. A mode's
+frames do not depend on which other modes or allocations share the call.
+min(len(os.sched_getaffinity(0)), chunks) threads fill the chunks, as numpy
+releases the interpreter lock; each owns chunk-sized rows: float E, uniform
+and SE rows, a bool row and an intp row per group (two more when a node is
+drawn), 33 bytes a row up to 8 paths, about 1.1 MB. Results are bit-identical
+to a serial pass over the chunks.
 
 ``ks_distance`` reads the samples a piece at a time: one pass for their
 range, one to count them into value cells whose edges bound each cell's
@@ -68,14 +50,12 @@ from .beamforming import (
     equivalent_array_response_exact,
     validate_allocation,
 )
-from .channel import _block, _blocked_amplitudes, path_variances
+from .channel import _blocked_amplitudes, _draw_patterns, _pattern_scales, _pattern_tables
+from .channel import path_variances
 from .config import _SEED_LIMIT, SystemConfig
 from .errors import ConfigurationError
 
-# Trials come in fixed-size chunks, each with its own generators keyed by (seed,
-# chunk index, stream), its own slice of the result and its worker's scratch, so
-# the sample sequence is reproducible no matter how chunks are scheduled.
-CHUNK_TRIALS = 1 << 13
+CHUNK_TRIALS = 1 << 15  # rows of a chunk: part of the stream contract
 _LOG2_E = 1.0 / np.log(2.0)  # SE = log1p(RSNR) * _LOG2_E, positive for any RSNR > 0
 
 MODES = ("idealized", "realistic")
@@ -121,14 +101,6 @@ def _responses(config: SystemConfig, alloc: PanelAllocation, aods: np.ndarray, m
     return config.tx_snr * np.abs(a_eq) ** 2 * variances, blocked**2
 
 
-def _row_sum(g: np.ndarray) -> np.ndarray:
-    """Per-frame sums of g (L, rows) in path order, in place: the row g[0]."""
-    total = g[0]
-    for path in g[1:]:
-        total += path
-    return total
-
-
 def run_batches(
     config: SystemConfig,
     allocs,
@@ -141,26 +113,20 @@ def run_batches(
 ) -> dict[tuple[str, tuple[int, ...]], TrialBatchResult]:
     """Simulate n_trials frames for every allocation in every mode.
 
-    Returns ``{(mode, alloc.q): TrialBatchResult}``, one entry per distinct
-    allocation and mode. Every frame redraws its Exp(1) variable E and its
-    blockage state; the AoDs (and hence the beamformer in realistic mode)
-    stay fixed for the batch. For a fixed seed all allocations see the same
-    E and, within a mode, the same blocked patterns, and each result is
-    bit for bit the one a call with that allocation and mode alone gives,
-    whatever the chunk scheduling: min(usable CPUs, chunks) threads fill the
-    chunks, worker w taking chunks w, w + W, ....
-
-    The RSNR of a frame is E sum_l omega_l^2 P_l, with P_l = tx_snr
-    |a_eq,l|^2 sigma_l^2 and the terms added in path order, and its SE is
-    log1p(RSNR) * (1 / ln 2). The means are the ``np.sum`` of the per-chunk
-    ``np.sum``s, in trial order, over n_trials. The samples are kept only
-    if ``keep_samples``; with an ``se_grid``, ``cdf_counts`` holds the
-    number of samples <= each of its points, so a call that keeps no
-    samples holds no trial-length array.
+    Returns ``{(mode, alloc.q): TrialBatchResult}``, one per distinct allocation
+    and mode. Every frame redraws E and its blockage pattern, which all
+    allocations share within a mode; each result is the one a call with its
+    allocation and mode alone gives, bit for bit, whatever the scheduling. A
+    frame's RSNR is E sum_g S_g[K_g] over its groups' sub-patterns, in order,
+    S_g[k] summing (b_l^2 if l is blocked in k, else 1) P_l over the group in
+    path order, b_l the blocked amplitude; its SE is log1p(RSNR) / ln 2. The
+    means are the ``np.sum`` of the chunks' ``np.sum``s over n_trials. Samples
+    are kept if ``keep_samples``; with an ``se_grid``, ``cdf_counts`` holds the
+    number of samples <= each of its points.
     """
-    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
+    if type(n_trials) is bool or not isinstance(n_trials, numbers.Integral) or n_trials < 1:
         raise ConfigurationError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < _SEED_LIMIT:
+    if type(seed) is bool or not isinstance(seed, numbers.Integral) or not 0 <= seed < _SEED_LIMIT:
         raise ConfigurationError(f"seed must be an integer in [0, 2^32), got {seed!r}")
     modes = tuple(dict.fromkeys(modes))
     if not modes or not set(modes) <= set(MODES):
@@ -180,61 +146,51 @@ def run_batches(
 
     keys = [(mode, q) for mode in modes for q in distinct]
     samples = [np.empty(n_trials) if keep_samples else None for _ in keys]
-    # per mode and distinct blocked powers: (P, result index) of each allocation,
-    # both per-path operands as (L, 1) columns
-    targets = {mode: {} for mode in modes}
-    for k, (mode, q) in enumerate(keys):
-        power, blocked_powers = _responses(config, distinct[q], aods, mode)
-        group = targets[mode].setdefault(blocked_powers.tobytes(), (blocked_powers[:, None], []))
-        group[1].append((power[:, None], k))
-    L = config.num_paths
+    tables = {mode: _pattern_tables(config, mode) for mode in modes}
+    scales = [
+        _pattern_scales(tables[m], *_responses(config, distinct[q], aods, m)) for m, q in keys
+    ]
+    results = {mode: [k for k, key in enumerate(keys) if key[0] == mode] for mode in modes}
+    index_rows = max(len(groups) + 2 * (node is not None) for node, groups in tables.values())
     chunks = -(-n_trials // CHUNK_TRIALS)
     workers = min(_usable_cpus(), chunks)
     size = min(CHUNK_TRIALS, n_trials)
     # the RSNR and SE sums of each result's chunks, in trial order
     partials = np.empty((len(keys), 2, chunks))
     counts = np.zeros((workers, len(keys), 0 if grid is None else grid.size), dtype=np.int64)
-    # Scratch per worker, sized to one chunk and flat, so a shorter last chunk is
-    # contiguous too (numpy would buffer strided operands on the worker thread);
+    # Scratch per worker: contiguous chunk-sized rows (numpy would buffer strided operands),
     # made here, not in the threads, whose per-thread malloc arenas raise peak RSS.
     scratch = [
-        (np.empty(L * size), np.empty(L * size, bool), np.empty(L * size, bool),
-         np.empty(L * size), np.empty(size), np.empty(size if "realistic" in modes else 0),
-         np.empty(size))
+        (np.empty((3, size)), np.empty(size, bool), np.empty((index_rows, size), np.intp))
         for _ in range(workers)
     ]
 
     def fill(worker: int) -> None:
-        *planes, exp_all, p_hat_all, column_all = scratch[worker]
+        floats, accept_all, index_all = scratch[worker]
         for c in range(worker, chunks, workers):
             a = c * CHUNK_TRIALS
             rows = min(CHUNK_TRIALS, n_trials - a)
-            weights, mask, keep, terms = (p[: L * rows].reshape(L, rows) for p in planes)
-            exp_row, column = exp_all[:rows], column_all[:rows]
+            exp_row, u, column = floats[:, :rows]  # the E, uniform and SE rows
+            accept, index = accept_all[:rows], index_all[:, :rows]
             _chunk_rng(seed, c).standard_exponential(out=exp_row)
             for mode in modes:
                 rng = _chunk_rng(seed, c, 1 + MODES.index(mode))
-                _block(config, mode, rng, weights, mask, p_hat_all[:rows])
-                np.logical_not(mask, out=keep)
-                for blocked_powers, results in targets[mode].values():
-                    # the draws are spent: 1 on a clear path, the blocked power
-                    # on a blocked one, exactly, as blocked powers are in [0, 1]
-                    np.multiply(mask, blocked_powers, out=weights)
-                    np.maximum(weights, keep, out=weights)
-                    for power, k in results:
-                        # the RSNR, then the SE, in place in the SE column;
-                        # copied into the kept samples, then sorted for counts
-                        np.multiply(weights, power, out=terms)
-                        np.multiply(_row_sum(terms), exp_row, out=column)
-                        partials[k, 0, c] = np.sum(column)
-                        np.log1p(column, out=column)
-                        column *= _LOG2_E
-                        partials[k, 1, c] = np.sum(column)
-                        if samples[k] is not None:
-                            samples[k][a : a + rows] = column
-                        if grid is not None:
-                            column.sort()
-                            counts[worker, k] += np.searchsorted(column, grid, side="right")
+                _draw_patterns(tables[mode], rng, u, index, column, accept)
+                for k in results[mode]:
+                    np.take(scales[k][0], index[0], out=column, mode="clip")
+                    for scale, row in zip(scales[k][1:], index[1:]):
+                        np.take(scale, row, out=u, mode="clip")
+                        column += u
+                    column *= exp_row
+                    partials[k, 0, c] = np.sum(column)
+                    np.log1p(column, out=column)
+                    column *= _LOG2_E
+                    partials[k, 1, c] = np.sum(column)
+                    if samples[k] is not None:
+                        samples[k][a : a + rows] = column
+                    if grid is not None:
+                        column.sort()
+                        counts[worker, k] += np.searchsorted(column, grid, side="right")
 
     failures: list[BaseException] = []
 
@@ -275,18 +231,17 @@ def run_trials(
     n_trials: int,
     seed: int,
 ) -> TrialBatchResult:
-    """Simulate n_trials transmission frames of one allocation in one mode.
-
-    The one-allocation, one-mode call of ``run_batches``.
-    """
+    """Simulate n_trials transmission frames of one allocation in one mode (``run_batches``)."""
     return run_batches(config, [alloc], aods, n_trials, seed, (mode,))[mode, alloc.q]
 
 
 def empirical_outage(result: TrialBatchResult, target_se: float) -> float:
     """Fraction of trials with SE strictly below the target.
 
-    Raises ValueError if the result kept no samples.
+    Raises ValueError if the target is NaN or the result kept no samples.
     """
+    if np.isnan(target_se):
+        raise ValueError(f"target SE must not be NaN, got {target_se}")
     return int(np.count_nonzero(_samples(result) < target_se)) / result.trials
 
 

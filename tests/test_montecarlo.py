@@ -26,12 +26,8 @@ from panelalloc import (
     uniform_allocation,
 )
 from panelalloc import montecarlo
-from panelalloc.montecarlo import (
-    CHUNK_TRIALS,
-    MODES,
-    TrialBatchResult,
-    _row_sum,
-)
+from panelalloc.channel import _row_sum
+from panelalloc.montecarlo import CHUNK_TRIALS, MODES, TrialBatchResult
 from util import (
     blockage_pattern_se_cdf,
     fill_se,
@@ -213,6 +209,11 @@ class TestEmpiricalQueries:
         result = run_trials(baseline, los_concentration(baseline), aods, "idealized", 10**4, 2)
         assert empirical_outage(result, 0.0) == 0.0
 
+    def test_nan_target_rejected(self, baseline, aods):
+        result = run_trials(baseline, los_concentration(baseline), aods, "idealized", 100, 2)
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_outage(result, np.nan)
+
     def test_outage_at_huge_target_is_one(self, baseline, aods):
         result = run_trials(baseline, los_concentration(baseline), aods, "idealized", 10**4, 2)
         assert empirical_outage(result, 1e6) == 1.0
@@ -296,9 +297,12 @@ class TestConditionalLaw:
             ((5, 1, 1, 1), 16, 1e3, 0.1, 0.9),
             ((1, 0, 1, 0), 4, 0.5, 0.4, 0.4),
             ((8, 0, 0, 0), 32, 10.0, 0.2, 0.6),
+            # two groups of paths, and three with a last group of one path
+            ((2, 1, 0, 1, 1, 0, 2, 1, 0, 1, 1, 2), 32, 10.0, 0.2, 0.6),
+            ((2,) + (1, 0, 1, 1) * 4, 32, 10.0, 0.2, 0.6),
         ],
         ids=["baseline", "kappa0", "na3", "L8", "pblk0", "pblk1", "kappa1e3", "np_below_L",
-             "los"],
+             "los", "L12", "L17"],
     )
     def test_equals_gaussian_gain_law_in_distribution(self, q, n_a, kappa, p_min, p_max):
         config = SystemConfig(n_a=n_a, n_p=sum(q), num_paths=len(q), rician_k=kappa,
@@ -319,28 +323,29 @@ def _block_mean(values) -> float:
     return float(np.sum(np.array(sums)) / values.size)
 
 
-def _worker_scratch(num_paths, mode) -> int:
-    """Bytes of one worker's scratch, all sized to a chunk: per row, over
-    L paths, path-major (L, rows), the float draws (whose bytes then hold the
-    squared weights), the bool blocked mask, the bool clear ("keep") pattern
-    and the float power terms, whose first row then holds their sum; and per
-    row the float E, the float SE column, sorted in place for the grid
-    counts, and in realistic mode the float p_hat of the frame."""
-    p_hat = 8 if mode == "realistic" else 0
-    return CHUNK_TRIALS * (num_paths * (8 + 1 + 1 + 8) + 8 + 8 + p_hat)
+def _worker_scratch(config, mode) -> int:
+    """Bytes of one worker's scratch, all rows sized to a chunk: the float E,
+    uniform and SE rows (the SE column sorted in place for the grid counts),
+    the bool accept row and one intp index row per group of 8 paths, and two
+    more when a node is drawn (realistic mode, more than one group and
+    p_min < p_max): the frames' node and the draw before it is resolved."""
+    groups = -(-config.num_paths // 8)
+    node = mode == "realistic" and groups > 1 and config.p_min < config.p_max
+    return CHUNK_TRIALS * (8 + 8 + 8 + 1 + 8 * (groups + 2 * node))
 
 
 class TestRowSum:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 63, 64, 65, 130])
-    @pytest.mark.parametrize("rows", [1, 7, CHUNK_TRIALS])
+    # rows: the columns summed, from one to far more than a group's 2^8 patterns
+    @pytest.mark.parametrize("rows", [1, 7, 1 << 13])
     def test_equals_numpy_sum_bytewise(self, L, rows):
-        # the fill's terms: nonnegative floats over 16 decades
+        # the pattern tables' terms: nonnegative floats over 16 decades
         gen = np.random.default_rng(L * rows)
         g = gen.standard_exponential((rows, L)) * 10.0 ** gen.uniform(-8, 8, (rows, L))
         g[1::5] = 0.0  # all-zero rows, none in a one-row g
         # numpy's running sum along the row: the paths added in path order
         expected = np.cumsum(g, axis=1)[:, -1]
-        g = np.ascontiguousarray(g.T)  # path-major (L, rows), as the fill holds it
+        g = np.ascontiguousarray(g.T)  # path-major (L, rows), as the table build holds it
         total = _row_sum(g)
         assert np.shares_memory(total, g)  # accumulated inside g
         assert np.ascontiguousarray(total).tobytes() == expected.tobytes()
@@ -359,10 +364,10 @@ class TestThreadedFill:
             ((8, 0, 0, 0), 32),
             ((4, 0, 2, 2), 32),
             ((1, 2, 2, 3), 32),
-            # L = 9 and 13: more column adds than at the baseline's 4 paths
+            # L = 9 and 13: two groups, the last of 1 and 5 paths, and a node row
             ((2, 1, 0, 1, 1, 0, 2, 1, 0), 32),
             ((3, 0, 1, 1, 0, 2, 1, 1, 0, 2, 1, 1, 3), 32),
-            # L = 33 and 64: wide path-major planes, many row adds per frame
+            # L = 33 and 64: five and eight groups, 17 and 33 nodes in realistic mode
             ((2,) + (1, 0, 2, 1) * 8, 32),
             ((1, 0, 3) * 21 + (2,), 32),
             # n_a = 3: wider beams, so smaller eta and larger blocked amplitudes than at 32
@@ -403,7 +408,7 @@ class TestThreadedFill:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n + workers * _worker_scratch(baseline.num_paths, mode) + 2**20
+        assert peak < 8 * n + workers * _worker_scratch(baseline, mode) + 2**20
 
     @pytest.mark.parametrize("modes", [("idealized",), MODES])
     def test_traced_peak_of_batch_is_outputs_plus_worker_scratch(self, baseline, aods, modes):
@@ -412,7 +417,7 @@ class TestThreadedFill:
         allocs = [
             uniform_allocation(baseline), los_concentration(baseline), PanelAllocation((1, 2, 2, 3))
         ]
-        scratch = max(_worker_scratch(baseline.num_paths, mode) for mode in modes)
+        scratch = max(_worker_scratch(baseline, mode) for mode in modes)
         run_batches(baseline, allocs, aods, 10, 0, modes)  # lazy imports happen outside the trace
         tracemalloc.start()
         try:
@@ -439,7 +444,7 @@ class TestThreadedFill:
             PanelAllocation((1, 2, 2, 3) * (num_paths // 4)),
             PanelAllocation((5, 1, 1, 1) * (num_paths // 4)),
         ]
-        scratch = max(_worker_scratch(num_paths, mode) for mode in MODES)
+        scratch = max(_worker_scratch(config, mode) for mode in MODES)
         grid = np.linspace(0.0, 10.0, 101)
         # lazy imports happen outside the trace
         run_batches(config, allocs, aods, 10, 0, se_grid=grid, keep_samples=False)
@@ -902,6 +907,15 @@ class TestValidation:
     def test_bad_trial_count(self, baseline, aods):
         with pytest.raises(ConfigurationError):
             run_trials(baseline, los_concentration(baseline), aods, "idealized", 0, 0)
+
+    @pytest.mark.parametrize(
+        "n_trials, seed, name", [(True, 0, "n_trials"), (10, True, "seed")],
+        ids=["bool trials", "bool seed"],
+    )
+    def test_bool_trial_count_or_seed_rejected(self, baseline, aods, n_trials, seed, name):
+        # bool is an Integral: True passed as one trial or seed 1
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+            run_trials(baseline, los_concentration(baseline), aods, "idealized", n_trials, seed)
 
     def test_bad_aods(self, baseline):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from panelalloc import (
     validate_allocation,
 )
 from panelalloc import cli
+from panelalloc.channel import _pattern_tables
 from panelalloc.export import write_csv
 from panelalloc.montecarlo import CHUNK_TRIALS
 
@@ -190,26 +191,31 @@ def realistic_se_cdf(config, alloc, aods, se_bits) -> np.ndarray:
     return blockage_pattern_se_cdf(config, a_eq, blocked_values, se_bits)
 
 
-def _serial_chunks(config, mode, n_trials, seed, blocked_values):
-    """(stream 0, omega) of each chunk of CHUNK_TRIALS frames (the last shorter):
-    the SFC64 stream keyed (seed, c), left undrawn, and the per-path factors
-    (L, rows) drawn from the one keyed (seed, c, 1 + mode index), 1 on a clear
-    path and blocked_values[l] on a blocked one. The independent (idealized) and
-    shared-p_hat (realistic) blockage laws are written out with np.where."""
+def _stream(*key):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=key)))
 
-    def stream(*key):
-        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=key)))
 
-    L = config.num_paths
+def _chunk_rows(n_trials):
+    """(chunk index, rows) of each chunk of CHUNK_TRIALS frames, the last shorter."""
     full, rem = divmod(n_trials, CHUNK_TRIALS)
-    for chunk_index, rows in enumerate([CHUNK_TRIALS] * full + ([rem] if rem else [])):
-        block_rng = stream(seed, chunk_index, 1 + ["idealized", "realistic"].index(mode))
+    return enumerate([CHUNK_TRIALS] * full + ([rem] if rem else []))
+
+
+def _serial_chunks(config, mode, n_trials, seed, blocked_values):
+    """(stream 0, omega) of each chunk: the SFC64 stream keyed (seed, c), left undrawn,
+    and the per-path factors (L, rows) drawn from the one keyed (seed, c, 1 + mode
+    index), 1 on a clear path and blocked_values[l] on a blocked one. The independent
+    (idealized) and shared-p_hat (realistic) blockage laws are written out with
+    np.where: realistic frames draw p_hat, then every frame L uniforms, path-major."""
+    L = config.num_paths
+    for chunk_index, rows in _chunk_rows(n_trials):
+        block_rng = _stream(seed, chunk_index, 1 + ["idealized", "realistic"].index(mode))
         if mode == "idealized":
             blocked = block_rng.random((L, rows)) < config.p_blk
         else:
             p_hat = block_rng.uniform(config.p_min, config.p_max, size=rows)
             blocked = block_rng.random((L, rows)) < p_hat[None, :]
-        yield stream(seed, chunk_index), np.where(blocked, blocked_values[:, None], 1.0)
+        yield _stream(seed, chunk_index), np.where(blocked, blocked_values[:, None], 1.0)
 
 
 def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
@@ -235,6 +241,29 @@ def serial_channel_power(config, alloc, aods, mode, n_trials, seed) -> np.ndarra
     return np.concatenate(power_blocks)
 
 
+def serial_patterns(config, mode, rng, rows) -> np.ndarray:
+    """Blocked flags (L, rows) of ``rows`` frames drawn from ``rng`` as the library's
+    alias-table draw, written out: with a node table, a uniform row first picks each
+    frame's node; then one uniform row per group of 8 paths, in order, picks its
+    sub-pattern K, whose bit l % 8 blocks path l. Each pick from a table
+    (threshold, alias) of n entries is k = floor(n u), kept if n u < threshold[k], else
+    alias[k]. The (threshold, alias) tables are the library's
+    ``channel._pattern_tables``."""
+
+    def pick(threshold, alias, node):
+        u = rng.random(rows) * threshold.shape[-1]
+        k = np.floor(u).astype(int)
+        return np.where(u < threshold[node, k], k, alias[node, k])
+
+    node_table, groups = _pattern_tables(config, mode)
+    node = np.zeros(rows, dtype=int)
+    if node_table is not None:
+        node = pick(node_table[0][None], node_table[1][None], node)
+    subpatterns = [pick(threshold, alias, node) for threshold, alias, _ in groups]
+    paths = np.arange(config.num_paths)
+    return (np.array(subpatterns)[paths // 8] >> (paths % 8)[:, None]) & 1 == 1
+
+
 def serial_rsnr(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
     """The RSNR of one allocation in one mode as the library's conditional law
     gives it, replayed bytewise as one serial loop over the chunks.
@@ -242,16 +271,22 @@ def serial_rsnr(config, alloc, aods, mode, n_trials, seed) -> np.ndarray:
     Given a frame's blockage, h_eq is CN(0, v), so its RSNR is E times
     sum_l omega_l^2 P_l, with P_l = tx_snr |a_eq[l]|^2 sigma_l^2 and
     E ~ Exp(1). Chunk c draws one ``standard_exponential`` row E from the
-    stream keyed (seed, c) and its blockage as ``_serial_chunks`` gives it;
-    the terms omega_l^2 P_l are added in path order, l = 1, ..., L, and the
-    sum is multiplied by E. Written out, not called.
+    stream keyed (seed, c) and its patterns from the one keyed (seed, c,
+    1 + mode index) as ``serial_patterns`` draws them; the terms
+    omega_l^2 P_l are added in path order within each group of 8 paths, the
+    group sums in group order, and the sum is multiplied by E. Written out,
+    not called.
     """
     a_eq, blocked_values = _mode_law(config, alloc, aods, mode)
     power = config.tx_snr * np.abs(a_eq) ** 2 * _path_variances(config.rician_k, config.num_paths)
     rsnr_blocks = []
-    for exp_rng, omega in _serial_chunks(config, mode, n_trials, seed, blocked_values):
-        total = functools.reduce(np.add, omega**2 * power[:, None])
-        rsnr_blocks.append(total * exp_rng.standard_exponential(omega.shape[1]))
+    for chunk_index, rows in _chunk_rows(n_trials):
+        rng = _stream(seed, chunk_index, 1 + ["idealized", "realistic"].index(mode))
+        blocked = serial_patterns(config, mode, rng, rows)
+        terms = np.where(blocked, blocked_values[:, None], 1.0) ** 2 * power[:, None]
+        groups = [functools.reduce(np.add, terms[a : a + 8]) for a in range(0, len(terms), 8)]
+        exp_row = _stream(seed, chunk_index).standard_exponential(rows)
+        rsnr_blocks.append(functools.reduce(np.add, groups) * exp_row)
     return np.concatenate(rsnr_blocks)
 
 
